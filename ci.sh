@@ -38,6 +38,13 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== fuzz (sparse LU vs the dense reference)"
+# FuzzSparseLU factors decoded matrices with linalg.SparseLU and the dense
+# reference LU and requires the same singular verdict, nonzero count and
+# bit-identical solves; its seed corpus under
+# internal/linalg/testdata/fuzz already ran with the race step above.
+go test -run '^$' -fuzz FuzzSparseLU -fuzztime 10s ./internal/linalg
+
 echo "== bench smoke (lubt-bench/1 JSON + pricing pivot gate + ECO gate)"
 # Each reference bench is run through `lubtbench -json` (the
 # revised/devex, revised/most-violated, dense lineup plus the single-sink

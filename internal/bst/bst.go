@@ -61,8 +61,8 @@ func Route(sinks []geom.Point, skewBound float64, source *geom.Point) (*Result, 
 	}
 
 	// mergeCost returns the minimal added wirelength S = ea+eb for joining
-	// clusters a and b under the skew budget, and the split (ea, eb).
-	mergeCost := func(a, b *cluster) (s, ea, eb float64) {
+	// clusters a and b under the skew budget, and a's share ea.
+	mergeCost := func(a, b *cluster) (s, ea float64) {
 		d := a.mr.Dist(b.mr)
 		s = d
 		if !math.IsInf(skewBound, 1) {
@@ -79,7 +79,7 @@ func Route(sinks []geom.Point, skewBound float64, source *geom.Point) (*Result, 
 		// range (for skew bound 0 the range is the single balance point).
 		balanced := (s + (b.lo+b.hi)/2 - (a.lo+a.hi)/2) / 2
 		ea = math.Min(math.Max(balanced, loEa), hiEa)
-		return s, ea, s - ea
+		return s, ea
 	}
 
 	alive := make([]int, 0, m) // indices into clusters
@@ -99,7 +99,7 @@ func Route(sinks []geom.Point, skewBound float64, source *geom.Point) (*Result, 
 			if cj == ci {
 				continue
 			}
-			if s, _, _ := mergeCost(&clusters[ci], &clusters[cj]); s < nnCost[ci] {
+			if s, _ := mergeCost(&clusters[ci], &clusters[cj]); s < nnCost[ci] {
 				nn[ci], nnCost[ci] = cj, s
 			}
 		}
@@ -118,7 +118,13 @@ func Route(sinks []geom.Point, skewBound float64, source *geom.Point) (*Result, 
 		}
 		bj := nn[bi]
 		a, b := &clusters[bi], &clusters[bj]
-		_, ea, eb := mergeCost(a, b)
+		s, ea := mergeCost(a, b)
+		// When the skew bound binds exactly, the split can round to just
+		// outside [0, s] (−2.3e-13 seen); a wire length must not go
+		// negative. Clamped here, once per merge, not in the O(m²) pair
+		// scan, which only needs s.
+		ea = math.Min(math.Max(ea, 0), s)
+		eb := s - ea
 		merged := cluster{
 			node:  nextNode,
 			mr:    a.mr.Expand(ea).Intersect(b.mr.Expand(eb)),

@@ -8,6 +8,7 @@ import (
 	"lubt/internal/core"
 	"lubt/internal/embed"
 	"lubt/internal/geom"
+	"lubt/internal/wkld"
 )
 
 func randSinks(rng *rand.Rand, m int) []geom.Point {
@@ -174,5 +175,41 @@ func TestLUBTNeverWorseThanBaseline(t *testing.T) {
 			t.Fatalf("trial %d: LUBT cost %g exceeds baseline %g on the same topology",
 				trial, lub.Cost, res.Cost)
 		}
+	}
+}
+
+// TestRouteSkewBindsExactly routes a net on which the skew bound binds
+// exactly at a merge, where the wire split rounds to −2.3e-13 and must be
+// clamped before it reaches the merge-region expansion. The route must
+// stay within the bound, and the LP on its topology must solve and
+// verify.
+func TestRouteSkewBindsExactly(t *testing.T) {
+	net := wkld.Custom("serve", 150, 4221486817386963450)
+	src := net.Source
+	r := 0.0
+	for _, s := range net.Sinks {
+		r = math.Max(r, geom.Dist(src, s))
+	}
+	bound := 0.1 * r
+	res, err := Route(net.Sinks, bound, &src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Skew > bound+1e-9*r {
+		t.Fatalf("skew %g exceeds bound %g", res.Stats.Skew, bound)
+	}
+	m := len(net.Sinks)
+	in := &core.Instance{Tree: res.Tree, SinkLoc: sinkLocSlice(net.Sinks), Source: &src}
+	b := core.Bounds{L: make([]float64, m+1), U: make([]float64, m+1)}
+	for i := 1; i <= m; i++ {
+		b.L[i] = res.Stats.Min
+		b.U[i] = res.Stats.Max
+	}
+	lub, err := core.Solve(in, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Verify(in, b, lub.E, 1e-6*r); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"lubt/internal/bst"
 	"lubt/internal/geom"
 	"lubt/internal/lp"
 	"lubt/internal/topology"
+	"lubt/internal/wkld"
 )
 
 // engineOptions enumerates every LP path through the row-generation loop:
@@ -125,6 +127,48 @@ func TestInfeasibleAfterWarmRounds(t *testing.T) {
 		_, err := Solve(in, b, engineOptions()[name])
 		if !errors.Is(err, ErrInfeasible) {
 			t.Errorf("%s: err = %v, want ErrInfeasible", name, err)
+		}
+	}
+}
+
+// TestRadiusTopWindowFeasible solves a 150-sink net in the window
+// [0.9R, R], where the longest delay of the optimum is exactly R. Under
+// Devex and most-violated pricing one pivot's bound-flip walk runs out of
+// candidates 4e-12 short of the violation, roundoff against a feasTol of
+// 2e-5, which must not certify infeasibility: both must return the cold
+// simplex's optimum (steepest edge stands in under the race detector,
+// where the cold solve is too slow).
+func TestRadiusTopWindowFeasible(t *testing.T) {
+	net := wkld.Custom("serve", 150, 3053199128896940017)
+	src := net.Source
+	r := 0.0
+	for _, s := range net.Sinks {
+		r = math.Max(r, geom.Dist(src, s))
+	}
+	base, err := bst.Route(net.Sinks, 0.1*r, &src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := len(net.Sinks)
+	in := &Instance{Tree: base.Tree, SinkLoc: make([]geom.Point, m+1), Source: &src}
+	copy(in.SinkLoc[1:], net.Sinks)
+	b := UniformBounds(m, 0.9*r, r)
+	ref := &Options{Solver: &lp.Simplex{}}
+	if raceEnabled {
+		ref = &Options{Pricing: "steepest"}
+	}
+	want, err := Solve(in, b, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pricing := range []string{"devex", "mostviolated"} {
+		got, err := Solve(in, b, &Options{Pricing: pricing})
+		if err != nil {
+			t.Errorf("%s: %v", pricing, err)
+			continue
+		}
+		if math.Abs(got.Cost-want.Cost) > 1e-6*r {
+			t.Errorf("%s: cost %.10f, reference %.10f", pricing, got.Cost, want.Cost)
 		}
 	}
 }

@@ -170,3 +170,34 @@ func TestDevexPivotOrderingR4S(t *testing.T) {
 		t.Errorf("pricing labels: %q / %q", devex.Stats.PricingScheme, mv.Stats.PricingScheme)
 	}
 }
+
+// TestRevisedTrajectoryPin pins the revised engine's counters on the
+// 0.1·radius window, as `lubtbench -stats` reports them. Pivot paths are
+// deterministic, so any change to pricing, the ratio test or the basis
+// factorization that moves a pivot shows here first.
+func TestRevisedTrajectoryPin(t *testing.T) {
+	type counters struct {
+		rounds, steiner, pivots, flips, refactors, basis, fillIn int
+	}
+	pins := []struct {
+		bench, pricing string
+		want           counters
+	}{
+		{"prim2-s", "devex", counters{4, 615, 438, 14, 10, 272, 794}},
+		{"r4-s", "devex", counters{6, 2490, 1665, 43, 29, 868, 3682}},
+		{"r4-s", "mostviolated", counters{6, 2475, 1749, 53, 32, 858, 4217}},
+	}
+	for _, p := range pins {
+		in, cb := benchInstance(t, p.bench)
+		res, err := Solve(in, cb, &Options{Pricing: p.pricing})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", p.bench, p.pricing, err)
+		}
+		st := res.Stats
+		got := counters{res.Rounds, res.RowsUsed, st.Pivots, st.BoundFlips,
+			st.Refactorizations, st.BasisSize, st.FillIn}
+		if got != p.want {
+			t.Errorf("%s/%s: got %+v, want %+v", p.bench, p.pricing, got, p.want)
+		}
+	}
+}

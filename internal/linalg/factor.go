@@ -13,217 +13,6 @@ var ErrSingular = errors.New("linalg: singular matrix")
 // symmetric positive definite.
 var ErrNotSPD = errors.New("linalg: matrix not positive definite")
 
-// LU holds an LU factorization with partial pivoting: P·A = L·U, with L
-// unit lower triangular and U upper triangular, packed into one matrix.
-type LU struct {
-	lu      *Matrix
-	luT     *Matrix // transposed copy of lu, for column-order substitution
-	perm    []int
-	scratch []float64 // transpose-solve intermediate, reused across calls
-}
-
-// FactorLU computes the LU factorization of the square matrix a. The input
-// is not modified.
-func FactorLU(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		panic("linalg: FactorLU of non-square matrix")
-	}
-	return FactorLUInto(a, nil)
-}
-
-// Solve computes x such that A x = b for the factored A.
-func (f *LU) Solve(b []float64) []float64 {
-	x := make([]float64, f.lu.Rows)
-	f.SolveInto(b, x)
-	return x
-}
-
-// SolveInto is Solve writing the result into x (len n, may not alias b):
-// the allocation-free hot path of the revised simplex FTRAN.
-func (f *LU) SolveInto(b, x []float64) {
-	n := f.lu.Rows
-	if len(b) != n || len(x) != n {
-		panic("linalg: LU.SolveInto length mismatch")
-	}
-	for i, p := range f.perm {
-		x[i] = b[p]
-	}
-	// Both substitution passes run in outer-product (saxpy) form over the
-	// transposed factor copy: column i of L (or U) is row i of luT, so the
-	// inner loops stay contiguous and a pass skips row i outright when its
-	// multiplier is zero — the usual case when the simplex FTRAN pushes a
-	// sparse entering column through.
-	for i := 0; i < n-1; i++ {
-		v := x[i]
-		if v != 0 {
-			ti := f.luT.Row(i)
-			for j := i + 1; j < n; j++ {
-				x[j] -= ti[j] * v
-			}
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		ti := f.luT.Row(i)
-		v := x[i] / ti[i]
-		x[i] = v
-		if v != 0 {
-			for j, uji := range ti[:i] {
-				x[j] -= uji * v
-			}
-		}
-	}
-}
-
-// SolveTranspose computes x such that Aᵀ x = b for the factored A. With
-// P·A = L·U this is Uᵀ(Lᵀ(P x)) = b: a forward solve with Uᵀ, a backward
-// solve with the unit triangle Lᵀ, and an inverse row permutation. The
-// revised simplex BTRAN pass is built on this.
-func (f *LU) SolveTranspose(b []float64) []float64 {
-	x := make([]float64, f.lu.Rows)
-	f.SolveTransposeInto(b, x)
-	return x
-}
-
-// SolveTransposeInto is SolveTranspose writing the result into x (len n,
-// may not alias b). Both substitution passes run in outer-product (saxpy)
-// form, so every inner loop walks one contiguous row of the row-major LU
-// packing instead of striding down a column — and a pass skips row i
-// entirely when its multiplier is zero, which the simplex BTRAN (a unit
-// right-hand side pushed through the eta file) hits constantly.
-func (f *LU) SolveTransposeInto(b, x []float64) {
-	n := f.lu.Rows
-	if len(b) != n || len(x) != n {
-		panic("linalg: LU.SolveTransposeInto length mismatch")
-	}
-	y := f.scratch
-	if len(y) != n {
-		y = make([]float64, n)
-		f.scratch = y
-	}
-	copy(y, b)
-	// Forward substitution with Uᵀ (lower triangular, diagonal from U):
-	// once y[i] is final, scatter its contribution via row i of U.
-	for i := 0; i < n; i++ {
-		ri := f.lu.Row(i)
-		v := y[i] / ri[i]
-		y[i] = v
-		if v != 0 {
-			for j := i + 1; j < n; j++ {
-				y[j] -= ri[j] * v
-			}
-		}
-	}
-	// Back substitution with Lᵀ (unit upper triangular): scatter via the
-	// strict lower part of row i.
-	for i := n - 1; i > 0; i-- {
-		v := y[i]
-		if v != 0 {
-			for j, lij := range f.lu.Row(i)[:i] {
-				y[j] -= lij * v
-			}
-		}
-	}
-	// Undo the pivoting: (P x)_i = x_{perm[i]} = y_i.
-	for i, p := range f.perm {
-		x[p] = y[i]
-	}
-}
-
-// NNZ returns the number of nonzeros stored in the packed LU factor (both
-// triangles, excluding the implicit unit diagonal of L). Comparing it with
-// the nonzero count of the factored matrix measures fill-in.
-func (f *LU) NNZ() int {
-	nnz := 0
-	for _, v := range f.lu.Data {
-		if v != 0 {
-			nnz++
-		}
-	}
-	return nnz
-}
-
-// Dim returns the dimension of the factored matrix.
-func (f *LU) Dim() int { return f.lu.Rows }
-
-// FactorLUInto is FactorLU reusing the storage of a previous factorization
-// of the same dimension (prev may be nil or differently sized, in which
-// case fresh storage is allocated). The incremental LP engines refactor
-// their basis periodically; this hook keeps those refactorizations
-// allocation-free in steady state.
-func FactorLUInto(a *Matrix, prev *LU) (*LU, error) {
-	if a.Rows != a.Cols {
-		panic("linalg: FactorLUInto of non-square matrix")
-	}
-	n := a.Rows
-	f := prev
-	if f == nil || f.lu == nil || f.lu.Rows != n || f.lu.Cols != n {
-		f = &LU{lu: NewMatrix(n, n), luT: NewMatrix(n, n), perm: make([]int, n)}
-	}
-	copy(f.lu.Data, a.Data)
-	for i := range f.perm {
-		f.perm[i] = i
-	}
-	if err := f.factorInPlace(); err != nil {
-		return nil, err
-	}
-	// Keep a transposed copy of the packed factors: O(n²) against the
-	// O(n³) elimination, and it buys contiguous column-order substitution
-	// in SolveInto.
-	for i := 0; i < n; i++ {
-		ri := f.lu.Row(i)
-		for j, v := range ri {
-			f.luT.Set(j, i, v)
-		}
-	}
-	return f, nil
-}
-
-// factorInPlace runs the pivoted elimination over f.lu/f.perm.
-func (f *LU) factorInPlace() error {
-	lu, perm := f.lu, f.perm
-	n := lu.Rows
-	for k := 0; k < n; k++ {
-		p, best := k, math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.At(i, k)); v > best {
-				p, best = i, v
-			}
-		}
-		if best < 1e-13 {
-			return ErrSingular
-		}
-		if p != k {
-			rk, rp := lu.Row(k), lu.Row(p)
-			for j := range rk {
-				rk[j], rp[j] = rp[j], rk[j]
-			}
-			perm[k], perm[p] = perm[p], perm[k]
-		}
-		pivot := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pivot
-			lu.Set(i, k, m)
-			if m == 0 {
-				continue
-			}
-			ri, rk := lu.Row(i), lu.Row(k)
-			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
-			}
-		}
-	}
-	return nil
-}
-
-// SolveLU is a convenience wrapper: factor a and solve a single system.
-func SolveLU(a *Matrix, b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
 // Cholesky holds the lower-triangular Cholesky factor L of an SPD matrix:
 // A = L·Lᵀ.
 type Cholesky struct {

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,6 +88,17 @@ func TestDotNormScale(t *testing.T) {
 	}
 }
 
+// solveLU factors a with SparseLU and solves A x = b.
+func solveLU(a *Matrix, b []float64) ([]float64, error) {
+	var f SparseLU
+	if err := f.Factor(cscOf(a)); err != nil {
+		return nil, err
+	}
+	x := make([]float64, len(b))
+	f.SolveInto(b, x)
+	return x, nil
+}
+
 func TestLUSolveKnown(t *testing.T) {
 	a := FromRows([][]float64{
 		{2, 1, 1},
@@ -94,7 +106,7 @@ func TestLUSolveKnown(t *testing.T) {
 		{-2, 7, 2},
 	})
 	b := []float64{5, -2, 9}
-	x, err := SolveLU(a, b)
+	x, err := solveLU(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +120,7 @@ func TestLUSolveKnown(t *testing.T) {
 
 func TestLUSingular(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := FactorLU(a); err != ErrSingular {
+	if _, err := solveLU(a, []float64{1, 1}); !errors.Is(err, ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
@@ -130,7 +142,7 @@ func TestLURandomProperty(t *testing.T) {
 			xTrue[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(xTrue)
-		x, err := SolveLU(a, b)
+		x, err := solveLU(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +157,7 @@ func TestLURandomProperty(t *testing.T) {
 func TestLUNeedsPivoting(t *testing.T) {
 	// Zero pivot in the (0,0) position forces a row swap.
 	a := FromRows([][]float64{{0, 1}, {1, 0}})
-	x, err := SolveLU(a, []float64{3, 7})
+	x, err := solveLU(a, []float64{3, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +241,7 @@ func TestShapePanics(t *testing.T) {
 		func() { m.MulVecT([]float64{1}) },
 		func() { m.Mul(NewMatrix(2, 2)) },
 		func() { Dot([]float64{1}, []float64{1, 2}) },
-		func() { FactorLU(m) },
+		func() { new(SparseLU).Factor(&CSC{Rows: 2, Cols: 3, ColPtr: make([]int, 4)}) },
 		func() { FactorCholesky(m, 0) },
 	} {
 		func() {
@@ -245,6 +257,7 @@ func TestShapePanics(t *testing.T) {
 
 func TestLUSolveTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
+	var f SparseLU
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(12)
 		a := NewMatrix(n, n)
@@ -258,11 +271,11 @@ func TestLUSolveTranspose(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		f, err := FactorLU(a)
-		if err != nil {
+		if err := f.Factor(cscOf(a)); err != nil {
 			t.Fatal(err)
 		}
-		x := f.SolveTranspose(b)
+		x := make([]float64, n)
+		f.SolveTransposeInto(b, x)
 		// Check Aᵀ x = b, i.e. xᵀ A = bᵀ.
 		got := a.T().MulVec(x)
 		for i := range b {
@@ -273,10 +286,11 @@ func TestLUSolveTranspose(t *testing.T) {
 	}
 }
 
+// TestFactorLUIntoReuse refactors one SparseLU over matrices of different
+// sizes: every result must equal a fresh factorization's bit for bit.
 func TestFactorLUIntoReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	n := 8
-	mk := func() *Matrix {
+	mk := func(n int) *Matrix {
 		a := NewMatrix(n, n)
 		for i := range a.Data {
 			a.Data[i] = rng.NormFloat64()
@@ -286,61 +300,59 @@ func TestFactorLUIntoReuse(t *testing.T) {
 		}
 		return a
 	}
-	a1, a2 := mk(), mk()
-	f, err := FactorLUInto(a1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Dim() != n || f.NNZ() == 0 {
-		t.Fatalf("dim %d nnz %d", f.Dim(), f.NNZ())
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	// Refactor in place over a different matrix; solutions must match a
-	// fresh factorization.
-	f2, err := FactorLUInto(a2, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2 != f {
-		t.Error("FactorLUInto did not reuse storage")
-	}
-	fresh, err := FactorLU(a2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x1, x2 := f2.Solve(append([]float64(nil), b...)), fresh.Solve(append([]float64(nil), b...))
-	for i := range x1 {
-		if !almostEq(x1[i], x2[i], 1e-12*(1+math.Abs(x2[i]))) {
-			t.Fatalf("reused factor diverges at %d: %g vs %g", i, x1[i], x2[i])
+	var reused SparseLU
+	for _, n := range []int{8, 8, 13, 1, 5} {
+		a := mk(n)
+		if err := reused.Factor(cscOf(a)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Mismatched size must allocate fresh storage, not panic.
-	small := FromRows([][]float64{{2}})
-	fs, err := FactorLUInto(small, f)
-	if err != nil || fs.Dim() != 1 {
-		t.Fatalf("size change: %v dim %d", err, fs.Dim())
+		var fresh SparseLU
+		if err := fresh.Factor(cscOf(a)); err != nil {
+			t.Fatal(err)
+		}
+		if reused.NNZ() != fresh.NNZ() {
+			t.Fatalf("n=%d: nnz %d reused vs %d fresh", n, reused.NNZ(), fresh.NNZ())
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		x1, x2 := make([]float64, n), make([]float64, n)
+		reused.SolveInto(b, x1)
+		fresh.SolveInto(b, x2)
+		if i := firstDiff(x1, x2); i >= 0 {
+			t.Fatalf("n=%d: reused factor diverges at %d: %g vs %g", n, i, x1[i], x2[i])
+		}
 	}
 }
 
+// TestFactorLUIntoSingular checks that a singular matrix factored into
+// reused storage reports ErrSingular and leaves the storage fit for the
+// next factorization.
 func TestFactorLUIntoSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := FactorLUInto(a, nil); err != ErrSingular {
+	var f SparseLU
+	if err := f.Factor(cscOf(FromRows([][]float64{{1, 2, 0}, {2, 4, 0}, {0, 0, 1}}))); !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
+	}
+	a := FromRows([][]float64{{0, 1}, {1, 0}})
+	if err := f.Factor(cscOf(a)); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 2)
+	f.SolveInto([]float64{3, 7}, x)
+	if x[0] != 7 || x[1] != 3 {
+		t.Errorf("x = %v after a singular factorization", x)
 	}
 }
 
 func TestLUZeroDim(t *testing.T) {
-	f, err := FactorLU(NewMatrix(0, 0))
-	if err != nil {
+	var f SparseLU
+	if err := f.Factor(cscOf(NewMatrix(0, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if x := f.Solve(nil); len(x) != 0 {
-		t.Fatal("0-dim solve returned values")
+	if f.NNZ() != 0 {
+		t.Fatalf("0-dim factor has %d nonzeros", f.NNZ())
 	}
-	if x := f.SolveTranspose(nil); len(x) != 0 {
-		t.Fatal("0-dim transpose solve returned values")
-	}
+	f.SolveInto(nil, nil)
+	f.SolveTransposeInto(nil, nil)
 }

@@ -44,27 +44,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i (shared storage).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Reshape resizes the matrix in place to rows×cols and zeroes every
-// entry, reusing the backing slice when its capacity allows. The revised
-// dual-simplex engine uses this to resize its basis-core scratch matrix
-// as the structural core grows across refactorizations without
-// reallocating each time.
-func (m *Matrix) Reshape(rows, cols int) {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
-	}
-	n := rows * cols
-	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
-	} else {
-		m.Data = m.Data[:n]
-		for i := range m.Data {
-			m.Data[i] = 0
-		}
-	}
-	m.Rows, m.Cols = rows, cols
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)

@@ -15,7 +15,10 @@
 //     method, standing in for LOQO, the solver the paper used. No exact
 //     infeasibility certificate (IterLimit/Numerical instead).
 //   - Revised: a sparse revised dual simplex with bounded variables —
-//     the default incremental engine (see below).
+//     the default incremental engine (see below). A pivot is one BTRAN,
+//     one sparse pricing pass and one FTRAN through a sparse LU of the
+//     basis's structural core, O(nnz(L+U)+nnz) where nnz counts the
+//     stored constraint nonzeros.
 //   - Incremental: a dense-tableau dual simplex, kept as the ablation
 //     baseline for the revised engine.
 //
@@ -91,7 +94,10 @@
 // bound-flipping: candidates whose box is too narrow to absorb the
 // remaining primal infeasibility flip bound-to-bound (one batched FTRAN
 // per pivot, counted in Stats().BoundFlips) before the absorbing column
-// enters. See DESIGN.md's "Bounded-variable formulation" section for the
+// enters. When the candidates run out first, the row is infeasible only
+// if the violation left exceeds the primal tolerance on a fresh
+// factorization; a shortfall within it is roundoff at the last
+// breakpoint, where the last candidate enters. See DESIGN.md's "Bounded-variable formulation" section for the
 // constraint-kind → row/box mapping table.
 //
 // # Dual pricing (leaving-row rules)

@@ -92,15 +92,15 @@ const weightFloor = 1e-12
 //     plain ≤ row, a finite slackHi gives a ranged row l ≤ a·x ≤ b with
 //     l = b − slackHi, and slackHi = 0 pins an equality — so EQ and delay
 //     windows cost ONE tableau row instead of a split pair,
-//   - the basis as a variable list plus an LU factorization — via
+//   - the basis as a variable list plus a sparse LU factorization — via
 //     internal/linalg — of the basis matrix's *structural core*: the t×t
 //     block over basic non-slack variables, where t is bounded by the
 //     variable count no matter how many rows have been generated, and
 //   - a product-form eta file between periodic refactorizations.
 //
 // Each pivot costs one BTRAN, one sparse pricing pass and one FTRAN
-// (O(t²+nnz)) instead of a dense rows×columns tableau update, which is
-// what makes warm re-solves scale to r4/r5-sized instances.
+// (O(nnz(L+U)+nnz)) instead of a dense rows×columns tableau update, which
+// is what makes warm re-solves scale to r4/r5-sized instances.
 type Revised struct {
 	tol   float64
 	nVars int
@@ -131,14 +131,16 @@ type Revised struct {
 
 	// Factorized structural core of the basis B₀ *as of the last
 	// refactorization*. Pivots taken since then live in the eta file, so
-	// the base solves must use the baseVar snapshot, not basisVar.
-	lu        *linalg.LU
-	baseVar   []int   // basisVar snapshot at factorization time
-	coreCols  []int   // basis positions holding structural variables (in B₀)
-	coreRows  []int   // rows whose slack is nonbasic in B₀ (ascending)
-	rowOfCore []int32 // row → index in coreRows, or −1
+	// the base solves must use the baseVar snapshot, not basisVar. The
+	// factorization is valid whenever coreCols is non-empty.
+	lu        linalg.SparseLU
+	core      linalg.CSC // the core gathered for factorization
+	baseVar   []int      // basisVar snapshot at factorization time
+	coreCols  []int      // basis positions holding structural variables (in B₀)
+	coreRows  []int      // rows whose slack is nonbasic in B₀ (ascending)
+	rowOfCore []int32    // row → index in coreRows, or −1
+	coreOfVar []int32    // structural var → index in coreCols, or −1
 	etas      []eta
-	coreMat   *linalg.Matrix // scratch for refactorization, resized in place
 
 	xB []float64 // basic variable values, by position
 	y  []float64 // duals, by row
@@ -228,8 +230,10 @@ func NewRevised(n int, objective []float64) *Revised {
 		rv.hiS[j] = math.Inf(1)
 	}
 	rv.posOfStruct = make([]int32, n)
+	rv.coreOfVar = make([]int32, n)
 	for j := range rv.posOfStruct {
 		rv.posOfStruct[j] = -1
+		rv.coreOfVar[j] = -1
 	}
 	for j, cost := range objective {
 		if cost < 0 {
@@ -314,7 +318,7 @@ func (rv *Revised) applyNonbasicDelta(id int, delta float64) {
 	if m == 0 {
 		return
 	}
-	if rv.dirty || (rv.lu == nil && len(rv.coreCols) > 0) || len(rv.baseVar) != m {
+	if rv.dirty || len(rv.baseVar) != m {
 		rv.dirty = true
 		return
 	}
@@ -412,7 +416,7 @@ func (rv *Revised) SetCost(j int, cost float64) {
 		rv.applyNonbasicDelta(j, rv.structVal(j)-oldRest)
 		return
 	}
-	if rv.dirty || m == 0 || (rv.lu == nil && len(rv.coreCols) > 0) || len(rv.baseVar) != m {
+	if rv.dirty || m == 0 || len(rv.baseVar) != m {
 		rv.dirty = true
 		return
 	}
@@ -1024,6 +1028,7 @@ func (rv *Revised) reset(reason string) {
 	for j := range rv.posOfStruct {
 		rv.posOfStruct[j] = -1
 		rv.atUpperS[j] = false
+		rv.coreOfVar[j] = -1
 	}
 	rv.baseVar = rv.baseVar[:0]
 	for k := 0; k < m; k++ {
@@ -1038,7 +1043,6 @@ func (rv *Revised) reset(reason string) {
 	rv.effRHS(rv.xB[:m])
 	copy(rv.dS, rv.c)
 	rv.etas = rv.etas[:0]
-	rv.lu = nil
 	rv.coreCols = rv.coreCols[:0]
 	rv.coreRows = rv.coreRows[:0]
 	rv.dirty = false
@@ -1079,8 +1083,12 @@ func (rv *Revised) refactorize() bool {
 	rv.baseVar = append(rv.baseVar[:0], rv.basisVar...)
 	rv.coreCols = rv.coreCols[:0]
 	rv.coreRows = rv.coreRows[:0]
+	for j := range rv.coreOfVar {
+		rv.coreOfVar[j] = -1
+	}
 	for p := 0; p < m; p++ {
-		if rv.baseVar[p] < rv.nVars {
+		if v := rv.baseVar[p]; v < rv.nVars {
+			rv.coreOfVar[v] = int32(len(rv.coreCols))
 			rv.coreCols = append(rv.coreCols, p)
 		}
 	}
@@ -1107,37 +1115,26 @@ func (rv *Revised) refactorize() bool {
 	rv.stats.Refactorizations++
 	rv.stats.BasisSize = t
 	rv.stats.EtaLen = etaLen
+	rv.stats.FillIn = 0
 	if t > 0 {
-		if rv.coreMat == nil {
-			rv.coreMat = linalg.NewMatrix(t, t)
-		} else {
-			// Reuse the scratch matrix's backing storage across basis-core
-			// growth instead of reallocating every time t changes.
-			rv.coreMat.Reshape(t, t)
-		}
-		nnzCore := 0
-		for ci, p := range rv.coreCols {
+		c := &rv.core
+		c.Rows, c.Cols = t, t
+		c.ColPtr = append(c.ColPtr[:0], 0)
+		c.RowInd, c.Val = c.RowInd[:0], c.Val[:0]
+		for _, p := range rv.coreCols {
 			for _, ce := range rv.rows.col(rv.basisVar[p]) {
 				if ri := rv.rowOfCore[ce.row]; ri >= 0 {
-					rv.coreMat.Set(int(ri), ci, ce.coef)
-					nnzCore++
+					c.RowInd = append(c.RowInd, ri)
+					c.Val = append(c.Val, ce.coef)
 				}
 			}
+			c.ColPtr = append(c.ColPtr, len(c.RowInd))
 		}
-		lu, err := linalg.FactorLUInto(rv.coreMat, rv.lu)
-		if err != nil {
+		if err := rv.lu.Factor(c); err != nil {
 			rv.reset("lu-singular")
 			return false
 		}
-		rv.lu = lu
-		if fill := lu.NNZ() - nnzCore; fill > 0 {
-			rv.stats.FillIn = fill
-		} else {
-			rv.stats.FillIn = 0
-		}
-	} else {
-		rv.lu = nil
-		rv.stats.FillIn = 0
+		rv.stats.FillIn = max(rv.lu.NNZ()-len(c.Val), 0)
 	}
 	// Recompute the primal basic values xB = B⁻¹ (b − N x_N).
 	rv.effRHS(rv.colBuf)
@@ -1308,15 +1305,25 @@ func (rv *Revised) btran0(u, rho []float64) {
 	if t == 0 {
 		return
 	}
+	// Move the basic-slack rows' share to the right-hand side by scattering
+	// along each such row whose ρ is nonzero: the work follows those rows,
+	// not the full length of every basic column. Rows go in ascending
+	// order, so each entry subtracts its terms in column order.
 	rhs := rv.coreRhs[:t]
 	for i, p := range rv.coreCols {
-		s := u[p]
-		for _, ce := range rv.rows.col(rv.baseVar[p]) {
-			if rv.rowOfCore[ce.row] < 0 {
-				s -= ce.coef * rho[ce.row]
+		rhs[i] = u[p]
+	}
+	for k := 0; k < m; k++ {
+		rk := rho[k]
+		if rk == 0 || rv.rowOfCore[k] >= 0 {
+			continue
+		}
+		ind, val := rv.rows.row(k)
+		for q, j := range ind {
+			if ci := rv.coreOfVar[j]; ci >= 0 {
+				rhs[ci] -= val[q] * rk
 			}
 		}
-		rhs[i] = s
 	}
 	sol := rv.coreSol[:t]
 	rv.lu.SolveTransposeInto(rhs, sol)
@@ -1373,7 +1380,7 @@ func (rv *Revised) Solve() (*Solution, error) {
 	if m == 0 {
 		return rv.extract(), nil
 	}
-	if rv.dirty || (rv.lu == nil && len(rv.coreCols) > 0) {
+	if rv.dirty {
 		rv.refactorize()
 	} else if rv.stats.Refactorizations == 0 && rv.stats.Resets == 0 {
 		// First solve on a fresh engine: establish xB from the all-slack
@@ -1541,13 +1548,20 @@ func (rv *Revised) Solve() (*Solution, error) {
 			// Even sending every eligible nonbasic to its other bound
 			// cannot bring row r back inside its box: infeasible — unless
 			// the factorization has drifted; verify against a fresh one
-			// before certifying.
+			// before certifying. On a fresh one, a shortfall within feasTol
+			// is roundoff at the walk's last breakpoint, which in exact
+			// arithmetic absorbs the violation: the last candidate enters
+			// there, and the dual step to its ratio keeps every flip
+			// dual-feasible.
 			if !rv.justRefactored {
 				rv.refactorize()
 				continue
 			}
-			rv.infeasible = true
-			return &Solution{Status: Infeasible, Iterations: rv.iterations}, nil
+			if remaining > feasTol {
+				rv.infeasible = true
+				return &Solution{Status: Infeasible, Iterations: rv.iterations}, nil
+			}
+			enterIdx = len(cands) - 1
 		}
 		// Apply the accumulated bound flips in one FTRAN: xB ← xB − B⁻¹Δ
 		// with Δ = Σ a_j·Δx_j over the flipped columns.
