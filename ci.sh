@@ -1,8 +1,9 @@
 #!/bin/sh
 # Tier-1 verification gate: formatting, package docs, vet, build, then
 # the full test suite under the race detector (the separation oracle and
-# the experiments harness are the concurrent parts). Run from the repo
-# root; see README "Install / build".
+# the experiments harness are the concurrent parts), the bench module's
+# own vet and tests, a short fuzz run and the bench/daemon smokes. Run
+# from the repo root; see README "Install / build".
 set -eu
 
 echo "== gofmt"
@@ -38,6 +39,13 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== bench module (vet + tests)"
+# bench/ is its own Go module (it imports lubt/internal/... through a
+# replace directive), so the root build and tests above never compile
+# it. Vetting and testing it here catches a program change that breaks
+# the benchmark's build or its pinned r6-s record (TestPinR6S).
+(cd bench && go vet ./... && go test ./...)
+
 echo "== fuzz (sparse LU vs the dense reference)"
 # FuzzSparseLU factors decoded matrices with linalg.SparseLU and the dense
 # reference LU and requires the same singular verdict, nonzero count and
@@ -47,7 +55,7 @@ go test -run '^$' -fuzz FuzzSparseLU -fuzztime 10s ./internal/linalg
 
 echo "== bench smoke (lubt-bench/1 JSON + pricing pivot gate + ECO gate)"
 # Each reference bench is run through `lubtbench -json` (the
-# revised/devex, revised/most-violated, dense lineup plus the single-sink
+# revised/devex and revised/most-violated lineup plus the single-sink
 # ECO probe on the revised row), then the emitted record is
 # schema-validated (TestBenchJSONFile) and passed through the pricing
 # regression gate (TestBenchJSONPivotGate): Devex must not take more dual

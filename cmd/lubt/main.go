@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lubt -in sinks.txt -lower 0.8 -upper 1.2 [-skew-topology 0.4]
-//	     [-normalized] [-use-source] [-solver simplex|ipm]
+//	     [-normalized] [-use-source] [-solver simplex|coldsimplex|ipm]
 //	     [-pricing devex|mostviolated|steepest] [-svg out.svg]
 //	     [-stats] [-trace trace.json] [-eco]
 //
@@ -42,7 +42,7 @@ func main() {
 		normalized = flag.Bool("normalized", false, "interpret bounds as multiples of the radius")
 		useSource  = flag.Bool("use-source", false, "pin the source to the file's source line")
 		skewTopo   = flag.Float64("skew-topology", math.Inf(1), "skew bound guiding the topology generator")
-		solver     = flag.String("solver", "simplex", "LP solver: simplex, densesimplex, coldsimplex or ipm")
+		solver     = flag.String("solver", "simplex", "LP solver: simplex, coldsimplex or ipm")
 		pricing    = flag.String("pricing", "", "dual-simplex pricing: devex (default), mostviolated or steepest (solver=simplex only)")
 		svgPath    = flag.String("svg", "", "write the routed tree as SVG to this file")
 		jsonPath   = flag.String("json", "", "write the routed tree as JSON to this file")
@@ -51,7 +51,7 @@ func main() {
 		tracePath  = flag.String("trace", "", "write the solve span tree as JSON (schema lubt-trace/1) to this file")
 		eco        = flag.Bool("eco", false, "ECO demo: retighten sink 1's window after solving and warm re-solve in place")
 		presolve   = flag.String("presolve", "", "dominance presolve: on, off or empty (auto from 2048 sinks)")
-		decompose  = flag.String("decompose", "", "subtree decomposition: on, off or empty (auto from 2048 sinks)")
+		decompose  = flag.String("decompose", "", "subtree decomposition with a fixed source: on, off or empty (auto from 2048 sinks)")
 	)
 	flag.Parse()
 	cfg := runConfig{

@@ -13,19 +13,19 @@
 //	lubtbench -json        # write BENCH_<name>.json records instead
 //	lubtbench -json -bench prim1-s -repeats 5 -outdir out/
 //
-// -stats and -json run the three-engine lineup on each benchmark:
-// "revised" (the sparse boxed dual simplex under its default Devex
-// pricing), "revised-mv" (same engine, most-violated pricing — the
-// pivot-count ablation baseline) and "dense" (the dense-tableau
-// ablation). With -json, one machine-readable BENCH_<name>.json file
-// (schema "lubt-bench/1") is written per benchmark into -outdir
-// (default "."), carrying the full LP-engine statistics spine —
-// including pricing_scheme, devex_resets and the reference-weight
-// extremes — with median-of-repeats timings; see EXPERIMENTS.md for the
-// field reference. The "revised" row additionally carries the ECO probe
-// (eco_pivots, eco_resolve_ms): the solve is held open as a session, sink
-// 1's window is retightened past its routed delay, and the engine
-// re-solves warm from the kept basis. ci.sh's bench smoke validates these
+// -stats and -json run the two-row lineup on each benchmark: "revised"
+// (the sparse boxed dual simplex under its default Devex pricing) and
+// "revised-mv" (same engine, most-violated pricing — the pivot-count
+// ablation baseline). With -json, one machine-readable
+// BENCH_<name>.json file (schema "lubt-bench/1") is written per
+// benchmark into -outdir (default "."), carrying the full LP-engine
+// statistics spine — including pricing_scheme, devex_resets and the
+// reference-weight extremes — with median-of-repeats timings; see
+// EXPERIMENTS.md for the field reference. The "revised" row
+// additionally carries the ECO probe (eco_pivots, eco_resolve_ms): the
+// solve is held open as a session, sink 1's window is retightened past
+// its routed delay, and the engine re-solves warm from the kept basis.
+// ci.sh's bench smoke validates these
 // files and gates the Devex-vs-most-violated pivot counts
 // (experiments.CheckPivotGate) plus the warm-vs-cold ECO ratio
 // (experiments.CheckEcoGate).
@@ -58,7 +58,7 @@ func main() {
 		tableN   = flag.Int("table", 0, "run only this table (1, 2 or 3)")
 		figureN  = flag.Int("figure", 0, "run only this figure (8)")
 		full     = flag.Bool("full", false, "use full-size benchmark instances")
-		stats    = flag.Bool("stats", false, "print LP engine statistics (revised/devex, revised/most-violated, dense) instead of the tables")
+		stats    = flag.Bool("stats", false, "print LP engine statistics (revised/devex, revised/most-violated) instead of the tables")
 		jsonOut  = flag.Bool("json", false, "write per-benchmark BENCH_<name>.json records (schema lubt-bench/1) instead of the tables")
 		benchSel = flag.String("bench", "", "restrict -stats/-json to this one benchmark (e.g. prim1-s)")
 		repeats  = flag.Int("repeats", experiments.DefaultRepeats, "timing repeats per solve; medians are reported")

@@ -40,12 +40,12 @@ func (in *Instance) SolveECO(b Bounds, opt *Options) (*Solved, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver, engine, err := opt.lpSolver()
+	solver, err := opt.lpSolver()
 	if err != nil {
 		return nil, err
 	}
 	tr := opt.tracer("solve-eco")
-	copts := &core.Options{Solver: solver, Engine: engine, Tracer: tr}
+	copts := &core.Options{Solver: solver, Tracer: tr}
 	if opt != nil {
 		copts.FullMatrix = opt.FullMatrix
 		copts.OracleWorkers = opt.OracleWorkers

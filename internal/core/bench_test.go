@@ -48,13 +48,11 @@ func benchInstance(tb testing.TB, name string) (*Instance, Bounds) {
 }
 
 // BenchmarkWarmResolve times the full §4.6 row-generation loop — the
-// repeated warm re-solves after each cutting-plane batch — per engine
-// and pricing scheme. prim2-s carries the full lineup including the
-// dense-tableau ablation; r4-s and r5-s are the degenerate-tie-heavy
-// headline workloads where the pricing schemes separate (dense is
-// omitted there: it is ~3× slower and adds nothing to the pricing
-// comparison). Dual pivot counts are reported per op so the wall-time
-// and pivot trends can be read from one `go test -bench` run.
+// repeated warm re-solves after each cutting-plane batch — per pricing
+// scheme. r4-s and r5-s are the degenerate-tie-heavy headline workloads
+// where the pricing schemes separate. Dual pivot counts are reported per
+// op so the wall-time and pivot trends can be read from one
+// `go test -bench` run.
 func BenchmarkWarmResolve(b *testing.B) {
 	variants := []struct {
 		name string
@@ -63,15 +61,11 @@ func BenchmarkWarmResolve(b *testing.B) {
 		{"revised-devex", Options{Pricing: "devex"}},
 		{"revised-mv", Options{Pricing: "mostviolated"}},
 		{"revised-steepest", Options{Pricing: "steepest"}},
-		{"dense", Options{Engine: "dense"}},
 	}
-	for _, bench := range []struct {
-		name     string
-		variants int // prefix of the lineup to run
-	}{{"prim2-s", 4}, {"r4-s", 3}, {"r5-s", 3}} {
-		in, cb := benchInstance(b, bench.name)
-		for _, v := range variants[:bench.variants] {
-			b.Run(bench.name+"/"+v.name, func(b *testing.B) {
+	for _, name := range []string{"prim2-s", "r4-s", "r5-s"} {
+		in, cb := benchInstance(b, name)
+		for _, v := range variants {
+			b.Run(name+"/"+v.name, func(b *testing.B) {
 				pivots := 0
 				for i := 0; i < b.N; i++ {
 					opt := v.opt
@@ -92,9 +86,9 @@ func BenchmarkWarmResolve(b *testing.B) {
 
 // BenchmarkEcoResolve times the ECO edit loop on the tie-heavy headline
 // workload: hold the r4-s solve open as a Session, retighten sink 1's
-// window past its routed delay, and warm re-solve — against the cold
-// dense-path re-solve of the same edited instance. The warm/cold pivot
-// ratio is the number ci.sh gates (experiments.CheckEcoGate).
+// window past its routed delay, and warm re-solve — against a fresh
+// Solve of the same edited instance. The warm/cold pivot ratio is the
+// number ci.sh gates (experiments.CheckEcoGate).
 func BenchmarkEcoResolve(b *testing.B) {
 	in, cb := benchInstance(b, "r4-s")
 	radius := in.Radius()

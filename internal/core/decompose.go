@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -15,33 +14,13 @@ import (
 // subproblem on its own engine in parallel, and merge. Exactness rests
 // on the structure of the cross-branch Steiner rows: a pair (i, j) in
 // different root branches has LCA 0 (where d_0 = 0), so its row reads
-// d_i + d_j ≥ dist(i, j).
-//
-//   - Fixed source: every branch states the seeded source rows
-//     d_i ≥ dist(0, i), and the Manhattan triangle inequality gives
-//     dist(i, j) ≤ dist(0, i) + dist(0, j) ≤ d_i + d_j — every
-//     cross-branch row is implied, the objective is edge-separable, and
-//     the independent branch optima compose into the exact global
-//     optimum in one pass.
-//
-//   - Free source (Decompose "on" only): the independent pass is a
-//     relaxation whose cost is a lower bound. If its merged solution
-//     already satisfies the cross-branch rows (checked exactly via
-//     rotated-coordinate branch extremes), it is optimal. Otherwise a
-//     bounded number of outer passes raise per-sink delay floors — the
-//     worst violated pair per branch pair gets its deficit split evenly
-//     across its two endpoints, a constraint on each branch's root-path
-//     edge variables — and the branches re-solve. The result is accepted
-//     only if it becomes cross-feasible AND its cost stays within
-//     decomposeGate·radius of the relaxation lower bound; anything else
-//     falls back to the monolithic solve.
-
-// decomposeGate is the optimality-agreement gate of the free-source
-// coordination passes, as a fraction of the instance radius.
-const decomposeGate = 1e-6
-
-// decomposePasses bounds the free-source outer coordination passes.
-const decomposePasses = 4
+// d_i + d_j ≥ dist(i, j). With a fixed source every branch states the
+// seeded source rows d_i ≥ dist(0, i), and the Manhattan triangle
+// inequality gives dist(i, j) ≤ dist(0, i) + dist(0, j) ≤ d_i + d_j —
+// every cross-branch row is implied, the objective is edge-separable,
+// and the independent branch optima compose into the exact global
+// optimum in one pass. A free source has no such rows, so the branches
+// stay coupled and Options.scaleSettings never decomposes it.
 
 // branchProblem is one root branch lowered to a standalone instance:
 // node 0 is the original root, sinks are renumbered 1…mb preserving
@@ -159,10 +138,10 @@ func buildBranch(in *Instance, bd Bounds, w []float64, c int) (*branchProblem, [
 	return &branchProblem{in: bin, b: bb, toOrig: toOrig}, wSub, nil
 }
 
-// solveDecomposed attempts the branch-parallel solve. done == false
-// means the caller should run the monolithic path (not decomposable, or
-// the free-source coordination could not certify optimality); when done
-// is true, res/err is the final outcome.
+// solveDecomposed attempts the branch-parallel solve of a fixed-source
+// instance. done == false means the topology has fewer than two root
+// branches and the caller should run the monolithic path; when done is
+// true, res/err is the final outcome.
 func solveDecomposed(in *Instance, bd Bounds, opt *Options, presolveOn bool) (res *Result, done bool, err error) {
 	t := in.Tree
 	branches := effectiveRootBranches(t)
@@ -198,143 +177,38 @@ func solveDecomposed(in *Instance, bd Bounds, opt *Options, presolveOn bool) (re
 		return o
 	}
 
-	// solveAll runs one pass of independent branch solves (floors already
-	// folded into each problem's Bounds), parallel across branches.
-	solveAll := func(dirty []bool) error {
-		workers := 0
-		if opt != nil {
-			workers = opt.OracleWorkers
-		}
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(probs) {
-			workers = len(probs)
-		}
-		errs := make([]error, len(probs))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := range probs {
-			if dirty != nil && !dirty[i] {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				probs[i].res, errs[i] = Solve(probs[i].in, probs[i].b, branchOpt(i))
-			}(i)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
+	// The branch solves run in parallel, at most OracleWorkers at a time.
+	workers := 0
+	if opt != nil {
+		workers = opt.OracleWorkers
 	}
-
-	if err := solveAll(nil); err != nil {
-		// A branch states a subset of the true constraints: its
-		// infeasibility (or any other first-pass failure) is the
-		// instance's.
-		return nil, true, err
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-
-	if in.Source == nil {
-		relaxCost := 0.0
-		for _, p := range probs {
-			relaxCost += p.res.Cost
-		}
-		ok, err := coordinateFreeSource(in, bd, probs, solveAll, relaxCost)
-		if err != nil || !ok {
-			return nil, false, nil // too coupled — monolithic fallback
+	if workers > len(probs) {
+		workers = len(probs)
+	}
+	errs := make([]error, len(probs))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i := range probs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			probs[i].res, errs[i] = Solve(probs[i].in, probs[i].b, branchOpt(i))
+		}(i)
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != nil {
+			// A branch states a subset of the true constraints: its
+			// infeasibility (or any other failure) is the instance's.
+			return nil, true, e
 		}
 	}
-
 	return mergeBranches(in, probs), true, nil
-}
-
-// crossViolation returns the worst cross-branch Steiner violation
-// max dist(i,j) − d_i − d_j over pairs in different branches, with an
-// achieving pair, computed exactly from per-branch rotated extremes.
-func crossViolation(in *Instance, probs []*branchProblem) (worst float64, wi, wj int) {
-	exts := make([]ext4, len(probs))
-	for bi, p := range probs {
-		e := emptyExt4()
-		for i := 1; i <= p.in.Tree.NumSinks; i++ {
-			u, v := p.in.SinkLoc[i].UV()
-			e.fold(sinkExt4(u, v, p.res.Delays[i], p.toOrig[i]))
-		}
-		exts[bi] = e
-	}
-	worst, wi, wj = math.Inf(-1), -1, -1
-	for a := 0; a < len(probs); a++ {
-		for b := a + 1; b < len(probs); b++ {
-			if v, ia, jb := maxCombo(exts[a], exts[b]); v > worst {
-				worst, wi, wj = v, ia, jb
-			}
-		}
-	}
-	return worst, wi, wj
-}
-
-// coordinateFreeSource runs the bounded outer passes for a free source.
-// It returns ok == false when the branches stay coupled (cross rows
-// still violated after the pass budget, a floor left a branch
-// infeasible, or the final cost drifts past the decomposeGate from the
-// relaxation lower bound).
-func coordinateFreeSource(in *Instance, bd Bounds, probs []*branchProblem, solveAll func([]bool) error, relaxCost float64) (bool, error) {
-	tol := 1e-7 * math.Max(1, in.Radius())
-	branchOf := make(map[int]int)
-	for bi, p := range probs {
-		for i := 1; i <= p.in.Tree.NumSinks; i++ {
-			branchOf[p.toOrig[i]] = bi
-		}
-	}
-	subID := func(orig int) (int, int) {
-		bi := branchOf[orig]
-		for s := 1; s <= probs[bi].in.Tree.NumSinks; s++ {
-			if probs[bi].toOrig[s] == orig {
-				return bi, s
-			}
-		}
-		panic("core: decompose lost a sink mapping")
-	}
-	for pass := 0; ; pass++ {
-		worst, wi, wj := crossViolation(in, probs)
-		if worst <= tol {
-			total := 0.0
-			for _, p := range probs {
-				total += p.res.Cost
-			}
-			if total-relaxCost > decomposeGate*math.Max(1, in.Radius()) {
-				return false, nil // feasible but past the agreement gate
-			}
-			return true, nil
-		}
-		if pass == decomposePasses {
-			return false, nil // pass budget exhausted, still coupled
-		}
-		// Even-split the worst pair's deficit into per-sink floors and
-		// re-solve the two touched branches.
-		dirty := make([]bool, len(probs))
-		for _, orig := range []int{wi, wj} {
-			bi, s := subID(orig)
-			floor := probs[bi].res.Delays[s] + worst/2
-			if floor > probs[bi].b.U[s]+tol {
-				return false, nil // floor collides with the upper window
-			}
-			if floor > probs[bi].b.L[s] {
-				probs[bi].b.L[s] = floor
-				dirty[bi] = true
-			}
-		}
-		if err := solveAll(dirty); err != nil {
-			return false, nil // heuristic floors broke a branch: fall back
-		}
-	}
 }
 
 // mergeBranches folds the per-branch results into one Result on the

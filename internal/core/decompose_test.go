@@ -113,27 +113,26 @@ func TestDecomposeFallback(t *testing.T) {
 	}
 }
 
-// TestDecomposeFreeSource exercises the coordinated free-source path:
-// with Decompose "on" and no fixed source, the bounded outer passes must
-// either certify the branch solution or fall back — in both cases the
-// final answer has to agree with the monolithic optimum.
+// TestDecomposeFreeSource pins the free-source rule: without a fixed
+// source the cross-branch rows d_i + d_j ≥ dist(i, j) couple the root
+// branches, so even a forced Decompose "on" must run the monolithic
+// solve — no subtrees, and exactly the "off" optimum.
 func TestDecomposeFreeSource(t *testing.T) {
 	in, cb := partInstance(t, "prim2-s", 3)
 	in.Source = nil
-	tol := 1e-6 * math.Max(1, in.Radius())
-	mono := mustSolve(t, in, cb, &Options{Decompose: "off"})
-	dec := mustSolve(t, in, cb, &Options{Decompose: "on"})
-	if d := math.Abs(dec.Cost - mono.Cost); d > tol {
-		t.Errorf("free-source decomposed cost %.10g vs monolithic %.10g: |Δ| = %g > %g",
-			dec.Cost, mono.Cost, d, tol)
+	if n := len(effectiveRootBranches(in.Tree)); n < 2 {
+		t.Fatalf("partitioned instance has %d effective root branches, want ≥ 2", n)
 	}
-	if err := Verify(in, cb, dec.E, 1e-6); err != nil {
+	off := mustSolve(t, in, cb, &Options{Decompose: "off"})
+	on := mustSolve(t, in, cb, &Options{Decompose: "on"})
+	if on.Stats.Subtrees != 0 {
+		t.Errorf("free source decomposed: Subtrees = %d, want 0", on.Stats.Subtrees)
+	}
+	if on.Cost != off.Cost {
+		t.Errorf("Decompose on cost %.10g vs off %.10g, want identical", on.Cost, off.Cost)
+	}
+	if err := Verify(in, cb, on.E, 1e-6); err != nil {
 		t.Errorf("free-source solution fails verification: %v", err)
-	}
-	// Auto must never engage the free-source heuristic.
-	auto := mustSolve(t, in, cb, nil)
-	if auto.Stats.Subtrees != 0 {
-		t.Errorf("auto engaged free-source decomposition: Subtrees = %d", auto.Stats.Subtrees)
 	}
 }
 

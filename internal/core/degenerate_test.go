@@ -13,11 +13,10 @@ import (
 )
 
 // engineOptions enumerates every LP path through the row-generation loop:
-// both warm engines and both cold cross-check solvers.
+// the warm engine and both cold cross-check solvers.
 func engineOptions() map[string]*Options {
 	return map[string]*Options{
 		"revised":     nil,
-		"dense":       {Engine: "dense"},
 		"coldsimplex": {Solver: &lp.Simplex{}},
 		"ipm":         {Solver: &lp.IPM{}},
 	}
@@ -75,14 +74,14 @@ func TestExactWindowCoincidentSinks(t *testing.T) {
 }
 
 // TestExactWindowAllSolversAgree runs an exact-equality window l = u on a
-// random instance through every engine; the EQ-splitting paths of the warm
-// engines must match the cold solvers.
+// random instance through every engine; the warm engine's fixed-slack
+// rows must match the cold solvers' equality rows.
 func TestExactWindowAllSolversAgree(t *testing.T) {
 	in, _ := randomInstance(t, 208, 8)
 	r := in.Radius()
 	b := UniformBounds(8, 1.2*r, 1.2*r)
 	var want float64
-	for _, name := range []string{"revised", "dense", "coldsimplex", "ipm"} {
+	for _, name := range []string{"revised", "coldsimplex", "ipm"} {
 		res, err := Solve(in, b, engineOptions()[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -123,7 +122,7 @@ func TestInfeasibleAfterWarmRounds(t *testing.T) {
 	// u₁ = dist(0,s1) pins e₁ = 10; u₂ = dist(0,s2) then pins e₂ ≤ 10,
 	// while dist(s1,s2) = 30 demands e₂ ≥ 30.
 	b := Bounds{L: make([]float64, 3), U: []float64{0, 10, 20}}
-	for _, name := range []string{"revised", "dense", "coldsimplex"} {
+	for _, name := range []string{"revised", "coldsimplex"} {
 		_, err := Solve(in, b, engineOptions()[name])
 		if !errors.Is(err, ErrInfeasible) {
 			t.Errorf("%s: err = %v, want ErrInfeasible", name, err)
@@ -211,7 +210,7 @@ func TestSolversAgreeOnScaledBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"dense", "coldsimplex", "ipm"} {
+	for _, name := range []string{"coldsimplex", "ipm"} {
 		res, err := Solve(in, cb, engineOptions()[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -25,19 +25,24 @@
 //     already non-negative) is stated as −∞ so pure upper-bound problems
 //     stay one-sided, and l_i = u_i states the zero-skew equality. The
 //     boxed revised engine stores the window in a single tableau row
-//     (bounded slack); the dense and cold engines lower it to a ≤/≥ pair
-//     — the before/after is visible in lp.Stats.TableauRows vs
+//     (bounded slack); the cold solvers' adapter lowers it to a ≤/≥
+//     pair — the before/after is visible in lp.Stats.TableauRows vs
 //     .LoweredTableauRows.
 //   - Forced-zero edges (the degree-splitting artifacts of
 //     internal/topology) become variable boxes e_k ∈ [0, 0] via the
-//     optional lp.VarBounder interface when the engine supports it, and
-//     fall back to explicit EQ rows otherwise. Engines may therefore
-//     disagree on LogicalRows by exactly the forced-zero count.
+//     optional lp.VarBounder interface when the engine supports it (the
+//     revised engine), and fall back to explicit EQ rows otherwise (the
+//     cold adapter). The two may therefore disagree on LogicalRows by
+//     exactly the forced-zero count.
 //
-// Options.Engine selects the incremental engine ("revised" default,
-// "dense" ablation); Options.Solver bypasses row generation warm starts
-// with a cold solver (lp.Simplex or lp.IPM) re-solving from scratch each
-// round; Options.FullMatrix states all C(m,2) Steiner rows up front.
+// The loop runs warm on lp.Revised, the one warm engine.
+// Options.Solver replaces it with a cold solver (lp.Simplex or lp.IPM)
+// re-solving from scratch each round — the independent cross-checks;
+// Options.FullMatrix states all C(m,2) Steiner rows up front. From
+// ScaleAutoSinks sinks a dominance presolve prunes the separation scan
+// (presolve.go) and, when the source is fixed, the root branches solve
+// as independent subproblems whose optima compose exactly
+// (decompose.go).
 //
 // # Tolerances
 //

@@ -16,24 +16,22 @@ import (
 type Options struct {
 	// Solver selects an explicit cold solver (two-phase simplex or the
 	// interior-point method); each row-generation round then re-solves the
-	// whole LP from scratch. Nil (the default) picks an incremental warm
-	// engine instead, chosen by Engine.
+	// whole LP from scratch. Nil (the default) runs the warm sparse
+	// revised dual simplex, lp.Revised.
 	Solver lp.Solver
-	// Engine selects the incremental engine used when Solver is nil:
-	// "" or "revised" is the sparse revised dual simplex (the default),
-	// "dense" or "densesimplex" the dense-tableau ablation engine.
-	Engine string
 	// Pricing selects the leaving-row rule of the revised engine (see
 	// lp.ParsePricing): "" or "devex" (the default), "mostviolated" for
 	// the classic most-violated rule, "steepest" for the exact
 	// steepest-edge cross-check. Only meaningful for the revised engine;
-	// setting it with a cold Solver or the dense engine is an error.
+	// setting it with a cold Solver is an error.
 	Pricing string
 	// OracleWorkers bounds the separation-oracle worker pool; 0 means
 	// GOMAXPROCS. The oracle's output is deterministic regardless.
 	OracleWorkers int
 	// Weights is the per-edge objective weight w_k (§7 "different weights
-	// on edges"), indexed by edge; nil means all ones. Entry 0 is unused.
+	// on edges"), indexed by edge; nil means all ones. Entry 0 is unused;
+	// a non-nil slice must have one entry per node, and entries 1…n−1
+	// must be finite and ≥ 0.
 	Weights []float64
 	// FullMatrix disables row generation and states all C(m,2) Steiner
 	// rows upfront (the ablation baseline for §4.6).
@@ -56,12 +54,11 @@ type Options struct {
 	// Session's window edits would invalidate the dominance witnesses).
 	Presolve string
 	// Decompose controls root-branch subtree decomposition (see
-	// decompose.go): "" is auto — on when the source is fixed, the
-	// topology has at least two root branches and the instance has at
-	// least ScaleAutoSinks sinks — "on" forces it where structurally
-	// possible (with a free source this engages the bounded
-	// outer-coordination passes and falls back to the monolithic solve
-	// when branches stay coupled), "off" disables it.
+	// decompose.go): "" is auto — on when the instance has at least
+	// ScaleAutoSinks sinks — "on" forces it, "off" disables it. Either
+	// way it engages only when the source is fixed and the topology has
+	// at least two root branches, where it is exact; a free source always
+	// runs monolithic.
 	Decompose string
 	// Tracer records solve spans (rounds, LP solves, separation scans,
 	// engine refactorizations) when non-nil. Nil disables tracing at zero
@@ -93,9 +90,9 @@ func scaleSetting(s string, m int) (bool, error) {
 
 // scaleSettings resolves both scale options against the instance.
 // FullMatrix disables presolve (the ablation states every row by
-// definition) and decomposition; auto decomposition additionally
-// requires a fixed source — the regime where root branches are exactly
-// independent given the seeded source rows.
+// definition) and decomposition; decomposition additionally requires a
+// fixed source — the regime where root branches are exactly independent
+// given the seeded source rows.
 func (o *Options) scaleSettings(in *Instance) (presolveOn, decomposeOn bool, err error) {
 	m := in.Tree.NumSinks
 	pStr, dStr := "", ""
@@ -114,8 +111,8 @@ func (o *Options) scaleSettings(in *Instance) (presolveOn, decomposeOn bool, err
 	if full {
 		presolveOn, decomposeOn = false, false
 	}
-	if dStr == "" && in.Source == nil {
-		decomposeOn = false // auto never engages the coupled-source heuristic
+	if in.Source == nil {
+		decomposeOn = false // free-source branches are coupled through d_i + d_j ≥ dist(i, j)
 	}
 	if !in.Tree.AllSinksAreLeaves() {
 		// The block oracle enumerates sink pairs by (LCA, child-subtree
@@ -136,9 +133,9 @@ func (o *Options) tracer() *obs.Tracer {
 	return o.Tracer
 }
 
-// engine builds the RowEngine the row-generation loop runs on: a warm
-// incremental engine by default, or a cold adapter around the explicit
-// solver for cross-checking and ablation.
+// engine builds the RowEngine the row-generation loop runs on: the warm
+// revised engine by default, or a cold adapter around the explicit
+// solver for cross-checking.
 func (o *Options) engine(n int, w []float64) (lp.RowEngine, error) {
 	pricing := ""
 	if o != nil {
@@ -150,26 +147,13 @@ func (o *Options) engine(n int, w []float64) (lp.RowEngine, error) {
 		}
 		return newColdEngine(n, w, o.Solver), nil
 	}
-	name := ""
-	if o != nil {
-		name = o.Engine
+	p, err := lp.ParsePricing(pricing)
+	if err != nil {
+		return nil, fmt.Errorf("core: %v", err)
 	}
-	switch name {
-	case "", "revised":
-		p, err := lp.ParsePricing(pricing)
-		if err != nil {
-			return nil, fmt.Errorf("core: %v", err)
-		}
-		rv := lp.NewRevised(n, w)
-		rv.SetPricing(p)
-		return rv, nil
-	case "dense", "densesimplex":
-		if pricing != "" {
-			return nil, fmt.Errorf("core: Pricing %q has no effect with the dense engine", pricing)
-		}
-		return lp.NewIncremental(n, w), nil
-	}
-	return nil, fmt.Errorf("core: unknown LP engine %q", name)
+	rv := lp.NewRevised(n, w)
+	rv.SetPricing(p)
+	return rv, nil
 }
 
 // loopParams lowers the option fields driving the row-generation loop to
@@ -199,18 +183,36 @@ func (o *Options) loopParams(in *Instance) (maxRounds, batch int, tol float64, w
 	return maxRounds, batch, tol, workers
 }
 
-func (o *Options) weights(n int) []float64 {
+// weights returns the per-edge objective for a tree of n nodes: unit
+// weights when none are set, otherwise Options.Weights after checking it
+// has n entries and that entries 1…n−1 are valid edge weights.
+func (o *Options) weights(n int) ([]float64, error) {
 	if o != nil && o.Weights != nil {
 		if len(o.Weights) != n {
-			panic(fmt.Sprintf("core: %d weights for %d edges", len(o.Weights), n))
+			return nil, fmt.Errorf("core: %d weights for a tree of %d nodes", len(o.Weights), n)
 		}
-		return o.Weights
+		for k := 1; k < n; k++ {
+			if err := checkWeight(k, o.Weights[k]); err != nil {
+				return nil, err
+			}
+		}
+		return o.Weights, nil
 	}
 	w := make([]float64, n)
 	for i := 1; i < n; i++ {
 		w[i] = 1
 	}
-	return w
+	return w, nil
+}
+
+// checkWeight rejects an edge weight the engines cannot price: the dual
+// simplex needs a non-negative cost, and a NaN or infinite one has no
+// optimum.
+func checkWeight(edge int, w float64) error {
+	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		return fmt.Errorf("core: edge %d weight %g must be finite and ≥ 0", edge, w)
+	}
+	return nil
 }
 
 // pairKey identifies an unordered fixed-point pair (stored with i ≤ j).
@@ -372,10 +374,9 @@ type Result struct {
 // By default (Options.Solver nil) the row-generation loop runs on the
 // sparse revised dual-simplex engine, which warm-starts from the previous
 // basis after each batch of violated Steiner rows — the fast realization
-// of the §4.6 constraint reduction. Options.Engine selects the dense
-// tableau engine instead for ablation; passing an explicit Solver (cold
+// of the §4.6 constraint reduction. Passing an explicit Solver (cold
 // simplex or the interior-point method) re-solves each round from
-// scratch for cross-checking. All paths share this one loop, written
+// scratch for cross-checking. Both paths share this one loop, written
 // against lp.RowEngine.
 func Solve(in *Instance, b Bounds, opt *Options) (*Result, error) {
 	if err := in.Validate(); err != nil {
@@ -387,7 +388,10 @@ func Solve(in *Instance, b Bounds, opt *Options) (*Result, error) {
 	t := in.Tree
 	n := t.N() // LP variables: edges 1…n−1 mapped to columns 1…n−1 (column 0 unused but harmless)
 	maxRounds, batch, tol, workers := opt.loopParams(in)
-	w := opt.weights(n)
+	w, err := opt.weights(n)
+	if err != nil {
+		return nil, err
+	}
 
 	presolveOn, decomposeOn, err := opt.scaleSettings(in)
 	if err != nil {
@@ -397,7 +401,7 @@ func Solve(in *Instance, b Bounds, opt *Options) (*Result, error) {
 		if res, done, err := solveDecomposed(in, b, opt, presolveOn); done {
 			return res, err
 		}
-		// Not decomposable (or branches stayed coupled): monolithic path.
+		// Fewer than two root branches: monolithic path.
 	}
 
 	tr := opt.tracer()
@@ -418,8 +422,8 @@ func Solve(in *Instance, b Bounds, opt *Options) (*Result, error) {
 	// zero rows, zero ratio-test work — everyone else gets an explicit EQ
 	// row. Then the delay rows (§4.2): each finite window l ≤ path ≤ u is
 	// ONE logical ranged row (the boxed engine stores it once with the
-	// row's slack bounded by u − l; the dense/cold engines lower it back
-	// to the classic ≤/≥ pair), one-sided windows degrade to single rows,
+	// row's slack bounded by u − l; the cold adapter lowers it back to
+	// the classic ≤/≥ pair), one-sided windows degrade to single rows,
 	// and l = u pins the row's slack instead of splitting an equality.
 	vb, _ := eng.(lp.VarBounder)
 	for k := 1; k < n; k++ {
@@ -482,7 +486,7 @@ func Solve(in *Instance, b Bounds, opt *Options) (*Result, error) {
 
 // coldEngine adapts an explicit lp.Solver to the RowEngine interface: rows
 // accumulate in one Problem and every Solve re-optimizes it from scratch.
-// It exists for cross-checking the warm engines against the cold simplex
+// It exists for cross-checking the warm engine against the cold simplex
 // and the interior-point method.
 type coldEngine struct {
 	p           *lp.Problem
@@ -566,9 +570,6 @@ func (ce *coldEngine) Stats() lp.Stats {
 		LoweredTableauRows: ce.tableauRows, // cold problems are already lowered
 		RangedRows:         ce.rangedRows,
 		NumericalResidual:  ce.residual,
-		// Cold solvers sample their gauges too (factorization gauges are
-		// legitimately zero; the residual is the terminal solver gauge).
-		GaugesValid: true,
 	}
 	for _, c := range ce.p.Cons {
 		st.RowNonzeros += len(c.Terms)

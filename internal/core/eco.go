@@ -38,8 +38,8 @@ type Session struct {
 
 // NewSession solves the instance like Solve and keeps the engine warm for
 // incremental edits. Only the restageable revised engine supports
-// sessions: an explicit cold Solver or the dense ablation engine is
-// rejected (their tableaus cannot replace rows in place).
+// sessions: an explicit cold Solver is rejected (it re-solves from
+// scratch and cannot replace rows in place).
 func NewSession(in *Instance, b Bounds, opt *Options) (*Session, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -50,12 +50,13 @@ func NewSession(in *Instance, b Bounds, opt *Options) (*Session, error) {
 	if opt != nil && opt.Solver != nil {
 		return nil, fmt.Errorf("core: ECO sessions need the restageable revised engine, not an explicit cold Solver")
 	}
-	if opt != nil && opt.Engine != "" && opt.Engine != "revised" {
-		return nil, fmt.Errorf("core: ECO sessions need the restageable revised engine, not %q", opt.Engine)
-	}
 	t := in.Tree
 	n := t.N()
-	w := append([]float64(nil), opt.weights(n)...)
+	w, err := opt.weights(n)
+	if err != nil {
+		return nil, err
+	}
+	w = append([]float64(nil), w...)
 	maxRounds, batch, tol, workers := opt.loopParams(in)
 	tr := opt.tracer()
 
@@ -176,16 +177,16 @@ func (s *Session) Retighten(sink int, l, u float64) error {
 	return nil
 }
 
-// Reweight sets edge k's objective weight to w ≥ 0 and restages the
-// engine's costs (§7 "different weights on edges"). The edit takes effect
-// at the next Resolve.
+// Reweight sets edge k's objective weight to a finite w ≥ 0 and
+// restages the engine's costs (§7 "different weights on edges"). The
+// edit takes effect at the next Resolve.
 func (s *Session) Reweight(edge int, w float64) error {
 	n := s.in.Tree.N()
 	if edge < 1 || edge >= n {
 		return fmt.Errorf("core: Reweight edge %d of %d", edge, n-1)
 	}
-	if w < 0 || math.IsNaN(w) {
-		return fmt.Errorf("core: edge %d weight %g must be non-negative", edge, w)
+	if err := checkWeight(edge, w); err != nil {
+		return err
 	}
 	s.w[edge] = w // s.w aliases gen.w, so run() prices the new objective
 	s.rv.SetCost(edge, w)

@@ -10,17 +10,14 @@ import (
 )
 
 // TestSessionBasics pins the Session construction contract: explicit cold
-// solvers and the dense ablation engine are rejected (their tableaus
-// cannot replace rows in place), the initial solve matches a plain Solve,
-// and bad edit arguments error without corrupting the session.
+// solvers are rejected (they cannot replace rows in place), the initial
+// solve matches a plain Solve, and bad edit arguments error without
+// corrupting the session.
 func TestSessionBasics(t *testing.T) {
 	in, b := randomInstance(t, 230, 9)
 	radius := in.Radius()
 	if _, err := NewSession(in, b, &Options{Solver: &lp.Simplex{}}); err == nil {
 		t.Error("explicit cold solver accepted")
-	}
-	if _, err := NewSession(in, b, &Options{Engine: "dense"}); err == nil {
-		t.Error("dense engine accepted")
 	}
 	sess, err := NewSession(in, b, nil)
 	if err != nil {
@@ -45,6 +42,9 @@ func TestSessionBasics(t *testing.T) {
 	if err := sess.Reweight(1, -1); err == nil {
 		t.Error("negative weight accepted")
 	}
+	if err := sess.Reweight(1, math.Inf(1)); err == nil {
+		t.Error("infinite weight accepted")
+	}
 	// The failed edits must not have touched the engine: a Resolve still
 	// lands on the same optimum.
 	res, err := sess.Resolve()
@@ -58,7 +58,7 @@ func TestSessionBasics(t *testing.T) {
 
 // TestSessionRetightenVsOracles is the restaging-vs-oracles agreement
 // suite: after each of N random bound/weight edits, the warm re-solve
-// must agree with a cold dense-engine solve AND the IPM of the same
+// must agree with a cold-simplex solve AND the IPM of the same
 // edited problem to 1e-6·radius — including on the infeasibility verdict.
 // This extends the four-way agreement testing to the incremental path:
 // restaging may change the pivot path, never the optimum.
@@ -104,25 +104,25 @@ func TestSessionRetightenVsOracles(t *testing.T) {
 		}
 		warm, warmErr := sess.Resolve()
 		cur := sess.Bounds()
-		dense, denseErr := Solve(in, cur, &Options{Engine: "dense", Weights: w})
+		cold, coldErr := Solve(in, cur, &Options{Solver: &lp.Simplex{}, Weights: w})
 		ipm, ipmErr := Solve(in, cur, &Options{Solver: &lp.IPM{}, Weights: w})
 		if warmErr != nil {
 			if !errors.Is(warmErr, ErrInfeasible) {
 				t.Fatalf("step %d: warm resolve: %v", step, warmErr)
 			}
-			if denseErr == nil || !errors.Is(denseErr, ErrInfeasible) {
-				t.Fatalf("step %d: warm infeasible but dense oracle says %v", step, denseErr)
+			if coldErr == nil || !errors.Is(coldErr, ErrInfeasible) {
+				t.Fatalf("step %d: warm infeasible but cold oracle says %v", step, coldErr)
 			}
 			if ipmErr == nil || !errors.Is(ipmErr, ErrInfeasible) {
 				t.Fatalf("step %d: warm infeasible but ipm oracle says %v", step, ipmErr)
 			}
 			continue
 		}
-		if denseErr != nil || ipmErr != nil {
-			t.Fatalf("step %d: warm feasible but oracles error: dense %v, ipm %v", step, denseErr, ipmErr)
+		if coldErr != nil || ipmErr != nil {
+			t.Fatalf("step %d: warm feasible but oracles error: cold %v, ipm %v", step, coldErr, ipmErr)
 		}
-		if math.Abs(warm.Cost-dense.Cost) > 1e-6*radius {
-			t.Errorf("step %d: warm cost %.9f vs dense oracle %.9f", step, warm.Cost, dense.Cost)
+		if math.Abs(warm.Cost-cold.Cost) > 1e-6*radius {
+			t.Errorf("step %d: warm cost %.9f vs cold oracle %.9f", step, warm.Cost, cold.Cost)
 		}
 		if math.Abs(warm.Cost-ipm.Cost) > 1e-6*radius {
 			t.Errorf("step %d: warm cost %.9f vs ipm oracle %.9f", step, warm.Cost, ipm.Cost)
@@ -167,7 +167,7 @@ func TestSessionInfeasibleThenRelax(t *testing.T) {
 	// below is vacuous for the infeasible half — but the relax half still
 	// exercises recovery.
 	_, werr := sess.Resolve()
-	cold, cerr := Solve(in, sess.Bounds(), &Options{Engine: "dense"})
+	cold, cerr := Solve(in, sess.Bounds(), &Options{Solver: &lp.Simplex{}})
 	if (werr != nil) != (cerr != nil) {
 		t.Fatalf("warm/cold verdicts disagree: warm %v, cold %v", werr, cerr)
 	}

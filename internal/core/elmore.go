@@ -103,7 +103,10 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 		maxIter = 300
 	}
 	n := t.N()
-	w := (&Options{Weights: opt.Weights}).weights(n)
+	w, err := (&Options{Weights: opt.Weights}).weights(n)
+	if err != nil {
+		return nil, err
+	}
 	mdl := opt.Model
 	tr := opt.Tracer
 	slpSpan := tr.Start("slp")
@@ -434,7 +437,6 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 				NumericalResidual:  sol.NumericalResidual,
 				SolveTime:          dt,
 				Rounds:             1,
-				GaugesValid:        true,
 			}
 			for _, c := range p.Cons {
 				ist.RowNonzeros += len(c.Terms)

@@ -210,9 +210,6 @@ func TestElmoreIterStatsMerge(t *testing.T) {
 		sumPivots += ist.Pivots
 		sumRestages += ist.Restages
 		sumReplacements += ist.RowReplacements
-		if !ist.GaugesValid {
-			t.Errorf("iteration %d: gauges not sampled from the engine", it)
-		}
 		// Real engine gauges, not a hand-stamped per-Problem record: the
 		// stored-nonzero count is live and the lowered count can only meet
 		// or exceed the tableau count (the SLP's window sides are one-sided

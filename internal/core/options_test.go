@@ -66,14 +66,13 @@ func TestSolveCustomTol(t *testing.T) {
 	}
 }
 
-func TestSolveWeightsSizeMismatchPanics(t *testing.T) {
+// TestSolveWeightsSizeMismatchErrors: a weight vector of the wrong
+// length is a caller error, reported as one — not a panic.
+func TestSolveWeightsSizeMismatchErrors(t *testing.T) {
 	in, b := randomInstance(t, 204, 5)
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	_, _ = Solve(in, b, &Options{Weights: []float64{1, 2}})
+	if _, err := Solve(in, b, &Options{Weights: []float64{1, 2}}); err == nil {
+		t.Error("mis-sized weights accepted")
+	}
 }
 
 func TestColdSolverPathsAgree(t *testing.T) {

@@ -11,22 +11,21 @@ import (
 
 // TestPresolveAgreement is the presolve-must-never-change-the-answer
 // suite: on the bench workloads, forcing the dominance-pruning oracle on
-// must reproduce the legacy oracle's optimum across all four solver
-// configurations — warm revised, dense tableau, cold simplex, IPM — to
+// must reproduce the legacy oracle's optimum across all three solver
+// configurations — warm revised, cold simplex, IPM — to
 // within the 1e-6·radius acceptance bar, and the pruned solutions must
 // still pass full-matrix verification.
 func TestPresolveAgreement(t *testing.T) {
 	// The cold solvers re-solve the whole LP from scratch every
 	// row-generation round, which is minutes-per-solve at r4-s size
 	// (~7k active rows); they cross-check on the two smaller benches
-	// and the warm engines carry the largest one.
+	// and the warm engine carries the largest one.
 	solvers := []struct {
 		name     string
 		maxSinks int
 		opt      Options
 	}{
 		{"revised", math.MaxInt, Options{}},
-		{"dense", math.MaxInt, Options{Engine: "dense"}},
 		{"coldsimplex", 250, Options{Solver: &lp.Simplex{}}},
 		{"ipm", 250, Options{Solver: &lp.IPM{}}},
 	}

@@ -14,13 +14,12 @@ import (
 var pricingSchemes = []string{"devex", "mostviolated", "steepest"}
 
 // TestPricingOptionErrors pins the option-validation contract: Pricing
-// only means something on the revised engine, so combining it with the
-// dense engine or an explicit cold solver must fail loudly instead of
-// being silently ignored, and unknown scheme names are rejected.
+// only means something on the revised engine, so combining it with an
+// explicit cold solver must fail loudly instead of being silently
+// ignored, and unknown scheme names are rejected.
 func TestPricingOptionErrors(t *testing.T) {
 	in, b := randomInstance(t, 210, 5)
 	cases := map[string]*Options{
-		"dense engine":  {Engine: "dense", Pricing: "devex"},
 		"cold solver":   {Solver: &lp.Simplex{}, Pricing: "devex"},
 		"unknown token": {Pricing: "dantzig"},
 	}
@@ -39,12 +38,12 @@ func TestPricingOptionErrors(t *testing.T) {
 
 // TestPricingSchemesAgreeWithOracles runs a random instance through the
 // revised engine under all three pricing schemes and checks each against
-// the dense-tableau and IPM oracles at the 1e-6·radius acceptance bar:
+// the cold-simplex and IPM oracles at the 1e-6·radius acceptance bar:
 // the pricing rule must change only the pivot path, never the optimum.
 func TestPricingSchemesAgreeWithOracles(t *testing.T) {
 	in, b := randomInstance(t, 211, 14)
 	radius := in.Radius()
-	dense, err := Solve(in, b, &Options{Engine: "dense"})
+	cold, err := Solve(in, b, &Options{Solver: &lp.Simplex{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +51,16 @@ func TestPricingSchemesAgreeWithOracles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(dense.Cost-ipm.Cost) > 1e-6*radius {
-		t.Fatalf("oracles disagree: dense %.9f ipm %.9f", dense.Cost, ipm.Cost)
+	if math.Abs(cold.Cost-ipm.Cost) > 1e-6*radius {
+		t.Fatalf("oracles disagree: cold %.9f ipm %.9f", cold.Cost, ipm.Cost)
 	}
 	for _, scheme := range pricingSchemes {
 		res, err := Solve(in, b, &Options{Pricing: scheme})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
-		if math.Abs(res.Cost-dense.Cost) > 1e-6*radius {
-			t.Errorf("%s: cost %.9f vs dense oracle %.9f (radius %g)", scheme, res.Cost, dense.Cost, radius)
+		if math.Abs(res.Cost-cold.Cost) > 1e-6*radius {
+			t.Errorf("%s: cost %.9f vs cold oracle %.9f (radius %g)", scheme, res.Cost, cold.Cost, radius)
 		}
 		if math.Abs(res.Cost-ipm.Cost) > 1e-6*radius {
 			t.Errorf("%s: cost %.9f vs ipm oracle %.9f (radius %g)", scheme, res.Cost, ipm.Cost, radius)
@@ -102,12 +101,12 @@ func tieHeavyStar(t *testing.T) (*Instance, Bounds) {
 // TestPricingSchemesTieHeavyStar is the degenerate-tie acceptance check:
 // the tie-heavy boxed instance (banks of equal violations on ranged
 // delay-window rows) must solve under all three pricing schemes without
-// hitting IterLimit, agreeing with the dense and IPM oracles to
+// hitting IterLimit, agreeing with the cold-simplex and IPM oracles to
 // 1e-6·radius; pivot counts are logged per scheme for -v runs.
 func TestPricingSchemesTieHeavyStar(t *testing.T) {
 	in, b := tieHeavyStar(t)
 	radius := in.Radius()
-	dense, err := Solve(in, b, &Options{Engine: "dense"})
+	cold, err := Solve(in, b, &Options{Solver: &lp.Simplex{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +115,16 @@ func TestPricingSchemesTieHeavyStar(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Eight sinks each snaking to delay ≥ 16: the optimum is 8·16 = 128.
-	if math.Abs(dense.Cost-128) > 1e-6*radius {
-		t.Fatalf("dense oracle cost %.9f, want 128", dense.Cost)
+	if math.Abs(cold.Cost-128) > 1e-6*radius {
+		t.Fatalf("cold oracle cost %.9f, want 128", cold.Cost)
 	}
 	for _, scheme := range pricingSchemes {
 		res, err := Solve(in, b, &Options{Pricing: scheme})
 		if err != nil {
 			t.Fatalf("%s: %v (IterLimit here means the tie-break cycled)", scheme, err)
 		}
-		if math.Abs(res.Cost-dense.Cost) > 1e-6*radius {
-			t.Errorf("%s: cost %.9f vs dense %.9f", scheme, res.Cost, dense.Cost)
+		if math.Abs(res.Cost-cold.Cost) > 1e-6*radius {
+			t.Errorf("%s: cost %.9f vs cold %.9f", scheme, res.Cost, cold.Cost)
 		}
 		if math.Abs(res.Cost-ipm.Cost) > 1e-6*radius {
 			t.Errorf("%s: cost %.9f vs ipm %.9f", scheme, res.Cost, ipm.Cost)

@@ -3,24 +3,26 @@ package core
 import (
 	"math"
 	"testing"
+
+	"lubt/internal/lp"
 )
 
 // TestDelayWindowRowHalving pins the end-to-end effect of the boxed
 // revised engine on the EBF: with a finite two-sided delay window every
 // sink's delay constraint is ONE ranged tableau row in the revised engine
-// but a ≤/≥ pair in the dense lowering, so the revised engine's tableau is
-// smaller by exactly the ranged-row count while both report the same
-// lowered count — and both reach the same optimum.
+// but a ≤/≥ pair in the cold simplex's lowering, so the revised engine's
+// tableau is smaller by exactly the ranged-row count while both report
+// the same lowered count — and both reach the same optimum.
 func TestDelayWindowRowHalving(t *testing.T) {
 	in := fig3Instance(t)
 	r := in.Radius()
 	b := UniformBounds(5, 0.8*r, 1.2*r) // finite two-sided window per sink
-	rev := mustSolve(t, in, b, &Options{Engine: "revised"})
-	den := mustSolve(t, in, b, &Options{Engine: "dense"})
-	if math.Abs(rev.Cost-den.Cost) > 1e-6*(1+r) {
-		t.Fatalf("revised cost %.9g vs dense %.9g", rev.Cost, den.Cost)
+	rev := mustSolve(t, in, b, nil)
+	cold := mustSolve(t, in, b, &Options{Solver: &lp.Simplex{}})
+	if math.Abs(rev.Cost-cold.Cost) > 1e-6*(1+r) {
+		t.Fatalf("revised cost %.9g vs cold %.9g", rev.Cost, cold.Cost)
 	}
-	rs, ds := rev.Stats, den.Stats
+	rs, cs := rev.Stats, cold.Stats
 	if rs.RangedRows == 0 {
 		t.Fatal("revised: no ranged rows recorded for a finite delay window")
 	}
@@ -30,30 +32,31 @@ func TestDelayWindowRowHalving(t *testing.T) {
 	if got, want := rs.LoweredTableauRows-rs.TableauRows, rs.RangedRows; got != want {
 		t.Fatalf("revised: saved %d rows, want one per ranged row (%d)", got, want)
 	}
-	if ds.TableauRows != ds.LoweredTableauRows {
-		t.Fatalf("dense: tableau %d != lowered %d (dense IS the lowering)", ds.TableauRows, ds.LoweredTableauRows)
+	if cs.TableauRows != cs.LoweredTableauRows {
+		t.Fatalf("cold: tableau %d != lowered %d (cold IS the lowering)", cs.TableauRows, cs.LoweredTableauRows)
 	}
 	// The engines may disagree on logical rows only through the VarBounder
 	// substitution (forced-zero edges become boxes, not rows); fig3 has
 	// none, so the logical counts must match exactly.
-	if rs.LogicalRows != ds.LogicalRows {
-		t.Fatalf("logical rows revised %d vs dense %d", rs.LogicalRows, ds.LogicalRows)
+	if rs.LogicalRows != cs.LogicalRows {
+		t.Fatalf("logical rows revised %d vs cold %d", rs.LogicalRows, cs.LogicalRows)
 	}
 }
 
 // TestExactWindowAcrossEngines drives the zero-skew corner (l = u) through
-// the boxed engine, the dense lowering and the cold simplex, checking the
-// delays and the objective agree to 1e-6·radius.
+// the boxed engine, the cold simplex's equality rows and the full-matrix
+// revised solve, checking the delays and the objective agree to
+// 1e-6·radius.
 func TestExactWindowAcrossEngines(t *testing.T) {
 	in := fig3Instance(t)
 	r := in.Radius()
 	b := UniformBounds(5, 1.1*r, 1.1*r)
-	rev := mustSolve(t, in, b, &Options{Engine: "revised"})
-	den := mustSolve(t, in, b, &Options{Engine: "dense"})
-	cold := mustSolve(t, in, b, &Options{FullMatrix: true})
+	rev := mustSolve(t, in, b, nil)
+	cold := mustSolve(t, in, b, &Options{Solver: &lp.Simplex{}})
+	full := mustSolve(t, in, b, &Options{FullMatrix: true})
 	tol := 1e-6 * (1 + r)
-	if math.Abs(rev.Cost-den.Cost) > tol || math.Abs(rev.Cost-cold.Cost) > tol {
-		t.Fatalf("costs revised %.9g dense %.9g cold %.9g", rev.Cost, den.Cost, cold.Cost)
+	if math.Abs(rev.Cost-cold.Cost) > tol || math.Abs(rev.Cost-full.Cost) > tol {
+		t.Fatalf("costs revised %.9g cold %.9g full-matrix %.9g", rev.Cost, cold.Cost, full.Cost)
 	}
 	for i := 1; i <= 5; i++ {
 		if math.Abs(rev.Delays[i]-1.1*r) > tol {

@@ -55,7 +55,7 @@ type EngineRecord struct {
 	PivotMin           float64 `json:"pivot_min"`
 	PivotMax           float64 `json:"pivot_max"`
 	// PricingScheme is the revised engine's leaving-row rule ("devex",
-	// "most-violated", "steepest-exact"; "" on the dense engine), and
+	// "most-violated", "steepest-exact"), and
 	// DevexResets / WeightMin / WeightMax its reference-weight health
 	// gauges — appended in lubt-bench/1 (append-only within the major
 	// version, so consumers of the original key set stay valid).
@@ -110,7 +110,7 @@ func durMS(d time.Duration) float64 {
 }
 
 // BenchRecords runs the EngineStats workload (0.1·radius skew window,
-// the statEngines lineup: revised/devex, revised/most-violated, dense)
+// the statEngines lineup: revised/devex, revised/most-violated)
 // on every named benchmark and returns one BenchRecord per name, timings
 // taken as the median of `repeats` runs (< 1 means 1).
 func BenchRecords(names []string, repeats int) ([]BenchRecord, error) {

@@ -26,8 +26,8 @@ func TestBenchRecordsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := recs[0]
-	if len(rec.Engines) != len(statEngines) {
-		t.Fatalf("engines: %d, want %d (revised, revised-mv, dense)", len(rec.Engines), len(statEngines))
+	if len(rec.Engines) != 2 || rec.Engines[0].Engine != "revised" || rec.Engines[1].Engine != "revised-mv" {
+		t.Fatalf("engines: %+v, want the two rows revised, revised-mv", rec.Engines)
 	}
 	// All engine rows must agree on the optimum.
 	for _, e := range rec.Engines[1:] {
@@ -42,22 +42,15 @@ func TestBenchRecordsRoundTrip(t *testing.T) {
 			t.Errorf("%s: empty counters: %+v", e.Engine, e)
 		}
 	}
-	// The revised rows must carry their pricing identity; dense has none.
-	schemes := map[string]string{}
-	for _, e := range rec.Engines {
-		schemes[e.Engine] = e.PricingScheme
-	}
-	if schemes["revised"] != "devex" || schemes["revised-mv"] != "most-violated" {
-		t.Errorf("pricing schemes: %v, want revised=devex revised-mv=most-violated", schemes)
-	}
-	if schemes["dense"] != "" {
-		t.Errorf("dense engine reports pricing %q, want empty", schemes["dense"])
+	// Both rows must carry their pricing identity.
+	if a, b := rec.Engines[0].PricingScheme, rec.Engines[1].PricingScheme; a != "devex" || b != "most-violated" {
+		t.Errorf("pricing schemes: revised=%q revised-mv=%q, want devex and most-violated", a, b)
 	}
 	if err := CheckPivotGate(rec); err != nil {
 		t.Errorf("pivot gate on prim1-s: %v", err)
 	}
 	// The revised row must carry a measured ECO probe and pass the warm
-	// gate; the other engines cannot restage and must report zeros.
+	// gate; the probe runs on that row only, so the other reports zeros.
 	for _, e := range rec.Engines {
 		if e.Engine == "revised" {
 			if e.EcoResolveMS <= 0 {
@@ -327,7 +320,7 @@ func TestCheckEcoGate(t *testing.T) {
 			Bench: "x",
 			Engines: []EngineRecord{
 				{Engine: "revised", Pivots: cold, EcoPivots: warm, EcoResolveMS: ms},
-				{Engine: "dense"},
+				{Engine: "revised-mv"},
 			},
 		}
 	}
@@ -345,7 +338,7 @@ func TestCheckEcoGate(t *testing.T) {
 		t.Errorf("no probe: %v", err)
 	}
 	// No revised row → vacuous pass.
-	if err := CheckEcoGate(BenchRecord{Engines: []EngineRecord{{Engine: "dense"}}}); err != nil {
+	if err := CheckEcoGate(BenchRecord{Engines: []EngineRecord{{Engine: "revised-mv"}}}); err != nil {
 		t.Errorf("no revised row: %v", err)
 	}
 }
@@ -387,7 +380,7 @@ func TestCheckPivotGate(t *testing.T) {
 			Engines: []EngineRecord{
 				{Engine: "revised", PricingScheme: "devex", Pivots: devexPivots},
 				{Engine: "revised-mv", PricingScheme: "most-violated", Pivots: mvPivots},
-				{Engine: "dense"},
+				{Engine: "revised-nopresolve"},
 			},
 		}
 	}
@@ -401,7 +394,7 @@ func TestCheckPivotGate(t *testing.T) {
 		t.Error("devex regression accepted")
 	}
 	// Missing ablation pair → vacuous pass.
-	if err := CheckPivotGate(BenchRecord{Engines: []EngineRecord{{Engine: "dense"}}}); err != nil {
+	if err := CheckPivotGate(BenchRecord{Engines: []EngineRecord{{Engine: "revised"}}}); err != nil {
 		t.Errorf("no pair: %v", err)
 	}
 	// A mislabeled pricing scheme must be caught, not silently compared.

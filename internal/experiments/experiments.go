@@ -103,38 +103,36 @@ func (in *instance) runLUBTOpts(base *bst.Result, l, u float64, opt *core.Option
 	return core.Solve(ci, cb, opt)
 }
 
-// engineSpec is one (engine, pricing) combination the stats/bench
+// engineSpec is one configuration of the revised engine the stats/bench
 // harness exercises; Label is the row key that reaches the tables and
 // the lubt-bench/1 JSON. Presolve/Decompose override core.Solve's
 // presolve and subtree-decomposition settings ("" = auto).
 type engineSpec struct {
 	Label     string
-	Engine    string
 	Pricing   string
 	Presolve  string
 	Decompose string
 }
 
 // statEngines are the engine rows of `lubtbench -stats` / `-json`:
-// the revised dual simplex under its default Devex pricing, the same
-// engine under the classic most-violated rule (the pricing ablation
-// pair the ci.sh pivot gate compares), and the dense-tableau engine.
+// the revised dual simplex under its default Devex pricing and under the
+// classic most-violated rule — the pricing ablation pair the ci.sh pivot
+// gate compares.
 var statEngines = []engineSpec{
-	{Label: "revised", Engine: "revised", Pricing: "devex"},
-	{Label: "revised-mv", Engine: "revised", Pricing: "mostviolated"},
-	{Label: "dense", Engine: "dense"},
+	{Label: "revised", Pricing: "devex"},
+	{Label: "revised-mv", Pricing: "mostviolated"},
 }
 
 // scaleEngines is the lineup for scale-class benchmarks (at least
 // core.ScaleAutoSinks sinks): the revised engine under the auto
 // settings — presolve dominance pruning plus subtree decomposition —
 // against the same engine with both passes forced off. That is the
-// before/after ablation pair CheckPresolveGate compares. The dense and
-// most-violated rows are dropped at this size: a dense tableau on a
-// 10k-sink instance would dominate the whole smoke by itself.
+// before/after ablation pair CheckPresolveGate compares. The
+// most-violated row is dropped at this size; the pricing pair is
+// compared on the sub-scale benches.
 var scaleEngines = []engineSpec{
-	{Label: "revised", Engine: "revised", Pricing: "devex"},
-	{Label: "revised-nopresolve", Engine: "revised", Pricing: "devex", Presolve: "off", Decompose: "off"},
+	{Label: "revised", Pricing: "devex"},
+	{Label: "revised-nopresolve", Pricing: "devex", Presolve: "off", Decompose: "off"},
 }
 
 // engines picks the engine lineup by instance size.
@@ -146,9 +144,9 @@ func (in *instance) engines() []engineSpec {
 }
 
 // EngineStats solves every benchmark with the warm LP engine lineup —
-// the sparse revised dual simplex under Devex and most-violated pricing,
-// plus the dense-tableau ablation engine — at a representative
-// 0.1·radius skew window, and tabulates the lp.Stats spine side by side.
+// the sparse revised dual simplex under Devex and most-violated pricing
+// — at a representative 0.1·radius skew window, and tabulates the
+// lp.Stats spine side by side.
 // It backs `lubtbench -stats` and runs each solve DefaultRepeats times,
 // reporting median timings.
 func EngineStats(names []string) (*table.Table, error) {
@@ -180,11 +178,7 @@ func EngineStatsN(names []string, repeats int) (*table.Table, error) {
 				return nil, fmt.Errorf("%s/%s: %w", name, eng.Label, err)
 			}
 			res, st := run.res, run.res.Stats
-			pricing := st.PricingScheme
-			if pricing == "" {
-				pricing = "-"
-			}
-			t.Addf(name, eng.Label, pricing, res.Rounds, res.RowsUsed, st.Pivots,
+			t.Addf(name, eng.Label, st.PricingScheme, res.Rounds, res.RowsUsed, st.Pivots,
 				st.BoundFlips, st.Refactorizations, st.BasisSize, st.FillIn,
 				st.TableauRows, st.LoweredTableauRows, st.RowNonzeros,
 				medianDuration(run.sep).Round(time.Microsecond).String(),
@@ -208,9 +202,8 @@ type repeatedRun struct {
 	pivots        []int
 }
 
-// runRepeated solves the instance `repeats` times with the given warm
-// engine/pricing combination and collects wall/separation/solve timings
-// per run.
+// runRepeated solves the instance `repeats` times with the given engine
+// configuration and collects wall/separation/solve timings per run.
 func (in *instance) runRepeated(base *bst.Result, l, u float64, eng engineSpec, repeats int) (*repeatedRun, error) {
 	if repeats < 1 {
 		repeats = 1
@@ -219,8 +212,7 @@ func (in *instance) runRepeated(base *bst.Result, l, u float64, eng engineSpec, 
 	for r := 0; r < repeats; r++ {
 		t0 := time.Now()
 		res, err := in.runLUBTOpts(base, l, u, &core.Options{
-			Engine: eng.Engine, Pricing: eng.Pricing,
-			Presolve: eng.Presolve, Decompose: eng.Decompose,
+			Pricing: eng.Pricing, Presolve: eng.Presolve, Decompose: eng.Decompose,
 		})
 		wall := time.Since(t0)
 		if err != nil {
@@ -261,7 +253,7 @@ func (in *instance) runECO(base *bst.Result, l, u float64, eng engineSpec, repea
 	}
 	var times []time.Duration
 	for r := 0; r < repeats; r++ {
-		sess, err := core.NewSession(ci, cb, &core.Options{Engine: eng.Engine, Pricing: eng.Pricing})
+		sess, err := core.NewSession(ci, cb, &core.Options{Pricing: eng.Pricing})
 		if err != nil {
 			return 0, 0, err
 		}

@@ -21,9 +21,9 @@ func lowerRanged(p *Problem, terms []Term, lo, hi float64) {
 }
 
 // TestRangedCrossSolverAgreement checks that ranged rows solved natively
-// by the boxed revised engine agree with the dense tableau engine (two-row
-// lowering), the cold two-phase simplex, and the interior-point method on
-// EBF-shaped problems — including exact (l = u) and tight windows. The
+// by the boxed revised engine agree with the cold two-phase simplex and
+// the interior-point method on the two-row lowering of EBF-shaped
+// problems — including exact (l = u) and tight windows. The
 // agreement tolerance mirrors the EBF acceptance bar: 1e-6 relative to
 // the problem scale.
 func TestRangedCrossSolverAgreement(t *testing.T) {
@@ -35,7 +35,6 @@ func TestRangedCrossSolverAgreement(t *testing.T) {
 			costs[j] = 0.5 + rng.Float64()*4
 		}
 		rv := NewRevised(n, costs)
-		inc := NewIncremental(n, costs)
 		p := NewProblem(n)
 		for j, c := range costs {
 			p.SetCost(j, c)
@@ -67,14 +66,9 @@ func TestRangedCrossSolverAgreement(t *testing.T) {
 				hi = lo + 1 + rng.Float64()*4
 			}
 			rv.AddRangedRow(terms, lo, hi)
-			inc.AddRangedRow(terms, lo, hi)
 			lowerRanged(p, terms, lo, hi)
 		}
 		warm, err := rv.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dense, err := inc.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,18 +79,12 @@ func TestRangedCrossSolverAgreement(t *testing.T) {
 		if warm.Status != cold.Status {
 			t.Fatalf("trial %d: revised %v vs cold %v", trial, warm.Status, cold.Status)
 		}
-		if warm.Status != dense.Status {
-			t.Fatalf("trial %d: revised %v vs dense %v", trial, warm.Status, dense.Status)
-		}
 		if warm.Status != Optimal {
 			continue
 		}
 		scale := 1 + math.Abs(cold.Objective)
 		if math.Abs(warm.Objective-cold.Objective) > 1e-6*scale {
 			t.Fatalf("trial %d: revised %.9g vs cold %.9g", trial, warm.Objective, cold.Objective)
-		}
-		if math.Abs(dense.Objective-cold.Objective) > 1e-6*scale {
-			t.Fatalf("trial %d: dense %.9g vs cold %.9g", trial, dense.Objective, cold.Objective)
 		}
 		if v, i := p.MaxViolation(warm.X); v > 1e-6*scale {
 			t.Fatalf("trial %d: revised violates lowered row %d by %g", trial, i, v)
@@ -166,19 +154,22 @@ func TestVarBounderFixedVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := NewIncremental(3, []float64{1, 1, 1})
-	inc.AddRow([]Term{{1, 1}}, EQ, 0)
-	inc.AddRangedRow([]Term{{0, 1}, {1, 1}, {2, 1}}, 4, 4)
-	inc.AddRow([]Term{{0, 1}}, LE, 1)
-	dense, err := inc.Solve()
+	p := NewProblem(3)
+	for j := 0; j < 3; j++ {
+		p.SetCost(j, 1)
+	}
+	p.AddConstraint([]Term{{1, 1}}, EQ, 0, "")
+	p.AddConstraint([]Term{{0, 1}, {1, 1}, {2, 1}}, EQ, 4, "")
+	p.AddConstraint([]Term{{0, 1}}, LE, 1, "")
+	cold, err := (&Simplex{}).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Status != Optimal || dense.Status != Optimal {
-		t.Fatalf("status revised %v dense %v", sol.Status, dense.Status)
+	if sol.Status != Optimal || cold.Status != Optimal {
+		t.Fatalf("status revised %v cold %v", sol.Status, cold.Status)
 	}
-	if math.Abs(sol.Objective-dense.Objective) > 1e-7 {
-		t.Fatalf("revised %.9g vs dense %.9g", sol.Objective, dense.Objective)
+	if math.Abs(sol.Objective-cold.Objective) > 1e-7 {
+		t.Fatalf("revised %.9g vs cold %.9g", sol.Objective, cold.Objective)
 	}
 	if math.Abs(sol.X[1]) > 1e-9 {
 		t.Fatalf("fixed variable x1 = %g, want 0", sol.X[1])
@@ -539,51 +530,52 @@ func TestRestageRandomizedVsCold(t *testing.T) {
 
 // TestRangedRowHalvingRegression pins the row-count saving that motivates
 // the boxed engine: N two-sided delay windows occupy N tableau rows in the
-// revised engine and 2N in the dense lowering, while both report the same
-// logical and lowered counts.
+// revised engine and 2N in the two-row lowering, which is what the
+// engine reports as its lowered count.
 func TestRangedRowHalvingRegression(t *testing.T) {
 	const nRows = 8
 	rv := NewRevised(4, []float64{1, 1, 1, 1})
-	inc := NewIncremental(4, []float64{1, 1, 1, 1})
+	p := NewProblem(4)
+	for j := 0; j < 4; j++ {
+		p.SetCost(j, 1)
+	}
 	for r := 0; r < nRows; r++ {
 		terms := []Term{{r % 4, 1}, {(r + 1) % 4, 1}}
 		lo := 1 + float64(r)
 		hi := lo + 0.5
 		rv.AddRangedRow(terms, lo, hi)
-		inc.AddRangedRow(terms, lo, hi)
+		lowerRanged(p, terms, lo, hi)
 	}
-	if rv.NumRows() != nRows || inc.NumRows() != nRows {
-		t.Fatalf("NumRows revised %d dense %d, want %d each", rv.NumRows(), inc.NumRows(), nRows)
+	if rv.NumRows() != nRows {
+		t.Fatalf("NumRows = %d, want %d", rv.NumRows(), nRows)
 	}
 	if got := rv.TableauRows(); got != nRows {
 		t.Fatalf("revised TableauRows = %d, want %d (one boxed row per window)", got, nRows)
 	}
-	if got := inc.TableauRows(); got != 2*nRows {
-		t.Fatalf("dense TableauRows = %d, want %d (two rows per window)", got, 2*nRows)
+	if got := len(p.Cons); got != 2*nRows {
+		t.Fatalf("lowered problem has %d rows, want %d (two rows per window)", got, 2*nRows)
 	}
-	for _, eng := range []RowEngine{rv, inc} {
-		st := eng.Stats()
-		if st.LoweredTableauRows != 2*nRows {
-			t.Fatalf("LoweredTableauRows = %d, want %d", st.LoweredTableauRows, 2*nRows)
-		}
-		if st.RangedRows != nRows {
-			t.Fatalf("RangedRows = %d, want %d", st.RangedRows, nRows)
-		}
+	st := rv.Stats()
+	if st.LoweredTableauRows != 2*nRows {
+		t.Fatalf("LoweredTableauRows = %d, want %d", st.LoweredTableauRows, 2*nRows)
 	}
-	// And both engines solve the same problem to the same optimum.
+	if st.RangedRows != nRows {
+		t.Fatalf("RangedRows = %d, want %d", st.RangedRows, nRows)
+	}
+	// And the lowering solves to the same optimum.
 	a, err := rv.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := inc.Solve()
+	b, err := (&Simplex{}).Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Status != b.Status {
-		t.Fatalf("status revised %v dense %v", a.Status, b.Status)
+		t.Fatalf("status revised %v cold %v", a.Status, b.Status)
 	}
 	if a.Status == Optimal && math.Abs(a.Objective-b.Objective) > 1e-7 {
-		t.Fatalf("revised %.9g vs dense %.9g", a.Objective, b.Objective)
+		t.Fatalf("revised %.9g vs cold %.9g", a.Objective, b.Objective)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // # Solvers
 //
-// Four solvers share the Problem/Solution vocabulary:
+// Three solvers share the Problem/Solution vocabulary:
 //
 //   - Simplex: a two-phase dense primal simplex (Dantzig pricing with
 //     Bland's anti-cycling fallback). The cold-start reference: exact
@@ -15,17 +15,19 @@
 //     method, standing in for LOQO, the solver the paper used. No exact
 //     infeasibility certificate (IterLimit/Numerical instead).
 //   - Revised: a sparse revised dual simplex with bounded variables —
-//     the default incremental engine (see below). A pivot is one BTRAN,
-//     one sparse pricing pass and one FTRAN through a sparse LU of the
-//     basis's structural core, O(nnz(L+U)+nnz) where nnz counts the
-//     stored constraint nonzeros.
-//   - Incremental: a dense-tableau dual simplex, kept as the ablation
-//     baseline for the revised engine.
+//     the one warm engine (see below). A pivot is one BTRAN, one sparse
+//     pricing pass and one FTRAN through a sparse LU of the basis's
+//     structural core, O(nnz(L+U)+nnz) where nnz counts the stored
+//     constraint nonzeros.
+//
+// Simplex and IPM share no code with Revised; internal/core runs them
+// through the same row-generation loop as independent cross-checks.
 //
 // # The RowEngine contract
 //
 // The §4.6 row-generation loop in internal/core is written against the
-// RowEngine interface. Implementations guarantee:
+// RowEngine interface, implemented by Revised and by internal/core's
+// adapter around the cold solvers. Implementations guarantee:
 //
 //   - Through the RowEngine interface rows are append-only, so
 //     infeasibility is monotone along any AddRow/AddRangedRow/Solve
@@ -42,8 +44,8 @@
 //   - Row counting: NumRows (and Stats().LogicalRows) counts rows as the
 //     caller stated them — an EQ or ranged row counts ONCE on every
 //     engine. TableauRows counts engine-internal rows: the boxed revised
-//     engine stores EQ and ranged rows once (bounded slack), the dense
-//     engines lower them to a ≤/≥ pair. Stats().LoweredTableauRows
+//     engine stores EQ and ranged rows once (bounded slack), the cold
+//     adapter lowers them to a ≤/≥ pair. Stats().LoweredTableauRows
 //     reports what the two-row lowering would need on every engine, so
 //     the pair (TableauRows, LoweredTableauRows) measures the saving.
 //
@@ -128,8 +130,8 @@
 //
 // # Sparse storage invariants (CSR/CSC)
 //
-// The incremental engines share the rowStore, an append-only CSR row
-// store over the ≤-form rows with a CSC twin maintained per append:
+// Revised keeps its rows in the rowStore, an append-only CSR row store
+// over the ≤-form rows with a CSC twin maintained per append:
 //
 //   - CSR: row k occupies ind/val[ptr[k]:ptr[k+1]]; within a row the
 //     column indices are strictly increasing, coefficients are nonzero
@@ -160,10 +162,10 @@
 // health — EtaLen, FillIn, BasisSize, NumericalResidual, PivotMin/Max —
 // refreshed at each refactorization (Revised), at termination (IPM's
 // scaled KKT residual, Simplex's max constraint violation), or per
-// cutting-plane round. Stats.GaugesValid marks a gauge set as sampled;
-// Merge then takes the newer sample wholesale, so a legitimate zero
-// (e.g. FillIn 0 after a clean refactorization) replaces a stale value
-// instead of being skipped. ResetReasons records why each escalation
+// cutting-plane round. Every producer samples its gauges, so Merge takes
+// the newer sample wholesale: a legitimate zero (e.g. FillIn 0 after a
+// clean refactorization) replaces a stale value instead of being
+// skipped. ResetReasons records why each escalation
 // fired ("basis-mismatch", "lu-singular", "dual-drift",
 // "pivot-disagreement").
 //

@@ -200,15 +200,16 @@ type Solver interface {
 	Solve(p *Problem) (*Solution, error)
 }
 
-// RowEngine is the incremental (cutting-plane) engine interface: rows are
-// appended over time and every Solve warm-starts from the previous basis.
-// Both the sparse boxed revised dual simplex (Revised, the default) and
-// the dense tableau engine (Incremental, kept for ablation) implement it,
-// and the row-generation loop in internal/core is written against it.
+// RowEngine is the cutting-plane engine interface the row-generation
+// loop in internal/core is written against: rows are appended over time
+// and every Solve re-optimizes. The sparse boxed revised dual simplex
+// (Revised) implements it warm, from the previous basis; internal/core
+// also adapts the cold Simplex and IPM to it, re-solving from scratch
+// each round, as the independent cross-checks.
 type RowEngine interface {
 	// AddRow introduces Σ terms {op} rhs. How EQ is realized is
 	// engine-internal: the boxed revised engine stores one row with a
-	// fixed slack, the dense engine splits it into a ≤/≥ pair.
+	// fixed slack, the cold adapter counts it as a ≤/≥ pair.
 	AddRow(terms []Term, op Op, rhs float64)
 	// AddRangedRow introduces the two-sided constraint lo ≤ Σ terms ≤ hi
 	// as ONE logical row (either side may be infinite; lo = hi states an

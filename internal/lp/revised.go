@@ -78,15 +78,14 @@ const devexWeightCap = 1e12
 const weightFloor = 1e-12
 
 // Revised is a sparse revised dual-simplex engine for cutting planes: the
-// default realization of the §4.6 row-generation loop. Like the dense
-// tableau engine it requires a non-negative objective, which makes the
-// all-slack basis dual-feasible (no phase 1, ever); unlike the tableau it
-// never materializes B⁻¹A, and unlike the dense engine it is a
+// warm realization of the §4.6 row-generation loop. It requires a
+// non-negative objective, which makes the all-slack basis dual-feasible
+// (no phase 1, ever), never materializes B⁻¹A, and is a
 // *bounded-variable* (boxed) dual simplex: every structural and slack
 // variable carries a box [lo, hi], nonbasic variables rest at either end,
 // and the dual ratio test is two-sided with bound flips. It keeps
 //
-//   - the constraint rows in a shared CSR/CSC rowStore (each EBF row has
+//   - the constraint rows in a CSR/CSC rowStore (each EBF row has
 //     only O(tree depth) nonzeros). Every stored row is an equality
 //     a·x + s = b with a boxed slack s ∈ [0, slackHi]: slackHi = ∞ gives a
 //     plain ≤ row, a finite slackHi gives a ranged row l ≤ a·x ≤ b with
@@ -516,17 +515,17 @@ func (rv *Revised) NumRows() int { return rv.logicalRows }
 
 // TableauRows returns the engine-internal row count. The boxed engine
 // stores EQ and ranged rows as a single row with a fixed/boxed slack, so
-// here — unlike the dense tableau — they count once; compare against
-// Stats().LoweredTableauRows for what the two-row lowering would cost.
+// here they count once; compare against Stats().LoweredTableauRows for
+// what the two-row lowering would cost.
 func (rv *Revised) TableauRows() int { return rv.rows.numRows() }
 
 // Iterations returns the cumulative dual-simplex pivot count (bound flips
 // are not pivots and are counted separately in Stats).
 func (rv *Revised) Iterations() int { return rv.iterations }
 
-// Stats returns a snapshot of the engine's observability counters. The
-// gauges are marked sampled (GaugesValid), so merging a snapshot into an
-// accumulated record replaces stale gauge values even with 0.
+// Stats returns a snapshot of the engine's observability counters. Its
+// gauges are sampled, so merging a snapshot into an accumulated record
+// replaces stale gauge values even with 0.
 func (rv *Revised) Stats() Stats {
 	s := rv.stats
 	s.Pivots = rv.iterations
@@ -551,7 +550,6 @@ func (rv *Revised) Stats() Stats {
 		}
 		s.WeightMin, s.WeightMax = mn, mx
 	}
-	s.GaugesValid = true
 	return s
 }
 
@@ -727,7 +725,7 @@ func (rv *Revised) AddRow(terms []Term, op Op, rhs float64) {
 // [0, hi−lo] (fixed at zero when lo = hi). Either side may be infinite,
 // degrading to a plain one-sided row; a fully unbounded window adds no
 // tableau row at all. This is how the EBF delay windows of §4 enter the
-// engine without the two-row lowering the dense engines need.
+// engine without the two-row lowering the cold solvers need.
 func (rv *Revised) AddRangedRow(terms []Term, lo, hi float64) {
 	if lo > hi || math.IsNaN(lo) || math.IsNaN(hi) {
 		panic(fmt.Sprintf("lp: AddRangedRow with empty window [%g, %g]", lo, hi))

@@ -6,12 +6,9 @@ import (
 	"testing"
 )
 
-// Both incremental engines implement the RowEngine interface the
+// The revised engine implements the RowEngine interface the
 // row-generation loop is written against.
-var (
-	_ RowEngine = (*Revised)(nil)
-	_ RowEngine = (*Incremental)(nil)
-)
+var _ RowEngine = (*Revised)(nil)
 
 func TestRevisedBasic(t *testing.T) {
 	// min x+y s.t. x+y ≥ 3, x ≥ 1.
@@ -123,48 +120,37 @@ func TestRevisedPanicsOnBadVar(t *testing.T) {
 	rv.AddRow([]Term{{3, 1}}, GE, 1)
 }
 
-// TestRowCountsRegression pins the NumRows/TableauRows contract on both
-// incremental engines: NumRows counts logical rows (EQ once) everywhere,
-// while TableauRows is engine-internal — the boxed revised engine stores
-// an EQ row once (fixed slack), the dense tableau splits it into a ≤/≥
-// pair. Stats().LoweredTableauRows reports the split count for both, so
-// the pair (TableauRows, LoweredTableauRows) exposes the saving.
+// TestRowCountsRegression pins the NumRows/TableauRows contract: NumRows
+// counts logical rows (EQ once), while TableauRows is engine-internal —
+// the boxed revised engine stores an EQ row once (fixed slack).
+// Stats().LoweredTableauRows reports the count a ≤/≥ split would need,
+// so the pair (TableauRows, LoweredTableauRows) exposes the saving.
 func TestRowCountsRegression(t *testing.T) {
-	cases := []struct {
-		name        string
-		eng         RowEngine
-		wantTableau int
-	}{
-		{"revised", NewRevised(2, []float64{1, 1}), 3},
-		{"dense", NewIncremental(2, []float64{1, 1}), 4},
+	rv := NewRevised(2, []float64{1, 1})
+	rv.AddRow([]Term{{0, 1}}, GE, 1)
+	rv.AddRow([]Term{{1, 1}}, LE, 5)
+	rv.AddRow([]Term{{0, 1}, {1, 1}}, EQ, 3)
+	if got := rv.NumRows(); got != 3 {
+		t.Errorf("NumRows = %d, want 3 logical", got)
 	}
-	for _, tc := range cases {
-		eng := tc.eng
-		eng.AddRow([]Term{{0, 1}}, GE, 1)
-		eng.AddRow([]Term{{1, 1}}, LE, 5)
-		eng.AddRow([]Term{{0, 1}, {1, 1}}, EQ, 3)
-		if got := eng.NumRows(); got != 3 {
-			t.Errorf("%s: NumRows = %d, want 3 logical", tc.name, got)
-		}
-		if got := eng.TableauRows(); got != tc.wantTableau {
-			t.Errorf("%s: TableauRows = %d, want %d", tc.name, got, tc.wantTableau)
-		}
-		st := eng.Stats()
-		if st.LogicalRows != 3 || st.TableauRows != tc.wantTableau {
-			t.Errorf("%s: Stats rows %d/%d, want 3/%d", tc.name, st.LogicalRows, st.TableauRows, tc.wantTableau)
-		}
-		if st.LoweredTableauRows != 4 {
-			t.Errorf("%s: LoweredTableauRows = %d, want 4 (EQ lowers to two rows)", tc.name, st.LoweredTableauRows)
-		}
-		if st.RangedRows != 1 {
-			t.Errorf("%s: RangedRows = %d, want 1 (the EQ row)", tc.name, st.RangedRows)
-		}
+	if got := rv.TableauRows(); got != 3 {
+		t.Errorf("TableauRows = %d, want 3", got)
+	}
+	st := rv.Stats()
+	if st.LogicalRows != 3 || st.TableauRows != 3 {
+		t.Errorf("Stats rows %d/%d, want 3/3", st.LogicalRows, st.TableauRows)
+	}
+	if st.LoweredTableauRows != 4 {
+		t.Errorf("LoweredTableauRows = %d, want 4 (EQ lowers to two rows)", st.LoweredTableauRows)
+	}
+	if st.RangedRows != 1 {
+		t.Errorf("RangedRows = %d, want 1 (the EQ row)", st.RangedRows)
 	}
 }
 
-// Randomized cross-check of the revised dual simplex against both the cold
-// simplex and the dense tableau engine on EBF-shaped problems.
-func TestRevisedMatchesColdAndDense(t *testing.T) {
+// Randomized cross-check of the revised dual simplex against the cold
+// simplex on EBF-shaped problems.
+func TestRevisedMatchesColdSimplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(8)
@@ -173,7 +159,6 @@ func TestRevisedMatchesColdAndDense(t *testing.T) {
 			costs[j] = rng.Float64() * 5
 		}
 		rv := NewRevised(n, costs)
-		inc := NewIncremental(n, costs)
 		p := NewProblem(n)
 		for j, c := range costs {
 			p.SetCost(j, c)
@@ -203,14 +188,9 @@ func TestRevisedMatchesColdAndDense(t *testing.T) {
 					op = EQ
 				}
 				rv.AddRow(terms, op, rhs)
-				inc.AddRow(terms, op, rhs)
 				p.AddConstraint(terms, op, rhs, "")
 			}
 			warm, err := rv.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			dense, err := inc.Solve()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,9 +200,6 @@ func TestRevisedMatchesColdAndDense(t *testing.T) {
 			}
 			if warm.Status != cold.Status {
 				t.Fatalf("trial %d round %d: revised %v cold %v", trial, round, warm.Status, cold.Status)
-			}
-			if warm.Status != dense.Status {
-				t.Fatalf("trial %d round %d: revised %v dense %v", trial, round, warm.Status, dense.Status)
 			}
 			if warm.Status == Infeasible {
 				break

@@ -6,14 +6,14 @@ import (
 	"sort"
 )
 
-// rowStore is the shared sparse constraint representation of the
-// incremental engines: a CSR-style row store over ≤-form rows
+// rowStore is the sparse constraint representation of the revised
+// engine: a CSR-style row store over ≤-form rows
 // (Σ aᵢⱼ xⱼ ≤ bᵢ), plus a transposed column index used by the revised
 // dual simplex for basis-column gathers and pricing. Rows are appended by
 // the cutting-plane loop and may later be rewritten in place (replaceRow)
 // by the restaging paths; both views are kept consistent either way. EBF
 // rows touch only the O(depth) edges of one tree path, so both views stay
-// tiny compared with the dense tableau's rows×columns footprint.
+// tiny compared with a dense rows×columns tableau.
 type rowStore struct {
 	nVars int
 	ptr   []int     // row k occupies ind/val[ptr[k]:ptr[k+1]]; len numRows+1

@@ -12,11 +12,11 @@ import (
 // lubt API and both CLIs surface the combined record. All counters are
 // cumulative over the lifetime of one engine / one solve.
 type Stats struct {
-	// Pivots counts simplex pivots (dual pivots for the incremental
-	// engines, both phases for the cold simplex, iterations for the IPM).
+	// Pivots counts simplex pivots (dual pivots for the revised engine,
+	// both phases for the cold simplex, iterations for the IPM).
 	Pivots int
 	// Refactorizations counts basis refactorizations of the revised
-	// dual-simplex engine (the dense tableau never refactors).
+	// dual-simplex engine (the cold solvers never refactor).
 	Refactorizations int
 	// Resets counts full basis resets taken after numerical trouble.
 	// ResetReasons holds one reason code per reset, in order; the revised
@@ -53,7 +53,7 @@ type Stats struct {
 	// LogicalRows counts constraint rows as stated by the caller (an EQ or
 	// ranged row counts once). TableauRows counts engine-internal rows:
 	// the boxed revised engine stores EQ and ranged rows once (the slack
-	// is fixed/boxed), while the dense engines lower them to a ≤/≥ pair.
+	// is fixed/boxed), while the cold solvers lower them to a ≤/≥ pair.
 	// LoweredTableauRows is the row count the two-row lowering would need
 	// — the before/after pair (TableauRows, LoweredTableauRows) measures
 	// the delay-window row halving. RowNonzeros is the nonzero count of
@@ -88,15 +88,8 @@ type Stats struct {
 	// over the basis at the last Stats snapshot (both 0 under
 	// PricingMostViolated). A very large WeightMax flags a basis whose B⁻ᵀ
 	// rows have grown long — the same signal that triggers DevexResets.
-	// They are gauges: Merge replaces them under GaugesValid.
+	// They are gauges: Merge replaces them.
 	WeightMin, WeightMax float64
-	// GaugesValid marks the gauge fields (BasisSize, FillIn, EtaLen,
-	// NumericalResidual and the row counts) as explicitly sampled by an
-	// engine. Merge then takes other's gauge values unconditionally — a
-	// legitimately-zero gauge (e.g. FillIn 0 after a clean
-	// refactorization) replaces a stale nonzero one. Records built by hand
-	// without setting it fall back to the legacy take-when-positive rule.
-	GaugesValid bool
 
 	// PresolvePrunedRows counts sink-pair Steiner rows the presolve
 	// dominance pass removed from the separation oracle's scan before they
@@ -126,11 +119,10 @@ type Stats struct {
 
 // Merge folds other into s: counters add, per-round traces and reset
 // reasons concatenate, pivot-element extremes widen, and gauges
-// (BasisSize, FillIn, EtaLen, NumericalResidual, row counts) take
-// other's value when other carries sampled gauges (GaugesValid), even
-// when that value is 0 — the newer sample wins. Hand-built records
-// without GaugesValid keep the legacy take-when-positive behaviour so
-// partial updates still compose.
+// (BasisSize, FillIn, EtaLen, NumericalResidual, row counts, reference
+// weights) take other's value even when it is 0 — the newer sample wins,
+// so a legitimately-zero gauge (FillIn 0 after a clean refactorization)
+// replaces a stale nonzero one.
 func (s *Stats) Merge(other Stats) {
 	s.Pivots += other.Pivots
 	s.Refactorizations += other.Refactorizations
@@ -158,52 +150,17 @@ func (s *Stats) Merge(other Stats) {
 	if other.PivotMin > 0 && (s.PivotMin == 0 || other.PivotMin < s.PivotMin) {
 		s.PivotMin = other.PivotMin
 	}
-	if other.GaugesValid {
-		s.BasisSize = other.BasisSize
-		s.FillIn = other.FillIn
-		s.EtaLen = other.EtaLen
-		s.NumericalResidual = other.NumericalResidual
-		s.LogicalRows = other.LogicalRows
-		s.TableauRows = other.TableauRows
-		s.LoweredTableauRows = other.LoweredTableauRows
-		s.RangedRows = other.RangedRows
-		s.RowNonzeros = other.RowNonzeros
-		s.WeightMin = other.WeightMin
-		s.WeightMax = other.WeightMax
-		s.GaugesValid = true
-		return
-	}
-	if other.BasisSize > 0 {
-		s.BasisSize = other.BasisSize
-	}
-	if other.FillIn > 0 {
-		s.FillIn = other.FillIn
-	}
-	if other.EtaLen > 0 {
-		s.EtaLen = other.EtaLen
-	}
-	if other.NumericalResidual > 0 {
-		s.NumericalResidual = other.NumericalResidual
-	}
-	if other.LogicalRows > 0 {
-		s.LogicalRows = other.LogicalRows
-	}
-	if other.TableauRows > 0 {
-		s.TableauRows = other.TableauRows
-	}
-	if other.LoweredTableauRows > 0 {
-		s.LoweredTableauRows = other.LoweredTableauRows
-	}
-	if other.RangedRows > 0 {
-		s.RangedRows = other.RangedRows
-	}
-	if other.RowNonzeros > 0 {
-		s.RowNonzeros = other.RowNonzeros
-	}
-	if other.WeightMax > 0 {
-		s.WeightMin = other.WeightMin
-		s.WeightMax = other.WeightMax
-	}
+	s.BasisSize = other.BasisSize
+	s.FillIn = other.FillIn
+	s.EtaLen = other.EtaLen
+	s.NumericalResidual = other.NumericalResidual
+	s.LogicalRows = other.LogicalRows
+	s.TableauRows = other.TableauRows
+	s.LoweredTableauRows = other.LoweredTableauRows
+	s.RangedRows = other.RangedRows
+	s.RowNonzeros = other.RowNonzeros
+	s.WeightMin = other.WeightMin
+	s.WeightMax = other.WeightMax
 }
 
 // String renders a compact one-stop summary (used by cmd/lubt --stats).

@@ -46,15 +46,14 @@ func TestMergeCounters(t *testing.T) {
 	}
 }
 
-// TestMergeGaugeSetness is the satellite-1 regression: a sampled gauge
-// record (GaugesValid) must replace stale values even when the new value
-// is legitimately zero — e.g. FillIn 0 after a clean refactorization.
+// TestMergeGaugeSetness: a merged record's gauges replace stale values
+// even when the new value is legitimately zero — e.g. FillIn 0 after a
+// clean refactorization.
 func TestMergeGaugeSetness(t *testing.T) {
 	s := Stats{BasisSize: 40, FillIn: 17, EtaLen: 9, NumericalResidual: 1e-6,
 		LogicalRows: 10, TableauRows: 12, LoweredTableauRows: 14, RangedRows: 2, RowNonzeros: 55}
 	fresh := Stats{BasisSize: 41, FillIn: 0, EtaLen: 0, NumericalResidual: 0,
-		LogicalRows: 11, TableauRows: 11, LoweredTableauRows: 13, RangedRows: 0, RowNonzeros: 60,
-		GaugesValid: true}
+		LogicalRows: 11, TableauRows: 11, LoweredTableauRows: 13, RangedRows: 0, RowNonzeros: 60}
 	s.Merge(fresh)
 	if s.FillIn != 0 || s.EtaLen != 0 || s.NumericalResidual != 0 || s.RangedRows != 0 {
 		t.Errorf("zero gauges from a sampled record did not replace stale values: %+v", s)
@@ -62,28 +61,6 @@ func TestMergeGaugeSetness(t *testing.T) {
 	if s.BasisSize != 41 || s.LogicalRows != 11 || s.TableauRows != 11 ||
 		s.LoweredTableauRows != 13 || s.RowNonzeros != 60 {
 		t.Errorf("sampled gauges not taken: %+v", s)
-	}
-	if !s.GaugesValid {
-		t.Error("GaugesValid did not propagate")
-	}
-}
-
-// TestMergeLegacyFallback keeps the old take-when-positive semantics for
-// hand-built partial records without GaugesValid.
-func TestMergeLegacyFallback(t *testing.T) {
-	s := Stats{BasisSize: 40, FillIn: 17, NumericalResidual: 1e-6}
-	s.Merge(Stats{BasisSize: 0, FillIn: 3}) // no GaugesValid
-	if s.BasisSize != 40 {
-		t.Errorf("zero gauge overwrote without GaugesValid: BasisSize = %d", s.BasisSize)
-	}
-	if s.FillIn != 3 {
-		t.Errorf("positive gauge not taken: FillIn = %d", s.FillIn)
-	}
-	if s.NumericalResidual != 1e-6 {
-		t.Errorf("zero residual overwrote without GaugesValid: %g", s.NumericalResidual)
-	}
-	if s.GaugesValid {
-		t.Error("GaugesValid appeared from nowhere")
 	}
 }
 

@@ -94,10 +94,10 @@ func (b Bounds) toCore(m int) (core.Bounds, error) {
 type Options struct {
 	// Solver selects the LP method: "simplex" (default — row generation on
 	// the sparse revised dual-simplex engine with warm starts),
-	// "densesimplex" (the previous dense-tableau warm engine, kept for
-	// ablation), "coldsimplex" (two-phase primal simplex re-solved from
-	// scratch each round) or "ipm" (the interior-point method, the solver
-	// family the paper used via LOQO).
+	// "coldsimplex" (two-phase primal simplex re-solved from scratch each
+	// round) or "ipm" (the interior-point method, the solver family the
+	// paper used via LOQO). The two cold methods are the independent
+	// cross-checks of the warm engine.
 	Solver string
 	// Pricing selects the leaving-row rule of the revised dual-simplex
 	// engine: "" or "devex" (the default, reference-weight pricing),
@@ -106,7 +106,9 @@ type Options struct {
 	// with Solver "" / "simplex"; any other solver rejects it.
 	Pricing string
 	// Weights holds per-edge objective weights (§7), indexed by edge
-	// (child node id); nil means unit weights.
+	// (child node id); nil means unit weights. A non-nil slice needs one
+	// entry per node of the chosen topology (len(Topology())), and
+	// entries 1…n−1 must be finite and ≥ 0; entry 0 is unused.
 	Weights []float64
 	// Placement selects where nodes land inside their feasible regions:
 	// "nearest" (default) or "center".
@@ -126,10 +128,9 @@ type Options struct {
 	// topologies quietly run the legacy oracle.
 	Presolve string
 	// Decompose controls root-branch subtree decomposition: "" (auto —
-	// engages from 2048 sinks up when the source is fixed and the
-	// topology has two or more root branches), "on" (also permits the
-	// bounded free-source coordination passes, falling back to the
-	// monolithic solve when branches stay coupled), or "off".
+	// from 2048 sinks up), "on" or "off". It engages only when the source
+	// is fixed and the topology has two or more root branches, where the
+	// branch optima compose exactly; other instances run monolithic.
 	// SolveStats.Subtrees reports the branch count (0 = monolithic).
 	Decompose string
 	// TraceJSON, when non-nil, enables span tracing for the solve and
@@ -160,24 +161,21 @@ func (o *Options) writeTrace(tr *obs.Tracer) error {
 	return nil
 }
 
-// lpSolver maps the option string to an explicit lp.Solver plus a warm
-// engine name; a nil solver selects the incremental engine named by the
-// second return value ("" means the default revised dual simplex).
-func (o *Options) lpSolver() (lp.Solver, string, error) {
+// lpSolver maps the option string to an explicit cold lp.Solver; nil
+// selects the warm revised dual simplex.
+func (o *Options) lpSolver() (lp.Solver, error) {
 	if o == nil {
-		return nil, "", nil
+		return nil, nil
 	}
 	switch o.Solver {
 	case "", "simplex":
-		return nil, "", nil
-	case "densesimplex":
-		return nil, "dense", nil
+		return nil, nil
 	case "coldsimplex":
-		return &lp.Simplex{}, "", nil
+		return &lp.Simplex{}, nil
 	case "ipm":
-		return &lp.IPM{}, "", nil
+		return &lp.IPM{}, nil
 	}
-	return nil, "", fmt.Errorf("lubt: unknown solver %q", o.Solver)
+	return nil, fmt.Errorf("lubt: unknown solver %q", o.Solver)
 }
 
 func (o *Options) embedOptions() (*embed.Options, error) {
@@ -312,12 +310,12 @@ func (in *Instance) Solve(b Bounds, opt *Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver, engine, err := opt.lpSolver()
+	solver, err := opt.lpSolver()
 	if err != nil {
 		return nil, err
 	}
 	tr := opt.tracer("solve")
-	copts := &core.Options{Solver: solver, Engine: engine, Tracer: tr}
+	copts := &core.Options{Solver: solver, Tracer: tr}
 	if opt != nil {
 		copts.FullMatrix = opt.FullMatrix
 		copts.OracleWorkers = opt.OracleWorkers
@@ -360,7 +358,7 @@ func (in *Instance) SolveElmore(b Bounds, rw, cw float64, sinkCap []float64, opt
 	if err != nil {
 		return nil, err
 	}
-	solver, _, err := opt.lpSolver()
+	solver, err := opt.lpSolver()
 	if err != nil {
 		return nil, err
 	}

@@ -152,8 +152,10 @@ func TestSolverOptions(t *testing.T) {
 	if math.Abs(sx.Cost-ip.Cost) > 1e-3*(1+sx.Cost) {
 		t.Fatalf("simplex %g vs ipm %g", sx.Cost, ip.Cost)
 	}
-	if _, err := inst.Solve(b, &Options{Solver: "nope"}); err == nil {
-		t.Error("unknown solver accepted")
+	for _, solver := range []string{"nope", "densesimplex"} {
+		if _, err := inst.Solve(b, &Options{Solver: solver}); err == nil {
+			t.Errorf("unknown solver %q accepted", solver)
+		}
 	}
 	if _, err := inst.Solve(b, &Options{Placement: "bogus"}); err == nil {
 		t.Error("unknown placement accepted")
@@ -231,6 +233,67 @@ func TestWeightsOption(t *testing.T) {
 	}
 	if math.Abs(doubled.Cost-2*unit.Cost) > 1e-6*(1+unit.Cost) {
 		t.Fatalf("uniform doubling: %g vs 2×%g", doubled.Cost, unit.Cost)
+	}
+}
+
+// TestMalformedWeightsRejected feeds each solve entry point a weight
+// vector of the wrong length or with a negative, NaN or +Inf edge weight:
+// each must return an error naming the weights, never panic and never
+// report a NaN or infinite cost as a solution.
+func TestMalformedWeightsRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	inst, _ := NewInstance(randPoints(rng, 6))
+	if err := inst.UseBalancedTopology(); err != nil {
+		t.Fatal(err)
+	}
+	n := len(inst.Topology())
+	r := inst.Radius()
+	b := Uniform(6, 0.9*r, 1.2*r)
+	unit := func(k int, v float64) []float64 {
+		w := make([]float64, n)
+		for i := 1; i < n; i++ {
+			w[i] = 1
+		}
+		w[k] = v
+		return w
+	}
+	weights := map[string][]float64{
+		"short":    {0, 1},
+		"negative": unit(n-1, -1),
+		"nan":      unit(1, math.NaN()),
+		"+inf":     unit(n/2, math.Inf(1)),
+	}
+	solvers := map[string]func(w []float64) error{
+		"Solve": func(w []float64) error {
+			_, err := inst.Solve(b, &Options{Weights: w})
+			return err
+		},
+		"SolveECO": func(w []float64) error {
+			_, err := inst.SolveECO(b, &Options{Weights: w})
+			return err
+		},
+		"SolveElmore": func(w []float64) error {
+			_, err := inst.SolveElmore(Uniform(6, 0, 1e6), 0.1, 0.2, nil, &Options{Weights: w})
+			return err
+		},
+	}
+	for sname, solve := range solvers {
+		for wname, w := range weights {
+			t.Run(sname+"/"+wname, func(t *testing.T) {
+				var err error
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("panicked: %v", p)
+						}
+					}()
+					err = solve(w)
+				}()
+				if err == nil || !strings.Contains(err.Error(), "weight") {
+					t.Fatalf("err = %v, want a weights error", err)
+				}
+			})
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ type SolveStats struct {
 	// LogicalRows counts constraint rows as stated (an EQ or ranged row
 	// once); TableauRows counts engine-internal rows — the boxed revised
 	// engine stores each delay window as ONE row with a bounded slack,
-	// while the dense engines lower it to a ≤/≥ pair.
+	// while the cold solvers lower it to a ≤/≥ pair.
 	// LoweredTableauRows is what the two-row lowering would need, so
 	// (TableauRows, LoweredTableauRows) measures the delay-window row
 	// halving. RangedRows counts logical rows stated with a two-sided (or
