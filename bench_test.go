@@ -156,7 +156,7 @@ func BenchmarkAblationRowGen(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(res.RowsUsed), "rows")
+			b.ReportMetric(float64(res.Stats.SteinerRows), "rows")
 		}
 	})
 	b.Run("fullmatrix", func(b *testing.B) {
@@ -165,7 +165,7 @@ func BenchmarkAblationRowGen(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(float64(res.RowsUsed), "rows")
+			b.ReportMetric(float64(res.Stats.SteinerRows), "rows")
 		}
 	})
 }
@@ -301,7 +301,7 @@ func BenchmarkScalability(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rows = res.RowsUsed
+				rows = res.Stats.SteinerRows
 			}
 			b.ReportMetric(float64(rows), "rows")
 			b.ReportMetric(float64(m*(m-1)/2), "fullrows")

@@ -53,7 +53,7 @@ echo "== fuzz (sparse LU vs the dense reference)"
 # internal/linalg/testdata/fuzz already ran with the race step above.
 go test -run '^$' -fuzz FuzzSparseLU -fuzztime 10s ./internal/linalg
 
-echo "== bench smoke (lubt-bench/1 JSON + pricing pivot gate + ECO gate)"
+echo "== bench smoke (lubt-bench/2 JSON + pricing pivot gate + ECO gate + baseline)"
 # Each reference bench is run through `lubtbench -json` (the
 # revised/devex and revised/most-violated lineup plus the single-sink
 # ECO probe on the revised row), then the emitted record is
@@ -63,6 +63,9 @@ echo "== bench smoke (lubt-bench/1 JSON + pricing pivot gate + ECO gate)"
 # (TestBenchJSONEcoGate): re-solving after a single-sink retighten must
 # take fewer than 25% of the cold solve's pivots. r4-s is the
 # degenerate-tie-heavy instance where the schemes actually separate.
+# TestBenchJSONMatchesBaseline then requires every deterministic counter
+# of the record to equal the committed BENCH_<bench>.json at the repo
+# root, so a change that moves pivots must re-pin the baselines.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 for bench in prim1-s r4-s; do
@@ -72,11 +75,11 @@ for bench in prim1-s r4-s; do
 		echo "ci: lubtbench -json produced no output for $bench" >&2
 		exit 1
 	fi
-	if ! grep -q '"schema": "lubt-bench/1"' "$bench_json"; then
-		echo "ci: $bench_json missing lubt-bench/1 schema marker" >&2
+	if ! grep -q '"schema": "lubt-bench/2"' "$bench_json"; then
+		echo "ci: $bench_json missing lubt-bench/2 schema marker" >&2
 		exit 1
 	fi
-	LUBT_BENCH_JSON="$bench_json" go test -run 'TestBenchJSONFile|TestBenchJSONPivotGate|TestBenchJSONEcoGate' ./internal/experiments
+	LUBT_BENCH_JSON="$bench_json" go test -run 'TestBenchJSONFile|TestBenchJSONPivotGate|TestBenchJSONEcoGate|TestBenchJSONMatchesBaseline' ./internal/experiments
 done
 
 echo "== scale smoke (r6-class: presolve + subtree decomposition gate)"
@@ -89,7 +92,9 @@ echo "== scale smoke (r6-class: presolve + subtree decomposition gate)"
 # must prune a nonzero number of candidate rows, the decomposed peak
 # row count must not exceed the monolithic one, and the two optima must
 # agree to 1e-6·radius. The nopresolve row is the long pole here — it
-# is the 30x-slower monolithic solve the passes exist to avoid.
+# is the ~20x-slower monolithic solve the passes exist to avoid. The record
+# must also match the committed BENCH_r6-s.json baseline
+# (TestBenchJSONMatchesBaseline).
 go run ./cmd/lubtbench -json -bench r6-s -repeats 1 -outdir "$tmp"
 scale_json="$tmp/BENCH_r6-s.json"
 if [ ! -s "$scale_json" ]; then
@@ -98,17 +103,17 @@ if [ ! -s "$scale_json" ]; then
 fi
 for key in presolve_pruned_rows subtrees peak_rows; do
 	if ! grep -q "\"$key\"" "$scale_json"; then
-		echo "ci: $scale_json missing lubt-bench/1 key $key" >&2
+		echo "ci: $scale_json missing lubt-bench/2 key $key" >&2
 		exit 1
 	fi
 done
-LUBT_BENCH_JSON="$scale_json" go test -run 'TestBenchJSONFile|TestBenchJSONPresolveGate' ./internal/experiments
+LUBT_BENCH_JSON="$scale_json" go test -run 'TestBenchJSONFile|TestBenchJSONPresolveGate|TestBenchJSONMatchesBaseline' ./internal/experiments
 
 echo "== lubtd smoke (live daemon: cold solve, warm eco, lubtd-metrics/2 + prom + flight scrape)"
 # Start the daemon on an ephemeral port, send one cold /solve and one
 # warm /eco on the returned key, then scrape /metrics (JSON and
 # ?format=prom) and /debug/flight and validate all three documents the
-# same way the bench smoke validates lubt-bench/1 records
+# same way the bench smoke validates lubt-bench/2 records
 # (TestMetricsJSONFile also asserts cache_hits >= 1 — the warm path was
 # actually taken; TestPromTextFile that the cold and warm-eco latency
 # histograms were populated; TestFlightJSONFile that the flight ring

@@ -17,18 +17,19 @@
 // (the sparse boxed dual simplex under its default Devex pricing) and
 // "revised-mv" (same engine, most-violated pricing — the pivot-count
 // ablation baseline). With -json, one machine-readable
-// BENCH_<name>.json file (schema "lubt-bench/1") is written per
-// benchmark into -outdir (default "."), carrying the full LP-engine
-// statistics spine — including pricing_scheme, devex_resets and the
-// reference-weight extremes — with median-of-repeats timings; see
-// EXPERIMENTS.md for the field reference. The "revised" row
-// additionally carries the ECO probe (eco_pivots, eco_resolve_ms): the
-// solve is held open as a session, sink 1's window is retightened past
-// its routed delay, and the engine re-solves warm from the kept basis.
-// ci.sh's bench smoke validates these
-// files and gates the Devex-vs-most-violated pivot counts
-// (experiments.CheckPivotGate) plus the warm-vs-cold ECO ratio
-// (experiments.CheckEcoGate).
+// BENCH_<name>.json file (schema "lubt-bench/2") is written per
+// benchmark into -outdir (default "."). Each engine row is the solve's
+// lp.Stats record (lubt.SolveStats) under its JSON tags, with
+// median-of-repeats timings; see EXPERIMENTS.md for the field
+// reference. -stats renders the same rows as a table. The "revised"
+// row additionally carries the ECO probe (eco_pivots, eco_resolve_ms):
+// the solve is held open as a session, sink 1's window is retightened
+// past its routed delay, and the engine re-solves warm from the kept
+// basis. ci.sh's bench smoke validates these files, gates the
+// Devex-vs-most-violated pivot counts (experiments.CheckPivotGate) plus
+// the warm-vs-cold ECO ratio (experiments.CheckEcoGate), and requires
+// every deterministic counter to match the committed BENCH_<name>.json
+// baseline at the repo root.
 //
 // Scale-class benchmarks (r6-class and up, at least 2048 sinks — e.g.
 // -bench r6-s) switch both the baseline and the lineup: the topology
@@ -59,7 +60,7 @@ func main() {
 		figureN  = flag.Int("figure", 0, "run only this figure (8)")
 		full     = flag.Bool("full", false, "use full-size benchmark instances")
 		stats    = flag.Bool("stats", false, "print LP engine statistics (revised/devex, revised/most-violated) instead of the tables")
-		jsonOut  = flag.Bool("json", false, "write per-benchmark BENCH_<name>.json records (schema lubt-bench/1) instead of the tables")
+		jsonOut  = flag.Bool("json", false, "write per-benchmark BENCH_<name>.json records (schema lubt-bench/2: lp.Stats rows plus ECO probe and quantiles) instead of the tables")
 		benchSel = flag.String("bench", "", "restrict -stats/-json to this one benchmark (e.g. prim1-s)")
 		repeats  = flag.Int("repeats", experiments.DefaultRepeats, "timing repeats per solve; medians are reported")
 		outdir   = flag.String("outdir", ".", "directory for -json output files")

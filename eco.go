@@ -75,7 +75,7 @@ func (s *Solved) rebuildTree() error {
 	if err != nil {
 		return err
 	}
-	tree.Stats = solveStatsFrom(res)
+	tree.Stats = res.Stats
 	s.tree = tree
 	return nil
 }

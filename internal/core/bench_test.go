@@ -73,10 +73,10 @@ func BenchmarkWarmResolve(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if res.Rounds == 0 {
+					if res.Stats.Rounds == 0 {
 						b.Fatal("no row-generation rounds")
 					}
-					pivots = res.Stats.Pivots
+					pivots = res.Stats.LPIterations
 				}
 				b.ReportMetric(float64(pivots), "pivots/op")
 			})
@@ -134,7 +134,7 @@ func BenchmarkEcoResolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pivots = res.Stats.Pivots
+			pivots = res.Stats.LPIterations
 		}
 		b.ReportMetric(float64(pivots), "pivots/op")
 	})
@@ -182,7 +182,7 @@ func BenchmarkElmoreSLP(b *testing.B) {
 					b.Fatal(err)
 				}
 				iters = res.Iterations
-				pivots = res.Stats.Pivots
+				pivots = res.Stats.LPIterations
 			}
 			b.ReportMetric(float64(iters), "iters/op")
 			b.ReportMetric(float64(pivots), "pivots/op")

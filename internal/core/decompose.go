@@ -213,52 +213,53 @@ func solveDecomposed(in *Instance, bd Bounds, opt *Options, presolveOn bool) (re
 
 // mergeBranches folds the per-branch results into one Result on the
 // original topology, deterministically in branch order.
+//
+// Stats: counters sum via Merge, and Merge keeps the largest
+// single-engine PeakRows — the decomposition's memory story. The other
+// gauges are then overridden with whole-instance values: row counts
+// (Steiner rows included) sum over the branches, NumericalResidual is
+// the worst branch's and Subtrees the branch count. The branches run
+// their rounds side by side, so Rounds is the longest branch's count
+// and ViolatedByRound[r] sums the pairs the branches found violated in
+// round r: len(ViolatedByRound) == Rounds, ending in 0.
 func mergeBranches(in *Instance, probs []*branchProblem) *Result {
 	t := in.Tree
-	n := t.N()
-	res := &Result{E: make([]float64, n)}
+	res := &Result{E: make([]float64, t.N())}
+	var steiner, logical, tableau, lowered, ranged, nnz, rounds int
+	var viol []int
+	residual := 0.0
 	for _, p := range probs {
 		for subID := 1; subID < p.in.Tree.N(); subID++ {
 			res.E[p.toOrig[subID]] = p.res.E[subID]
 		}
 		res.Cost += p.res.Cost
-		res.RowsUsed += p.res.RowsUsed
-		res.LPIterations += p.res.LPIterations
-		if p.res.Rounds > res.Rounds {
-			res.Rounds = p.res.Rounds
-		}
-	}
-	res.Delays = t.Delays(res.E)
-
-	// Stats: counters sum via Merge; the row-count gauges are then
-	// overridden with whole-instance totals, PeakRows with the largest
-	// single-engine tableau — the decomposition's memory story — and
-	// Subtrees with the branch count.
-	var logical, tableau, lowered, ranged, nnz, peak int
-	residual := 0.0
-	for _, p := range probs {
 		st := p.res.Stats
 		res.Stats.Merge(st)
+		steiner += st.SteinerRows
 		logical += st.LogicalRows
 		tableau += st.TableauRows
 		lowered += st.LoweredTableauRows
 		ranged += st.RangedRows
 		nnz += st.RowNonzeros
-		if st.PeakRows > peak {
-			peak = st.PeakRows
-		}
-		if st.NumericalResidual > residual {
-			residual = st.NumericalResidual
+		residual = max(residual, st.NumericalResidual)
+		rounds = max(rounds, st.Rounds)
+		for r, v := range st.ViolatedByRound {
+			if r == len(viol) {
+				viol = append(viol, 0)
+			}
+			viol[r] += v
 		}
 	}
+	res.Delays = t.Delays(res.E)
+	res.Stats.SteinerRows = steiner
 	res.Stats.LogicalRows = logical
 	res.Stats.TableauRows = tableau
 	res.Stats.LoweredTableauRows = lowered
 	res.Stats.RangedRows = ranged
 	res.Stats.RowNonzeros = nnz
-	res.Stats.PeakRows = peak
 	res.Stats.NumericalResidual = residual
-	res.Stats.Rounds = res.Rounds
+	res.Stats.Rounds = rounds
+	res.Stats.ViolatedByRound = viol
 	res.Stats.Subtrees = len(probs)
 	return res
 }

@@ -8,6 +8,7 @@ import (
 
 	"lubt/internal/bst"
 	"lubt/internal/geom"
+	"lubt/internal/lp"
 	"lubt/internal/wkld"
 )
 
@@ -99,6 +100,50 @@ func TestDecomposeDeterminism(t *testing.T) {
 	}
 }
 
+// TestViolatedByRoundMatchesRounds pins the per-round separation trace
+// against the round count on every solve path: one entry per round,
+// ending in the converged round's 0. Decomposed branches run their rounds
+// side by side, so the merged trace sums them element-wise instead of
+// concatenating them.
+func TestViolatedByRoundMatchesRounds(t *testing.T) {
+	in, cb := partInstance(t, "r4-s", 4)
+	check := func(name string, st lp.Stats) {
+		t.Helper()
+		v := st.ViolatedByRound
+		if st.Rounds < 1 || len(v) != st.Rounds || v[len(v)-1] != 0 {
+			t.Errorf("%s: Rounds %d, ViolatedByRound %v — want one entry per round, ending in 0",
+				name, st.Rounds, v)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		opt  *Options
+	}{
+		{"monolithic", nil},
+		{"presolve", &Options{Presolve: "on"}},
+		{"decompose", &Options{Decompose: "on"}},
+	} {
+		res := mustSolve(t, in, cb, c.opt)
+		check(c.name, res.Stats)
+		if c.name == "decompose" && res.Stats.Subtrees != 4 {
+			t.Errorf("decompose: Subtrees = %d, want 4", res.Stats.Subtrees)
+		}
+	}
+	sess, err := NewSession(in, cb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := sess.Result().Delays[1] + 0.05*in.Radius()
+	if err := sess.Retighten(1, l, math.Max(cb.U[1], l)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("session resolve", res.Stats)
+}
+
 // TestDecomposeFallback: forcing decomposition on a single-branch
 // topology must quietly run the monolithic path (Subtrees stays 0) and
 // still solve correctly.
@@ -180,5 +225,5 @@ func TestDecomposeR6Full(t *testing.T) {
 		t.Errorf("r6 solution fails verification: %v", err)
 	}
 	t.Logf("r6: cost=%.0f rounds=%d pruned=%d peakRows=%d",
-		res.Cost, res.Rounds, res.Stats.PresolvePrunedRows, res.Stats.PeakRows)
+		res.Cost, res.Stats.Rounds, res.Stats.PresolvePrunedRows, res.Stats.PeakRows)
 }

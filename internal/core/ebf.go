@@ -275,7 +275,6 @@ func (g *genState) addPair(i, j int) {
 func (g *genState) run() (*Result, error) {
 	t := g.in.Tree
 	n := t.N()
-	res := &Result{}
 	var violByRound []int
 	var solveTime, sepTime time.Duration
 	for round := 0; ; round++ {
@@ -305,8 +304,6 @@ func (g *genState) run() (*Result, error) {
 		default:
 			return nil, fmt.Errorf("core: LP returned %v", sol.Status)
 		}
-		res.Rounds = round + 1
-		res.LPIterations = g.eng.Iterations()
 
 		e := make([]float64, n)
 		copy(e[1:], sol.X[1:n])
@@ -324,12 +321,9 @@ func (g *genState) run() (*Result, error) {
 		violByRound = append(violByRound, len(viol))
 		rsp.End()
 		if len(viol) == 0 || g.full {
-			res.E = e
-			res.Delays = t.Delays(e)
-			res.Cost = weightedCost(g.w, e)
-			res.RowsUsed = len(g.have)
 			st := g.eng.Stats()
-			st.Rounds = res.Rounds
+			st.Rounds = round + 1
+			st.SteinerRows = len(g.have)
 			st.ViolatedByRound = violByRound
 			st.SolveTime = solveTime
 			st.SeparationTime = sepTime
@@ -337,8 +331,7 @@ func (g *genState) run() (*Result, error) {
 				st.PresolvePrunedRows = g.ps.prunedRows()
 			}
 			st.PeakRows = g.eng.TableauRows()
-			res.Stats = st
-			return res, nil
+			return &Result{E: e, Delays: t.Delays(e), Cost: weightedCost(g.w, e), Stats: st}, nil
 		}
 		for _, pr := range viol {
 			g.addPair(pr[0], pr[1])
@@ -354,16 +347,10 @@ type Result struct {
 	Cost float64
 	// Delays holds per-node linear delays under E.
 	Delays []float64
-	// Rounds is the number of row-generation rounds used.
-	Rounds int
-	// RowsUsed is the number of Steiner rows in the final LP (compare
-	// against C(m,2) for the §4.6 reduction factor).
-	RowsUsed int
-	// LPIterations accumulates simplex/IPM iterations across rounds.
-	LPIterations int
-	// Stats is the unified observability record: engine counters (pivots,
+	// Stats is the one observability record: engine counters (pivots,
 	// refactorizations, basis size, fill-in) plus row-generation fields
-	// (rounds, per-round violated counts, separation and solve wall time).
+	// (rounds, Steiner rows stated, per-round violated counts, separation
+	// and solve wall time).
 	Stats lp.Stats
 }
 
@@ -564,7 +551,7 @@ func (ce *coldEngine) Iterations() int  { return ce.iterations }
 
 func (ce *coldEngine) Stats() lp.Stats {
 	st := lp.Stats{
-		Pivots:             ce.iterations,
+		LPIterations:       ce.iterations,
 		LogicalRows:        ce.logicalRows,
 		TableauRows:        ce.tableauRows,
 		LoweredTableauRows: ce.tableauRows, // cold problems are already lowered

@@ -183,9 +183,9 @@ func TestRowGenerationMatchesFullMatrix(t *testing.T) {
 		if math.Abs(rg.Cost-full.Cost) > 1e-5*(1+full.Cost) {
 			t.Fatalf("trial %d: rowgen %g vs full %g", trial, rg.Cost, full.Cost)
 		}
-		if rg.RowsUsed > full.RowsUsed {
+		if rg.Stats.SteinerRows > full.Stats.SteinerRows {
 			t.Fatalf("row generation used more rows (%d) than full matrix (%d)",
-				rg.RowsUsed, full.RowsUsed)
+				rg.Stats.SteinerRows, full.Stats.SteinerRows)
 		}
 	}
 }

@@ -59,7 +59,7 @@ type ElmoreResult struct {
 // keeping cur's gauges: the per-iteration record of a persistent engine.
 func statsDelta(cur, prev lp.Stats) lp.Stats {
 	d := cur
-	d.Pivots -= prev.Pivots
+	d.LPIterations -= prev.LPIterations
 	d.Refactorizations -= prev.Refactorizations
 	d.Resets -= prev.Resets
 	d.BoundFlips -= prev.BoundFlips
@@ -373,6 +373,7 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 			prevStats = cur
 			ist.SolveTime = dt
 			ist.Rounds = 1
+			ist.SteinerRows = len(pool)
 		} else {
 			// Ablation path (explicit cold Solver): a fresh dense Problem
 			// per iteration, exactly the pre-restaging pipeline.
@@ -430,13 +431,14 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 			// The subproblem is cold, so pivots, size and terminal residual
 			// fully describe it.
 			ist = lp.Stats{
-				Pivots:             sol.Iterations,
+				LPIterations:       sol.Iterations,
 				LogicalRows:        len(p.Cons),
 				TableauRows:        len(p.Cons),
 				LoweredTableauRows: len(p.Cons), // Problem rows are lowered on entry
 				NumericalResidual:  sol.NumericalResidual,
 				SolveTime:          dt,
 				Rounds:             1,
+				SteinerRows:        len(pool),
 			}
 			for _, c := range p.Cons {
 				ist.RowNonzeros += len(c.Terms)
@@ -444,7 +446,7 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 		}
 		iterStats = append(iterStats, ist)
 		mergedStats.Merge(ist)
-		isp.SetInt("pivots", ist.Pivots)
+		isp.SetInt("pivots", ist.LPIterations)
 		isp.SetInt("restages", ist.Restages)
 		isp.SetInt("row_replacements", ist.RowReplacements)
 		isp.SetString("status", sol.Status.String())

@@ -207,7 +207,7 @@ func TestElmoreIterStatsMerge(t *testing.T) {
 	}
 	var sumPivots, sumRestages, sumReplacements int
 	for it, ist := range res.IterStats {
-		sumPivots += ist.Pivots
+		sumPivots += ist.LPIterations
 		sumRestages += ist.Restages
 		sumReplacements += ist.RowReplacements
 		// Real engine gauges, not a hand-stamped per-Problem record: the
@@ -228,7 +228,7 @@ func TestElmoreIterStatsMerge(t *testing.T) {
 		// Counter deltas of a persistent engine are never negative; a
 		// negative delta means statsDelta and the engine's cumulative
 		// counters (DevexResets across restages especially) disagree.
-		if ist.Pivots < 0 || ist.Restages < 0 || ist.RowReplacements < 0 ||
+		if ist.LPIterations < 0 || ist.Restages < 0 || ist.RowReplacements < 0 ||
 			ist.Refactorizations < 0 || ist.DevexResets < 0 || ist.BoundFlips < 0 {
 			t.Errorf("iteration %d: negative counter delta: %+v", it, ist)
 		}
@@ -255,8 +255,8 @@ func TestElmoreIterStatsMerge(t *testing.T) {
 	if res.Stats.RowReplacements != sumReplacements {
 		t.Errorf("merged RowReplacements %d != Σ per-iteration %d", res.Stats.RowReplacements, sumReplacements)
 	}
-	if res.Stats.Pivots < sumPivots {
-		t.Errorf("merged Pivots %d < Σ per-iteration %d (warm start missing?)", res.Stats.Pivots, sumPivots)
+	if res.Stats.LPIterations < sumPivots {
+		t.Errorf("merged LPIterations %d < Σ per-iteration %d (warm start missing?)", res.Stats.LPIterations, sumPivots)
 	}
 }
 

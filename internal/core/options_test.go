@@ -50,8 +50,8 @@ func TestSolveSmallBatchStillOptimal(t *testing.T) {
 	if math.Abs(slow.Cost-fast.Cost) > 1e-6*(1+fast.Cost) {
 		t.Fatalf("batch=1 cost %g vs default %g", slow.Cost, fast.Cost)
 	}
-	if slow.Rounds <= fast.Rounds {
-		t.Logf("note: batch=1 used %d rounds vs %d", slow.Rounds, fast.Rounds)
+	if slow.Stats.Rounds <= fast.Stats.Rounds {
+		t.Logf("note: batch=1 used %d rounds vs %d", slow.Stats.Rounds, fast.Stats.Rounds)
 	}
 }
 
@@ -109,8 +109,8 @@ func TestFullMatrixWithSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Full matrix with a source includes the m source rows: C(6,2)+6 = 21.
-	if full.RowsUsed != 21 {
-		t.Fatalf("RowsUsed = %d, want 21", full.RowsUsed)
+	if full.Stats.SteinerRows != 21 {
+		t.Fatalf("Stats.SteinerRows = %d, want 21", full.Stats.SteinerRows)
 	}
 	rg, err := Solve(in, b, nil)
 	if err != nil {

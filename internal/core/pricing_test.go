@@ -134,7 +134,7 @@ func TestPricingSchemesTieHeavyStar(t *testing.T) {
 				t.Errorf("%s: delay(s%d) = %g outside [16, 20]", scheme, i, res.Delays[i])
 			}
 		}
-		t.Logf("%s: %d pivots, scheme %q", scheme, res.Stats.Pivots, res.Stats.PricingScheme)
+		t.Logf("%s: %d pivots, scheme %q", scheme, res.Stats.LPIterations, res.Stats.PricingScheme)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestDevexPivotOrderingR4S(t *testing.T) {
 	if math.Abs(devex.Cost-mv.Cost) > 1e-6*radius {
 		t.Fatalf("costs disagree: devex %.9f mv %.9f", devex.Cost, mv.Cost)
 	}
-	dp, mp := devex.Stats.Pivots, mv.Stats.Pivots
+	dp, mp := devex.Stats.LPIterations, mv.Stats.LPIterations
 	t.Logf("r4-s pivots: devex %d, most-violated %d", dp, mp)
 	if dp >= mp {
 		t.Errorf("devex took %d pivots, most-violated %d — want strictly fewer on r4-s", dp, mp)
@@ -193,7 +193,7 @@ func TestRevisedTrajectoryPin(t *testing.T) {
 			t.Fatalf("%s/%s: %v", p.bench, p.pricing, err)
 		}
 		st := res.Stats
-		got := counters{res.Rounds, res.RowsUsed, st.Pivots, st.BoundFlips,
+		got := counters{st.Rounds, st.SteinerRows, st.LPIterations, st.BoundFlips,
 			st.Refactorizations, st.BasisSize, st.FillIn}
 		if got != p.want {
 			t.Errorf("%s/%s: got %+v, want %+v", p.bench, p.pricing, got, p.want)

@@ -6,18 +6,19 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"lubt/internal/lp"
 )
 
 // BenchSchema identifies the machine-readable per-benchmark record
 // emitted by `lubtbench -json`. Bump the suffix on any breaking change
 // to the BenchRecord shape; TestBenchJSONSchema pins the current one.
-const BenchSchema = "lubt-bench/1"
+const BenchSchema = "lubt-bench/2"
 
 // BenchRecord is one BENCH_<name>.json document: the instance identity
-// plus one EngineRecord per LP engine, each carrying the full lp.Stats
-// spine and median-of-repeats timings. The schema is append-only within
-// a major version: consumers must ignore unknown keys, producers must
-// not remove or retype the ones below.
+// plus one EngineRecord per engine configuration. Consumers must ignore
+// unknown keys; producers must not remove or retype the ones below
+// without bumping BenchSchema.
 type BenchRecord struct {
 	Schema  string `json:"schema"`
 	Bench   string `json:"bench"`
@@ -26,64 +27,34 @@ type BenchRecord struct {
 	// Radius is the instance's source-to-farthest-sink Manhattan
 	// distance, the length scale every agreement tolerance in the
 	// harness is expressed against (CheckPresolveGate accepts cost
-	// disagreement up to 1e-6·radius) — appended in lubt-bench/1
-	// (append-only within the major version).
+	// disagreement up to 1e-6·radius).
 	Radius  float64        `json:"radius"`
 	Engines []EngineRecord `json:"engines"`
 }
 
-// EngineRecord is one engine's outcome on one benchmark. Counters are
-// from the first (deterministic) run; the *_ns timings are medians over
-// the record's Repeats runs.
+// EngineRecord is one engine's outcome on one benchmark: the solve's
+// lp.Stats record, flattened into the row under its own JSON tags, plus
+// what only the harness measures. The counters come from the first
+// (deterministic) run; the embedded SeparationTime and SolveTime
+// (sep_scan_ns, lp_solve_ns) and WallNS are medians over the record's
+// Repeats runs.
 type EngineRecord struct {
-	Engine             string  `json:"engine"`
-	Cost               float64 `json:"cost"`
-	Rounds             int     `json:"rounds"`
-	SteinerRows        int     `json:"steiner_rows"`
-	Pivots             int     `json:"pivots"`
-	BoundFlips         int     `json:"bound_flips"`
-	Refactorizations   int     `json:"refactorizations"`
-	Resets             int     `json:"resets"`
-	BasisSize          int     `json:"basis_size"`
-	FillIn             int     `json:"fill_in"`
-	EtaLen             int     `json:"eta_len"`
-	TableauRows        int     `json:"tableau_rows"`
-	LoweredTableauRows int     `json:"lowered_tableau_rows"`
-	RangedRows         int     `json:"ranged_rows"`
-	RowNonzeros        int     `json:"row_nonzeros"`
-	NumericalResidual  float64 `json:"numerical_residual"`
-	PivotMin           float64 `json:"pivot_min"`
-	PivotMax           float64 `json:"pivot_max"`
-	// PricingScheme is the revised engine's leaving-row rule ("devex",
-	// "most-violated", "steepest-exact"), and
-	// DevexResets / WeightMin / WeightMax its reference-weight health
-	// gauges — appended in lubt-bench/1 (append-only within the major
-	// version, so consumers of the original key set stay valid).
-	PricingScheme string  `json:"pricing_scheme"`
-	DevexResets   int     `json:"devex_resets"`
-	WeightMin     float64 `json:"weight_min"`
-	WeightMax     float64 `json:"weight_max"`
-	// Restages / RowReplacements count post-solve engine edits absorbed
-	// without and with a structural row rewrite, and EcoPivots /
-	// EcoResolveMS record the single-sink ECO probe: retighten sink 1's
-	// window past its routed delay on a held-open session and re-solve
-	// warm from the kept basis (pivot count from the first run, resolve
-	// time the median of repeats, in milliseconds). Zero on the engines
-	// that cannot restage — appended in lubt-bench/1 (append-only within
-	// the major version).
-	Restages        int     `json:"restages"`
-	RowReplacements int     `json:"row_replacements"`
-	EcoPivots       int     `json:"eco_pivots"`
-	EcoResolveMS    float64 `json:"eco_resolve_ms"`
-	SepScanNS       int64   `json:"sep_scan_ns"`
-	LPSolveNS       int64   `json:"lp_solve_ns"`
-	WallNS          int64   `json:"wall_ns"`
+	Engine string  `json:"engine"`
+	Cost   float64 `json:"cost"`
+	lp.Stats
+	// EcoPivots / EcoResolveMS record the single-sink ECO probe:
+	// retighten sink 1's window past its routed delay on a held-open
+	// session and re-solve warm from the kept basis (pivot count from the
+	// first run, resolve time the median of repeats, in milliseconds).
+	// Zero on every row but the sub-scale "revised" one.
+	EcoPivots    int     `json:"eco_pivots"`
+	EcoResolveMS float64 `json:"eco_resolve_ms"`
+	WallNS       int64   `json:"wall_ns"`
 	// WallP50MS/WallP99MS and LPSolveP50MS/LPSolveP99MS are nearest-rank
 	// quantiles of the per-repeat wall and LP-solve times in milliseconds,
 	// and PivotsP50/PivotsP99 the matching per-repeat pivot-count
 	// quantiles (the solver is deterministic, so these collapse onto
-	// Pivots unless the lineup changes) — appended in lubt-bench/1
-	// (append-only within the major version). With few repeats the p99 is
+	// LPIterations unless the lineup changes). With few repeats the p99 is
 	// simply the worst observed run.
 	WallP50MS    float64 `json:"wall_p50_ms"`
 	WallP99MS    float64 `json:"wall_p99_ms"`
@@ -91,17 +62,6 @@ type EngineRecord struct {
 	LPSolveP99MS float64 `json:"lp_solve_p99_ms"`
 	PivotsP50    int     `json:"pivots_p50"`
 	PivotsP99    int     `json:"pivots_p99"`
-	// PresolvePrunedRows counts Steiner rows the dominance presolve
-	// proved redundant (never generated or priced), Subtrees how many
-	// root branches the subtree decomposition solved as independent
-	// subproblems (0 = monolithic solve), and PeakRows the largest
-	// active row count any single engine reached — the memory headline
-	// the decomposition exists to cut. All zero when the passes are off
-	// or the engine cannot run them — appended in lubt-bench/1
-	// (append-only within the major version).
-	PresolvePrunedRows int `json:"presolve_pruned_rows"`
-	Subtrees           int `json:"subtrees"`
-	PeakRows           int `json:"peak_rows"`
 }
 
 // durMS converts a duration to milliseconds for the *_ms JSON keys.
@@ -109,10 +69,10 @@ func durMS(d time.Duration) float64 {
 	return float64(d.Nanoseconds()) / 1e6
 }
 
-// BenchRecords runs the EngineStats workload (0.1·radius skew window,
-// the statEngines lineup: revised/devex, revised/most-violated)
-// on every named benchmark and returns one BenchRecord per name, timings
-// taken as the median of `repeats` runs (< 1 means 1).
+// BenchRecords runs the bench workload (0.1·radius skew window, the
+// engine lineup picked by instance size) on every named benchmark and
+// returns one BenchRecord per name, timings taken as the median of
+// `repeats` runs (< 1 means 1).
 func BenchRecords(names []string, repeats int) ([]BenchRecord, error) {
 	if repeats < 1 {
 		repeats = 1
@@ -140,60 +100,32 @@ func BenchRecords(names []string, repeats int) ([]BenchRecord, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, eng.Label, err)
 			}
-			res, st := run.res, run.res.Stats
-			var ecoPivots int
-			var ecoMS float64
+			er := EngineRecord{
+				Engine:       eng.Label,
+				Cost:         run.res.Cost,
+				Stats:        run.res.Stats,
+				WallNS:       medianDuration(run.wall).Nanoseconds(),
+				WallP50MS:    durMS(quantileDuration(run.wall, 0.5)),
+				WallP99MS:    durMS(quantileDuration(run.wall, 0.99)),
+				LPSolveP50MS: durMS(quantileDuration(run.lp, 0.5)),
+				LPSolveP99MS: durMS(quantileDuration(run.lp, 0.99)),
+				PivotsP50:    quantileInt(run.pivots, 0.5),
+				PivotsP99:    quantileInt(run.pivots, 0.99),
+			}
+			er.SeparationTime = medianDuration(run.sep)
+			er.SolveTime = medianDuration(run.lp)
 			// The ECO probe holds a core.Session open, and sessions
 			// always solve monolithically without presolve (restaging
 			// needs the full row universe live) — at scale-class sizes
 			// that cold session solve would dwarf the whole record, so
 			// the probe only runs below the scale threshold.
 			if eng.Label == "revised" && !in.scale() {
-				ecoPivots, ecoMS, err = in.runECO(base, l, u, eng, repeats)
+				er.EcoPivots, er.EcoResolveMS, err = in.runECO(base, l, u, eng, repeats)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s eco: %w", name, eng.Label, err)
 				}
 			}
-			rec.Engines = append(rec.Engines, EngineRecord{
-				Engine:             eng.Label,
-				Cost:               res.Cost,
-				Rounds:             res.Rounds,
-				SteinerRows:        res.RowsUsed,
-				Pivots:             st.Pivots,
-				BoundFlips:         st.BoundFlips,
-				Refactorizations:   st.Refactorizations,
-				Resets:             st.Resets,
-				BasisSize:          st.BasisSize,
-				FillIn:             st.FillIn,
-				EtaLen:             st.EtaLen,
-				TableauRows:        st.TableauRows,
-				LoweredTableauRows: st.LoweredTableauRows,
-				RangedRows:         st.RangedRows,
-				RowNonzeros:        st.RowNonzeros,
-				NumericalResidual:  st.NumericalResidual,
-				PivotMin:           st.PivotMin,
-				PivotMax:           st.PivotMax,
-				PricingScheme:      st.PricingScheme,
-				DevexResets:        st.DevexResets,
-				WeightMin:          st.WeightMin,
-				WeightMax:          st.WeightMax,
-				Restages:           st.Restages,
-				RowReplacements:    st.RowReplacements,
-				EcoPivots:          ecoPivots,
-				EcoResolveMS:       ecoMS,
-				SepScanNS:          medianDuration(run.sep).Nanoseconds(),
-				LPSolveNS:          medianDuration(run.lp).Nanoseconds(),
-				WallNS:             medianDuration(run.wall).Nanoseconds(),
-				WallP50MS:          durMS(quantileDuration(run.wall, 0.5)),
-				WallP99MS:          durMS(quantileDuration(run.wall, 0.99)),
-				LPSolveP50MS:       durMS(quantileDuration(run.lp, 0.5)),
-				LPSolveP99MS:       durMS(quantileDuration(run.lp, 0.99)),
-				PivotsP50:          quantileInt(run.pivots, 0.5),
-				PivotsP99:          quantileInt(run.pivots, 0.99),
-				PresolvePrunedRows: st.PresolvePrunedRows,
-				Subtrees:           st.Subtrees,
-				PeakRows:           st.PeakRows,
-			})
+			rec.Engines = append(rec.Engines, er)
 		}
 		out = append(out, rec)
 	}
@@ -208,7 +140,7 @@ func WriteBenchJSON(w io.Writer, rec BenchRecord) error {
 	return enc.Encode(rec)
 }
 
-// ValidateBenchJSON checks that data is a well-formed lubt-bench/1
+// ValidateBenchJSON checks that data is a well-formed lubt-bench/2
 // document: strict field set (unknown keys reject — catching producer
 // drift), correct schema string, and the structural invariants a consumer
 // relies on. It backs the ci.sh bench-smoke gate.
@@ -240,6 +172,10 @@ func ValidateBenchJSON(data []byte) error {
 		}
 		if e.Rounds < 1 {
 			return fmt.Errorf("bench json: engines[%d]: rounds = %d", i, e.Rounds)
+		}
+		if len(e.ViolatedByRound) != e.Rounds {
+			return fmt.Errorf("bench json: engines[%d]: %d violated_by_round entries for %d rounds",
+				i, len(e.ViolatedByRound), e.Rounds)
 		}
 		if e.WallNS <= 0 {
 			return fmt.Errorf("bench json: engines[%d]: wall_ns = %d", i, e.WallNS)
@@ -298,9 +234,9 @@ func CheckPivotGate(rec BenchRecord) error {
 	if mv.PricingScheme != "most-violated" {
 		return fmt.Errorf("pivot gate: %s: engine \"revised-mv\" ran pricing %q, want most-violated", rec.Bench, mv.PricingScheme)
 	}
-	if devex.Pivots > mv.Pivots {
+	if devex.LPIterations > mv.LPIterations {
 		return fmt.Errorf("pivot gate: %s: devex took %d pivots, most-violated baseline %d — Devex pricing regressed",
-			rec.Bench, devex.Pivots, mv.Pivots)
+			rec.Bench, devex.LPIterations, mv.LPIterations)
 	}
 	return nil
 }
@@ -385,7 +321,7 @@ func CheckEcoGate(rec BenchRecord) error {
 		if e.Engine != "revised" || e.EcoResolveMS <= 0 {
 			continue
 		}
-		if err := CheckWarmPivots("eco gate: "+rec.Bench, e.EcoPivots, e.Pivots); err != nil {
+		if err := CheckWarmPivots("eco gate: "+rec.Bench, e.EcoPivots, e.LPIterations); err != nil {
 			return err
 		}
 	}

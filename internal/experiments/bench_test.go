@@ -3,9 +3,15 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"lubt/internal/lp"
 )
 
 // TestBenchRecordsRoundTrip runs the smallest benchmark once and checks
@@ -38,7 +44,7 @@ func TestBenchRecordsRoundTrip(t *testing.T) {
 		}
 	}
 	for _, e := range rec.Engines {
-		if e.Pivots <= 0 || e.Rounds <= 0 || e.SteinerRows <= 0 {
+		if e.LPIterations <= 0 || e.Rounds <= 0 || e.SteinerRows <= 0 {
 			t.Errorf("%s: empty counters: %+v", e.Engine, e)
 		}
 	}
@@ -74,15 +80,17 @@ func TestBenchRecordsRoundTrip(t *testing.T) {
 		if e.LPSolveP50MS <= 0 || e.LPSolveP99MS < e.LPSolveP50MS {
 			t.Errorf("%s: lp-solve quantiles p50=%g p99=%g", e.Engine, e.LPSolveP50MS, e.LPSolveP99MS)
 		}
-		if e.PivotsP50 != e.Pivots || e.PivotsP99 != e.Pivots {
+		if e.PivotsP50 != e.LPIterations || e.PivotsP99 != e.LPIterations {
 			t.Errorf("%s: pivot quantiles p50=%d p99=%d, want both %d (deterministic solver)",
-				e.Engine, e.PivotsP50, e.PivotsP99, e.Pivots)
+				e.Engine, e.PivotsP50, e.PivotsP99, e.LPIterations)
 		}
 	}
 }
 
-// TestBenchJSONSchema locks the lubt-bench/1 key set: any new, removed or
-// renamed field must bump the schema version.
+// TestBenchJSONSchema locks the lubt-bench/2 key set: any new, removed or
+// renamed field must bump the schema version. lubt-bench/2 is the
+// lubt-bench/1 set plus logical_rows, reset_reasons and violated_by_round,
+// the lp.Stats fields the /1 rows did not copy.
 func TestBenchJSONSchema(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteBenchJSON(&buf, BenchRecord{
@@ -120,6 +128,7 @@ func TestBenchJSONSchema(t *testing.T) {
 		"wall_p50_ms", "wall_p99_ms", "lp_solve_p50_ms", "lp_solve_p99_ms",
 		"pivots_p50", "pivots_p99",
 		"presolve_pruned_rows", "subtrees", "peak_rows",
+		"logical_rows", "reset_reasons", "violated_by_round",
 	}
 	if len(engines[0]) != len(wantEng) {
 		t.Errorf("engine record has %d keys, want %d (schema drift — bump lubt-bench version)",
@@ -134,9 +143,10 @@ func TestBenchJSONSchema(t *testing.T) {
 
 // TestValidateBenchJSONRejects exercises the validator's failure modes.
 func TestValidateBenchJSONRejects(t *testing.T) {
+	one := lp.Stats{Rounds: 1, ViolatedByRound: []int{0}}
 	good := BenchRecord{
 		Schema: BenchSchema, Bench: "x", Sinks: 4, Repeats: 1,
-		Engines: []EngineRecord{{Engine: "revised", Rounds: 1, WallNS: 5, Cost: 1}},
+		Engines: []EngineRecord{{Engine: "revised", Stats: one, WallNS: 5, Cost: 1}},
 	}
 	encode := func(r BenchRecord) []byte {
 		b, _ := json.Marshal(r)
@@ -156,20 +166,23 @@ func TestValidateBenchJSONRejects(t *testing.T) {
 	r.Engines = nil
 	cases["no engines"] = r
 	r = good
-	r.Engines = []EngineRecord{{Engine: "revised", Rounds: 0, WallNS: 5, Cost: 1}}
+	r.Engines = []EngineRecord{{Engine: "revised", Stats: lp.Stats{Rounds: 0}, WallNS: 5, Cost: 1}}
 	cases["zero rounds"] = r
 	r = good
-	r.Engines = []EngineRecord{{Engine: "revised", Rounds: 1, WallNS: 5, Cost: 1, WallP50MS: 2, WallP99MS: 1}}
+	r.Engines = []EngineRecord{{Engine: "revised", Stats: one, WallNS: 5, Cost: 1, WallP50MS: 2, WallP99MS: 1}}
 	cases["wall p99 below p50"] = r
 	r = good
-	r.Engines = []EngineRecord{{Engine: "revised", Rounds: 1, WallNS: 5, Cost: 1, PivotsP50: 9, PivotsP99: 3}}
+	r.Engines = []EngineRecord{{Engine: "revised", Stats: one, WallNS: 5, Cost: 1, PivotsP50: 9, PivotsP99: 3}}
 	cases["pivot p99 below p50"] = r
+	r = good
+	r.Engines = []EngineRecord{{Engine: "revised", Stats: lp.Stats{Rounds: 2, ViolatedByRound: []int{0}}, WallNS: 5, Cost: 1}}
+	cases["trace shorter than rounds"] = r
 	for name, rec := range cases {
 		if err := ValidateBenchJSON(encode(rec)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if err := ValidateBenchJSON([]byte(`{"schema":"lubt-bench/1","surprise":1}`)); err == nil {
+	if err := ValidateBenchJSON([]byte(`{"schema":"lubt-bench/2","surprise":1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 }
@@ -179,17 +192,36 @@ func TestValidateBenchJSONRejects(t *testing.T) {
 // bench-smoke gate: it runs `lubtbench -json` and points this test at
 // the output, so the CLI and the schema cannot drift apart.
 func TestBenchJSONFile(t *testing.T) {
+	benchJSONFromEnv(t)
+}
+
+// benchJSONFromEnv reads the record named by LUBT_BENCH_JSON, skipping
+// the test when the variable is unset and failing it unless the file
+// passes ValidateBenchJSON.
+func benchJSONFromEnv(t *testing.T) BenchRecord {
+	t.Helper()
 	path := os.Getenv("LUBT_BENCH_JSON")
 	if path == "" {
 		t.Skip("LUBT_BENCH_JSON not set")
 	}
+	return readBenchJSON(t, path)
+}
+
+// readBenchJSON reads and validates one BENCH_*.json file.
+func readBenchJSON(t *testing.T, path string) BenchRecord {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateBenchJSON(data); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	var rec BenchRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatal(err)
 	}
+	return rec
 }
 
 // TestBenchJSONPivotGate applies the Devex-vs-most-violated pivot gate
@@ -198,20 +230,7 @@ func TestBenchJSONFile(t *testing.T) {
 // `lubtbench -json`, failing the smoke when Devex pricing pivots more
 // than the most-violated baseline.
 func TestBenchJSONPivotGate(t *testing.T) {
-	path := os.Getenv("LUBT_BENCH_JSON")
-	if path == "" {
-		t.Skip("LUBT_BENCH_JSON not set")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var rec BenchRecord
-	if err := dec.Decode(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckPivotGate(rec); err != nil {
+	if err := CheckPivotGate(benchJSONFromEnv(t)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -222,20 +241,7 @@ func TestBenchJSONPivotGate(t *testing.T) {
 // a single-sink retighten must take fewer than 25% of the cold solve's
 // pivots.
 func TestBenchJSONEcoGate(t *testing.T) {
-	path := os.Getenv("LUBT_BENCH_JSON")
-	if path == "" {
-		t.Skip("LUBT_BENCH_JSON not set")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var rec BenchRecord
-	if err := dec.Decode(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckEcoGate(rec); err != nil {
+	if err := CheckEcoGate(benchJSONFromEnv(t)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -247,21 +253,165 @@ func TestBenchJSONEcoGate(t *testing.T) {
 // row count must not exceed the monolithic one, and the two optima must
 // agree to 1e-6·radius.
 func TestBenchJSONPresolveGate(t *testing.T) {
-	path := os.Getenv("LUBT_BENCH_JSON")
-	if path == "" {
-		t.Skip("LUBT_BENCH_JSON not set")
+	if err := CheckPresolveGate(benchJSONFromEnv(t)); err != nil {
+		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+}
+
+// TestBenchJSONMatchesBaseline compares the record named by
+// LUBT_BENCH_JSON (skipped when unset) with the committed baseline
+// BENCH_<bench>.json at the repo root. ci.sh runs it on the fresh
+// prim1-s, r4-s and r6-s records: every deterministic counter must match,
+// so a change that moves a pivot or a row re-pins the baselines in its
+// own diff.
+func TestBenchJSONMatchesBaseline(t *testing.T) {
+	got := benchJSONFromEnv(t)
+	base := readBenchJSON(t, filepath.Join("..", "..", "BENCH_"+got.Bench+".json"))
+	for _, d := range baselineDrift(base, got) {
+		t.Error(d)
+	}
+}
+
+// baselineDrift lists every deterministic difference of got from base:
+// the instance identity, the row order and engine labels, each row's
+// pricing scheme, every int field and []int field of the row — the
+// embedded lp.Stats counters (violated_by_round included), eco_pivots
+// and pivots_p50/p99 — and the cost beyond 1e-6·radius. The timings are
+// int64 nanoseconds or float milliseconds, so they are never compared.
+func baselineDrift(base, got BenchRecord) []string {
+	if base.Bench != got.Bench || base.Sinks != got.Sinks || base.Radius != got.Radius {
+		return []string{fmt.Sprintf("instance %s/%d sinks/radius %v, baseline %s/%d/%v",
+			got.Bench, got.Sinks, got.Radius, base.Bench, base.Sinks, base.Radius)}
+	}
+	label := func(r BenchRecord) (ls []string) {
+		for _, e := range r.Engines {
+			ls = append(ls, e.Engine+"/"+e.PricingScheme)
+		}
+		return ls
+	}
+	if !reflect.DeepEqual(label(base), label(got)) {
+		return []string{fmt.Sprintf("engine rows %v, baseline %v", label(got), label(base))}
+	}
+	tol := max(1e-6*base.Radius, 1e-6)
+	var drift []string
+	for i, b := range base.Engines {
+		g := got.Engines[i]
+		if d := math.Abs(g.Cost - b.Cost); d > tol {
+			drift = append(drift, fmt.Sprintf("%s cost %.10g, baseline %.10g (|Δ| %g > %g)", b.Engine, g.Cost, b.Cost, d, tol))
+		}
+		drift = append(drift, intDrift(b.Engine, reflect.ValueOf(b), reflect.ValueOf(g))...)
+	}
+	return drift
+}
+
+// intDrift compares the int and []int fields of two structs of the same
+// type, descending into embedded structs, and names each difference by
+// its JSON key.
+func intDrift(row string, b, g reflect.Value) []string {
+	var drift []string
+	for i := 0; i < b.NumField(); i++ {
+		f := b.Type().Field(i)
+		bf, gf := b.Field(i), g.Field(i)
+		switch {
+		case f.Anonymous:
+			drift = append(drift, intDrift(row, bf, gf)...)
+		case f.Type.Kind() == reflect.Int || f.Type == reflect.TypeOf([]int(nil)):
+			if !reflect.DeepEqual(bf.Interface(), gf.Interface()) {
+				drift = append(drift, fmt.Sprintf("%s %s = %v, baseline %v", row, f.Tag.Get("json"), gf, bf))
+			}
+		}
+	}
+	return drift
+}
+
+// TestBaselineDrift pins what the baseline gate compares: counters,
+// per-round traces, the ECO probe and pivot quantiles, labels, row order
+// and cost beyond tolerance drift; timings and in-tolerance cost noise
+// do not.
+func TestBaselineDrift(t *testing.T) {
+	mk := func(mut func(*BenchRecord)) BenchRecord {
+		rec := BenchRecord{
+			Bench: "x", Sinks: 10, Radius: 1000,
+			Engines: []EngineRecord{
+				{Engine: "revised", Cost: 500, Stats: lp.Stats{
+					Rounds: 3, LPIterations: 40, PricingScheme: "devex",
+					ViolatedByRound: []int{7, 2, 0}, SolveTime: time.Millisecond,
+				}, EcoPivots: 4, WallNS: 9, PivotsP50: 40, PivotsP99: 40},
+				{Engine: "revised-mv", Cost: 500, Stats: lp.Stats{PricingScheme: "most-violated"}},
+			},
+		}
+		if mut != nil {
+			mut(&rec)
+		}
+		return rec
+	}
+	base := mk(nil)
+	same := map[string]func(*BenchRecord){
+		"identical":            nil,
+		"lp_solve_ns":          func(r *BenchRecord) { r.Engines[0].SolveTime = time.Second },
+		"sep_scan_ns":          func(r *BenchRecord) { r.Engines[0].SeparationTime = time.Second },
+		"wall_ns":              func(r *BenchRecord) { r.Engines[0].WallNS = 1e9 },
+		"wall_p99_ms":          func(r *BenchRecord) { r.Engines[0].WallP99MS = 5 },
+		"eco_resolve_ms":       func(r *BenchRecord) { r.Engines[0].EcoResolveMS = 5 },
+		"repeats":              func(r *BenchRecord) { r.Repeats = 3 },
+		"cost within 1e-6·R":   func(r *BenchRecord) { r.Engines[0].Cost += 9e-4 },
+		"numerical_residual":   func(r *BenchRecord) { r.Engines[0].NumericalResidual = 1e-12 },
+		"pivot_max (a float)":  func(r *BenchRecord) { r.Engines[0].PivotMax = 3 },
+		"weight_max (a float)": func(r *BenchRecord) { r.Engines[0].WeightMax = 3 },
+	}
+	for name, mut := range same {
+		if d := baselineDrift(base, mk(mut)); len(d) != 0 {
+			t.Errorf("%s: drift reported: %v", name, d)
+		}
+	}
+	differ := map[string]func(*BenchRecord){
+		"pivots":              func(r *BenchRecord) { r.Engines[0].LPIterations++ },
+		"rounds":              func(r *BenchRecord) { r.Engines[1].Rounds = 1 },
+		"steiner_rows":        func(r *BenchRecord) { r.Engines[0].SteinerRows = 1 },
+		"peak_rows":           func(r *BenchRecord) { r.Engines[0].PeakRows = 1 },
+		"violated_by_round":   func(r *BenchRecord) { r.Engines[0].ViolatedByRound = []int{7, 3, 0} },
+		"eco_pivots":          func(r *BenchRecord) { r.Engines[0].EcoPivots = 5 },
+		"pivots_p99":          func(r *BenchRecord) { r.Engines[0].PivotsP99 = 41 },
+		"pricing_scheme":      func(r *BenchRecord) { r.Engines[0].PricingScheme = "steepest-exact" },
+		"engine label":        func(r *BenchRecord) { r.Engines[1].Engine = "revised-nopresolve" },
+		"row order":           func(r *BenchRecord) { r.Engines[0], r.Engines[1] = r.Engines[1], r.Engines[0] },
+		"missing row":         func(r *BenchRecord) { r.Engines = r.Engines[:1] },
+		"cost beyond 1e-6·R":  func(r *BenchRecord) { r.Engines[0].Cost += 2e-3 },
+		"sinks":               func(r *BenchRecord) { r.Sinks = 11 },
+		"different benchmark": func(r *BenchRecord) { r.Bench = "y" },
+	}
+	for name, mut := range differ {
+		if d := baselineDrift(base, mk(mut)); len(d) == 0 {
+			t.Errorf("%s: no drift reported", name)
+		}
+	}
+}
+
+// TestCommittedBenchRecords checks the committed baselines at the repo
+// root: every reference benchmark has one, and each file passes the
+// schema validator and the pivot, ECO and presolve gates.
+func TestCommittedBenchRecords(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var rec BenchRecord
-	if err := dec.Decode(&rec); err != nil {
-		t.Fatal(err)
+	have := map[string]bool{}
+	for _, path := range paths {
+		rec := readBenchJSON(t, path)
+		if want := "BENCH_" + rec.Bench + ".json"; filepath.Base(path) != want {
+			t.Errorf("%s holds the record of %s", path, want)
+		}
+		have[rec.Bench] = true
+		for _, gate := range []func(BenchRecord) error{CheckPivotGate, CheckEcoGate, CheckPresolveGate} {
+			if err := gate(rec); err != nil {
+				t.Errorf("%s: %v", path, err)
+			}
+		}
 	}
-	if err := CheckPresolveGate(rec); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"prim1-s", "prim2-s", "r1-s", "r2-s", "r3-s", "r4-s", "r5-s", "r6-s"} {
+		if !have[name] {
+			t.Errorf("no committed baseline BENCH_%s.json", name)
+		}
 	}
 }
 
@@ -273,8 +423,8 @@ func TestCheckPresolveGate(t *testing.T) {
 			Bench:  "x",
 			Radius: 1000,
 			Engines: []EngineRecord{
-				{Engine: "revised", Cost: 500, PresolvePrunedRows: 42, Subtrees: 8, PeakRows: 100},
-				{Engine: "revised-nopresolve", Cost: 500, PeakRows: 900},
+				{Engine: "revised", Cost: 500, Stats: lp.Stats{PresolvePrunedRows: 42, Subtrees: 8, PeakRows: 100}},
+				{Engine: "revised-nopresolve", Cost: 500, Stats: lp.Stats{PeakRows: 900}},
 			},
 		}
 		if mut != nil {
@@ -319,7 +469,7 @@ func TestCheckEcoGate(t *testing.T) {
 		return BenchRecord{
 			Bench: "x",
 			Engines: []EngineRecord{
-				{Engine: "revised", Pivots: cold, EcoPivots: warm, EcoResolveMS: ms},
+				{Engine: "revised", Stats: lp.Stats{LPIterations: cold}, EcoPivots: warm, EcoResolveMS: ms},
 				{Engine: "revised-mv"},
 			},
 		}
@@ -378,8 +528,8 @@ func TestCheckPivotGate(t *testing.T) {
 		return BenchRecord{
 			Bench: "x",
 			Engines: []EngineRecord{
-				{Engine: "revised", PricingScheme: "devex", Pivots: devexPivots},
-				{Engine: "revised-mv", PricingScheme: "most-violated", Pivots: mvPivots},
+				{Engine: "revised", Stats: lp.Stats{PricingScheme: "devex", LPIterations: devexPivots}},
+				{Engine: "revised-mv", Stats: lp.Stats{PricingScheme: "most-violated", LPIterations: mvPivots}},
 				{Engine: "revised-nopresolve"},
 			},
 		}

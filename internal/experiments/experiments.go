@@ -105,7 +105,7 @@ func (in *instance) runLUBTOpts(base *bst.Result, l, u float64, opt *core.Option
 
 // engineSpec is one configuration of the revised engine the stats/bench
 // harness exercises; Label is the row key that reaches the tables and
-// the lubt-bench/1 JSON. Presolve/Decompose override core.Solve's
+// the lubt-bench/2 JSON. Presolve/Decompose override core.Solve's
 // presolve and subtree-decomposition settings ("" = auto).
 type engineSpec struct {
 	Label     string
@@ -143,54 +143,33 @@ func (in *instance) engines() []engineSpec {
 	return statEngines
 }
 
-// EngineStats solves every benchmark with the warm LP engine lineup —
-// the sparse revised dual simplex under Devex and most-violated pricing
-// — at a representative 0.1·radius skew window, and tabulates the
-// lp.Stats spine side by side.
-// It backs `lubtbench -stats` and runs each solve DefaultRepeats times,
-// reporting median timings.
-func EngineStats(names []string) (*table.Table, error) {
-	return EngineStatsN(names, DefaultRepeats)
-}
-
-// EngineStatsN is EngineStats with an explicit repeat count: each
-// (bench, engine) solve runs `repeats` times and the reported sep-scan,
-// lp-solve and wall timings are the medians across runs. The counters
-// (pivots, rounds, rows, …) are deterministic and come from the first
-// run. repeats < 1 means 1.
+// EngineStatsN renders the BenchRecords rows as the `lubtbench -stats`
+// table: the lp.Stats spine of every engine row side by side. The
+// counters (pivots, rounds, rows, …) are deterministic and come from the
+// first run; the sep-scan, lp-solve and wall timings are medians over
+// `repeats` runs (< 1 means 1).
 func EngineStatsN(names []string, repeats int) (*table.Table, error) {
+	recs, err := BenchRecords(names, repeats)
+	if err != nil {
+		return nil, err
+	}
 	t := table.New("LP engine statistics (skew window 0.1·radius, median timings)",
 		"bench", "engine", "pricing", "rounds", "steiner", "pivots", "flips", "refactor",
 		"basis", "fill-in", "rows", "lowered", "nnz", "sep-scan", "lp-solve", "wall")
-	for _, name := range names {
-		in, err := load(name)
-		if err != nil {
-			return nil, err
-		}
-		base, err := in.runBaseline(0.1)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		l, u := windowFor(base, in.radius, 0.1)
-		for _, eng := range in.engines() {
-			run, err := in.runRepeated(base, l, u, eng, repeats)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, eng.Label, err)
-			}
-			res, st := run.res, run.res.Stats
-			t.Addf(name, eng.Label, st.PricingScheme, res.Rounds, res.RowsUsed, st.Pivots,
-				st.BoundFlips, st.Refactorizations, st.BasisSize, st.FillIn,
-				st.TableauRows, st.LoweredTableauRows, st.RowNonzeros,
-				medianDuration(run.sep).Round(time.Microsecond).String(),
-				medianDuration(run.lp).Round(time.Microsecond).String(),
-				medianDuration(run.wall).Round(time.Microsecond).String())
+	us := func(d time.Duration) string { return d.Round(time.Microsecond).String() }
+	for _, rec := range recs {
+		for _, e := range rec.Engines {
+			t.Addf(rec.Bench, e.Engine, e.PricingScheme, e.Rounds, e.SteinerRows, e.LPIterations,
+				e.BoundFlips, e.Refactorizations, e.BasisSize, e.FillIn,
+				e.TableauRows, e.LoweredTableauRows, e.RowNonzeros,
+				us(e.SeparationTime), us(e.SolveTime), us(time.Duration(e.WallNS)))
 		}
 	}
 	return t, nil
 }
 
-// DefaultRepeats is how many times EngineStats and BenchRecords repeat
-// each solve before taking median timings.
+// DefaultRepeats is how many times BenchRecords (and so `lubtbench
+// -stats` and `-json`) repeats each solve before taking median timings.
 const DefaultRepeats = 3
 
 // repeatedRun is the outcome of solving one (bench, engine) pair several
@@ -224,7 +203,7 @@ func (in *instance) runRepeated(base *bst.Result, l, u float64, eng engineSpec, 
 		run.wall = append(run.wall, wall)
 		run.sep = append(run.sep, res.Stats.SeparationTime)
 		run.lp = append(run.lp, res.Stats.SolveTime)
-		run.pivots = append(run.pivots, res.Stats.Pivots)
+		run.pivots = append(run.pivots, res.Stats.LPIterations)
 	}
 	return run, nil
 }

@@ -318,7 +318,7 @@ func TestReplaceRangedRowRhsFastPath(t *testing.T) {
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("warm re-solve: %v %v", sol, err)
 	}
-	if warmPivots := rv.Iterations() - before.Pivots; warmPivots > 3 {
+	if warmPivots := rv.Iterations() - before.LPIterations; warmPivots > 3 {
 		t.Fatalf("warm re-solve took %d pivots, want ≤ 3 (fast path missed)", warmPivots)
 	}
 	// Cold oracle on the edited problem.

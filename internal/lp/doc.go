@@ -156,7 +156,13 @@
 //
 // # Observability: numerical-health gauges and tracing
 //
-// Stats carries two kinds of fields. Counters (Pivots, BoundFlips,
+// Stats is the one declaration of the solver's counters and gauges:
+// lubt.SolveStats is an alias of it, its String is what `lubt -stats`
+// prints, and its JSON tags are the engine-row keys of the lubt-bench/2
+// records (LPIterations is "pivots"; the two times are "sep_scan_ns" and
+// "lp_solve_ns"). A new field needs one JSON tag and one line in Merge.
+//
+// Stats carries two kinds of fields. Counters (LPIterations, BoundFlips,
 // Refactorizations, …) accumulate across Solve calls and Merge by
 // addition. Gauges are point-in-time samples of the engine's numerical
 // health — EtaLen, FillIn, BasisSize, NumericalResidual, PivotMin/Max —
@@ -170,7 +176,7 @@
 // "pivot-disagreement").
 //
 // Three fields carry the internal/core scale-path story (DESIGN §8)
-// and reach the lubt-bench/1 JSON under the same names:
+// and reach the lubt-bench/2 JSON under the same names:
 // PresolvePrunedRows (presolve_pruned_rows) counts sink-pair Steiner
 // rows the dominance presolve removed before pricing; Subtrees
 // (subtrees) the root-branch subproblems the decomposition solved on

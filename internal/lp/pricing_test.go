@@ -172,9 +172,9 @@ func TestPricingSchemesDegenerateTies(t *testing.T) {
 		if scheme != PricingMostViolated && st.WeightMax < st.WeightMin {
 			t.Errorf("%v: weight extremes inverted: [%g, %g]", scheme, st.WeightMin, st.WeightMax)
 		}
-		pivots[scheme] = st.Pivots
+		pivots[scheme] = st.LPIterations
 		t.Logf("%v: %d pivots, weights [%g, %g], devex-resets %d",
-			scheme, st.Pivots, st.WeightMin, st.WeightMax, st.DevexResets)
+			scheme, st.LPIterations, st.WeightMin, st.WeightMax, st.DevexResets)
 	}
 }
 

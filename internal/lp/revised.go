@@ -528,7 +528,7 @@ func (rv *Revised) Iterations() int { return rv.iterations }
 // replaces stale gauge values even with 0.
 func (rv *Revised) Stats() Stats {
 	s := rv.stats
-	s.Pivots = rv.iterations
+	s.LPIterations = rv.iterations
 	s.LogicalRows = rv.logicalRows
 	s.TableauRows = rv.rows.numRows()
 	s.LoweredTableauRows = rv.loweredRows

@@ -368,7 +368,7 @@ func TestRevisedLongWarmSequence(t *testing.T) {
 		}
 	}
 	st := rv.Stats()
-	if st.Pivots == 0 || st.LogicalRows != 60 {
+	if st.LPIterations == 0 || st.LogicalRows != 60 {
 		t.Fatalf("stats not populated: %+v", st)
 	}
 }
@@ -382,8 +382,8 @@ func TestRevisedStatsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rv.Stats()
-	if st.Pivots == 0 {
-		t.Error("Pivots = 0 after a non-trivial solve")
+	if st.LPIterations == 0 {
+		t.Error("LPIterations = 0 after a non-trivial solve")
 	}
 	if st.LogicalRows != 3 || st.TableauRows != 3 {
 		t.Errorf("rows %d/%d, want 3/3 (EQ is one boxed row)", st.LogicalRows, st.TableauRows)
@@ -400,12 +400,12 @@ func TestRevisedStatsPopulated(t *testing.T) {
 }
 
 func TestStatsMergeAndString(t *testing.T) {
-	a := Stats{Pivots: 3, Rounds: 1, ViolatedByRound: []int{5}}
-	b := Stats{Pivots: 4, Refactorizations: 2, BasisSize: 7, FillIn: 3,
+	a := Stats{LPIterations: 3, Rounds: 1, ViolatedByRound: []int{5}}
+	b := Stats{LPIterations: 4, Refactorizations: 2, BasisSize: 7, FillIn: 3,
 		LogicalRows: 10, TableauRows: 12, RowNonzeros: 40, Rounds: 2,
 		ViolatedByRound: []int{2, 0}}
 	a.Merge(b)
-	if a.Pivots != 7 || a.Rounds != 3 || a.BasisSize != 7 || a.TableauRows != 12 {
+	if a.LPIterations != 7 || a.Rounds != 3 || a.BasisSize != 7 || a.TableauRows != 12 {
 		t.Fatalf("merge wrong: %+v", a)
 	}
 	if len(a.ViolatedByRound) != 3 {

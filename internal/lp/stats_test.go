@@ -10,7 +10,7 @@ import (
 // concatenate in order, times accumulate.
 func TestMergeCounters(t *testing.T) {
 	a := Stats{
-		Pivots:           3,
+		LPIterations:     3,
 		Refactorizations: 1,
 		Resets:           1,
 		ResetReasons:     []string{"lu-singular"},
@@ -21,7 +21,7 @@ func TestMergeCounters(t *testing.T) {
 		SolveTime:        2 * time.Millisecond,
 	}
 	b := Stats{
-		Pivots:           5,
+		LPIterations:     5,
 		Refactorizations: 2,
 		Resets:           1,
 		ResetReasons:     []string{"dual-drift"},
@@ -32,7 +32,7 @@ func TestMergeCounters(t *testing.T) {
 		SolveTime:        time.Millisecond,
 	}
 	a.Merge(b)
-	if a.Pivots != 8 || a.Refactorizations != 3 || a.Resets != 2 || a.BoundFlips != 3 || a.Rounds != 3 {
+	if a.LPIterations != 8 || a.Refactorizations != 3 || a.Resets != 2 || a.BoundFlips != 3 || a.Rounds != 3 {
 		t.Errorf("counters did not add: %+v", a)
 	}
 	if got := a.ResetReasons; len(got) != 2 || got[0] != "lu-singular" || got[1] != "dual-drift" {
@@ -50,12 +50,12 @@ func TestMergeCounters(t *testing.T) {
 // even when the new value is legitimately zero — e.g. FillIn 0 after a
 // clean refactorization.
 func TestMergeGaugeSetness(t *testing.T) {
-	s := Stats{BasisSize: 40, FillIn: 17, EtaLen: 9, NumericalResidual: 1e-6,
+	s := Stats{BasisSize: 40, FillIn: 17, EtaLen: 9, NumericalResidual: 1e-6, SteinerRows: 8,
 		LogicalRows: 10, TableauRows: 12, LoweredTableauRows: 14, RangedRows: 2, RowNonzeros: 55}
-	fresh := Stats{BasisSize: 41, FillIn: 0, EtaLen: 0, NumericalResidual: 0,
+	fresh := Stats{BasisSize: 41, FillIn: 0, EtaLen: 0, NumericalResidual: 0, SteinerRows: 0,
 		LogicalRows: 11, TableauRows: 11, LoweredTableauRows: 13, RangedRows: 0, RowNonzeros: 60}
 	s.Merge(fresh)
-	if s.FillIn != 0 || s.EtaLen != 0 || s.NumericalResidual != 0 || s.RangedRows != 0 {
+	if s.FillIn != 0 || s.EtaLen != 0 || s.NumericalResidual != 0 || s.RangedRows != 0 || s.SteinerRows != 0 {
 		t.Errorf("zero gauges from a sampled record did not replace stale values: %+v", s)
 	}
 	if s.BasisSize != 41 || s.LogicalRows != 11 || s.TableauRows != 11 ||
@@ -87,16 +87,16 @@ func TestMergePivotExtremes(t *testing.T) {
 // and only shows the optional lines when they carry data.
 func TestStatsString(t *testing.T) {
 	s := Stats{
-		Pivots: 12, BoundFlips: 3, Refactorizations: 2, BasisSize: 7, FillIn: 4,
+		LPIterations: 12, BoundFlips: 3, Refactorizations: 2, BasisSize: 7, FillIn: 4,
 		Resets: 1, ResetReasons: []string{"dual-drift"},
 		LogicalRows: 9, TableauRows: 9, LoweredTableauRows: 11, RangedRows: 2, RowNonzeros: 31,
-		Rounds: 3, ViolatedByRound: []int{5, 2, 0},
+		Rounds: 3, SteinerRows: 6, ViolatedByRound: []int{5, 2, 0},
 		EtaLen: 6, NumericalResidual: 2.5e-10, PivotMin: 1e-4, PivotMax: 3,
 	}
 	out := s.String()
 	for _, want := range []string{
 		"pivots 12", "bound-flips 3", "refactorizations 2", "basis 7", "fill-in 4",
-		"rows 9 logical / 9 tableau (11 lowered, 2 ranged)", "nnz 31", "rounds 3",
+		"rows 9 logical / 9 tableau (11 lowered, 2 ranged)", "nnz 31", "rounds 3", "steiner-rows 6",
 		"eta-len 6", "residual 2.5e-10", "pivot-el [0.0001, 3]",
 		"reset-reasons [dual-drift]", "violated/round [5 2 0]",
 	} {

@@ -11,8 +11,7 @@ import (
 // MetricsSchema identifies the JSON layout emitted by Metrics.WriteJSON;
 // bump it when the document's key set changes (new counter, gauge or
 // histogram names do not count — the name sets are append-only by
-// design, like the lubt-bench/1 engine fields). /2 added the
-// `histograms` section.
+// design). /2 added the `histograms` section.
 const MetricsSchema = "lubtd-metrics/2"
 
 // InfoLabel is one key/value identity label of an info gauge (see

@@ -113,7 +113,8 @@ type SolveResponse struct {
 	Pivots     int `json:"pivots"`
 	ColdPivots int `json:"cold_pivots"`
 	// Rounds and Restages summarize the row-generation and restaging
-	// work of this request (tree.stats in full lives under Tree).
+	// work of this request. They are the only solver stats on the wire:
+	// Tree serializes as lubt.TreeJSON, which carries none.
 	Rounds   int `json:"rounds"`
 	Restages int `json:"restages"`
 	// Cost is the weighted wirelength; Radius the instance radius

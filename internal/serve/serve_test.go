@@ -96,7 +96,7 @@ func solveReq(b *wkld.Benchmark, lower, upper float64) *SolveRequest {
 }
 
 // coldBaseline runs an unconstrained bypass solve and returns the tight
-// window the EngineStats methodology uses (0.1·radius below max delay).
+// window the BenchRecords methodology uses (0.1·radius below max delay).
 func coldBaseline(t *testing.T, srv *Server, b *wkld.Benchmark) (l, u, radius float64) {
 	t.Helper()
 	req := solveReq(b, 0, 0)
@@ -280,7 +280,7 @@ func TestServeWarmEndToEnd(t *testing.T) {
 	}
 
 	b := wkld.MustGenerate("prim1-s")
-	// Unconstrained bypass to learn the window, as in EngineStats.
+	// Unconstrained bypass to learn the window, as in BenchRecords.
 	base := solveReq(b, 0, 0)
 	base.Cold = true
 	baseResp := decode(httpPost("/solve", base))

@@ -338,7 +338,7 @@ func (in *Instance) Solve(b Bounds, opt *Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree.Stats = solveStatsFrom(res)
+	tree.Stats = res.Stats
 	if err := opt.writeTrace(tr); err != nil {
 		return nil, err
 	}
@@ -391,7 +391,7 @@ func (in *Instance) SolveElmore(b Bounds, rw, cw float64, sinkCap []float64, opt
 	tree.recomputeStats()
 	// The merged SLP record (warm start + one lp.Stats per iteration)
 	// becomes the tree's public stats.
-	tree.Stats = solveStatsFromLP(res.Stats)
+	tree.Stats = res.Stats
 	if err := opt.writeTrace(tr); err != nil {
 		return nil, err
 	}

@@ -328,6 +328,29 @@ func TestSolveElmoreFacade(t *testing.T) {
 	}
 }
 
+// TestSolveElmoreReportsSteinerRows: the Elmore SLP states every
+// Steiner row of its pool, so its stats must count them like Solve's do —
+// at least one, at most C(m,2) sink pairs plus m source rows — on both
+// the persistent-engine path and the cold-solver path.
+func TestSolveElmoreReportsSteinerRows(t *testing.T) {
+	const m = 6
+	rng := rand.New(rand.NewSource(12))
+	inst, _ := NewInstance(randPoints(rng, m))
+	inst.SetSource(Point{50, -20})
+	if err := inst.UseBalancedTopology(); err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []string{"", "coldsimplex"} {
+		tree, err := inst.SolveElmore(Uniform(m, 0, 1e9), 0.1, 0.2, nil, &Options{Solver: solver})
+		if err != nil {
+			t.Fatalf("solver %q: %v", solver, err)
+		}
+		if got := tree.Stats.SteinerRows; got <= 0 || got > m*(m-1)/2+m {
+			t.Errorf("solver %q: SteinerRows = %d, want in (0, %d]", solver, got, m*(m-1)/2+m)
+		}
+	}
+}
+
 func TestRoutesAndElongation(t *testing.T) {
 	sinks := []Point{{0, 0}, {10, 0}}
 	inst, _ := NewInstance(sinks)

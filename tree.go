@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
-	"time"
 
 	"lubt/internal/core"
 	"lubt/internal/embed"
@@ -45,165 +43,13 @@ type Tree struct {
 }
 
 // SolveStats is the public observability record of a Solve call: how much
-// LP work the §4.6 row-generation loop did and where the time went. The
-// engine counters (pivots, refactorizations, basis size, fill-in) come
-// from the LP layer; the round fields from the row-generation loop.
-type SolveStats struct {
-	// Rounds is the number of row-generation rounds; SteinerRows the
-	// Steiner rows stated in the final LP (compare against C(m,2)).
-	Rounds      int
-	SteinerRows int
-	// LPIterations counts simplex pivots (or IPM iterations) across all
-	// rounds. Refactorizations, Resets, BasisSize and FillIn are revised
-	// dual-simplex internals: basis refactorization count, full basis
-	// resets after numerical trouble, the structural-core dimension of the
-	// basis, and the LU fill-in beyond the basis core at the last
-	// refactorization.
-	LPIterations     int
-	Refactorizations int
-	Resets           int
-	BasisSize        int
-	FillIn           int
-	// LogicalRows counts constraint rows as stated (an EQ or ranged row
-	// once); TableauRows counts engine-internal rows — the boxed revised
-	// engine stores each delay window as ONE row with a bounded slack,
-	// while the cold solvers lower it to a ≤/≥ pair.
-	// LoweredTableauRows is what the two-row lowering would need, so
-	// (TableauRows, LoweredTableauRows) measures the delay-window row
-	// halving. RangedRows counts logical rows stated with a two-sided (or
-	// exact) window; RowNonzeros the stored constraint nonzeros.
-	LogicalRows        int
-	TableauRows        int
-	LoweredTableauRows int
-	RangedRows         int
-	RowNonzeros        int
-	// BoundFlips counts nonbasic bound-to-bound flips taken inside the
-	// boxed dual ratio test (cheaper than pivots: one shared FTRAN per
-	// batch).
-	BoundFlips int
-	// Restages counts post-solve edits the engine absorbed without
-	// refactorizing (bound boxes, costs, rhs-only row retightens);
-	// RowReplacements counts structural row rewrites (coefficient pattern
-	// changes, deletions, revivals). Both stay 0 on cold solvers.
-	Restages        int
-	RowReplacements int
-	// PricingScheme names the leaving-row rule the revised engine ran
-	// with ("devex", "most-violated", "steepest-exact"; empty for the
-	// other solvers). DevexResets counts Devex reference-framework
-	// restarts forced by weight overflow; WeightMin/WeightMax bracket the
-	// reference weights at the end of the solve (0 under most-violated).
-	PricingScheme        string
-	DevexResets          int
-	WeightMin, WeightMax float64
-	// EtaLen is the eta-file length consumed by the engine's last
-	// refactorization; NumericalResidual is the terminal numerical-health
-	// gauge (eta-replay drift for the revised engine, final scaled KKT
-	// residual for the IPM, worst constraint violation of the returned
-	// vertex for the cold simplex). PivotMin/PivotMax bracket the |pivot
-	// element| magnitudes accepted across the solve — a PivotMin many
-	// orders below PivotMax warns of ill-conditioned bases. ResetReasons
-	// lists one reason code per basis reset, in order (see lp.Stats).
-	EtaLen             int
-	NumericalResidual  float64
-	PivotMin, PivotMax float64
-	ResetReasons       []string
-	// PresolvePrunedRows counts candidate Steiner rows the dominance
-	// presolve proved implied and never generated or priced (0 with
-	// presolve off or below the auto threshold). Subtrees is the number of
-	// root-branch subproblems the solve was decomposed into (0 for a
-	// monolithic solve). PeakRows is the largest tableau row count any
-	// single engine held — under decomposition this is the per-branch
-	// memory high-water mark, not the sum.
-	PresolvePrunedRows int
-	Subtrees           int
-	PeakRows           int
-	// ViolatedByRound is the separation oracle's violated-pair count per
-	// round (0 in the last entry on convergence).
-	ViolatedByRound []int
-	// SeparationTime is wall time spent scanning sink pairs; SolveTime is
-	// wall time inside LP solves.
-	SeparationTime time.Duration
-	SolveTime      time.Duration
-}
-
-// String renders the stats as a compact multi-line summary (what
-// cmd/lubt -stats prints).
-func (s SolveStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rounds %d  steiner-rows %d  lp-iterations %d\n",
-		s.Rounds, s.SteinerRows, s.LPIterations)
-	fmt.Fprintf(&b, "rows %d logical / %d tableau (%d lowered, %d ranged)  nnz %d\n",
-		s.LogicalRows, s.TableauRows, s.LoweredTableauRows, s.RangedRows, s.RowNonzeros)
-	fmt.Fprintf(&b, "refactorizations %d  basis %d  fill-in %d  resets %d  bound-flips %d\n",
-		s.Refactorizations, s.BasisSize, s.FillIn, s.Resets, s.BoundFlips)
-	if s.Restages > 0 || s.RowReplacements > 0 {
-		fmt.Fprintf(&b, "restages %d  row-replacements %d\n", s.Restages, s.RowReplacements)
-	}
-	if s.PresolvePrunedRows > 0 || s.Subtrees > 0 || s.PeakRows > 0 {
-		fmt.Fprintf(&b, "presolve-pruned %d  subtrees %d  peak-rows %d\n",
-			s.PresolvePrunedRows, s.Subtrees, s.PeakRows)
-	}
-	fmt.Fprintf(&b, "eta-len %d  residual %.3g  pivot-el [%.3g, %.3g]\n",
-		s.EtaLen, s.NumericalResidual, s.PivotMin, s.PivotMax)
-	if s.PricingScheme != "" {
-		fmt.Fprintf(&b, "pricing %s  devex-resets %d  weights [%.3g, %.3g]\n",
-			s.PricingScheme, s.DevexResets, s.WeightMin, s.WeightMax)
-	}
-	fmt.Fprintf(&b, "sep-scan %v  lp-solve %v", s.SeparationTime.Round(time.Microsecond), s.SolveTime.Round(time.Microsecond))
-	if len(s.ResetReasons) > 0 {
-		fmt.Fprintf(&b, "\nreset-reasons %v", s.ResetReasons)
-	}
-	if len(s.ViolatedByRound) > 0 {
-		fmt.Fprintf(&b, "\nviolated/round %v", s.ViolatedByRound)
-	}
-	return b.String()
-}
-
-// solveStatsFrom converts the internal result record to the public one.
-func solveStatsFrom(res *core.Result) SolveStats {
-	s := solveStatsFromLP(res.Stats)
-	s.Rounds = res.Rounds
-	s.SteinerRows = res.RowsUsed
-	s.LPIterations = res.LPIterations
-	return s
-}
-
-// solveStatsFromLP maps a raw lp.Stats record onto the public SolveStats
-// (used directly for the Elmore path, whose merged record already carries
-// rounds and pivots).
-func solveStatsFromLP(st lp.Stats) SolveStats {
-	return SolveStats{
-		Rounds:             st.Rounds,
-		LPIterations:       st.Pivots,
-		Refactorizations:   st.Refactorizations,
-		Resets:             st.Resets,
-		BasisSize:          st.BasisSize,
-		FillIn:             st.FillIn,
-		LogicalRows:        st.LogicalRows,
-		TableauRows:        st.TableauRows,
-		LoweredTableauRows: st.LoweredTableauRows,
-		RangedRows:         st.RangedRows,
-		RowNonzeros:        st.RowNonzeros,
-		BoundFlips:         st.BoundFlips,
-		Restages:           st.Restages,
-		RowReplacements:    st.RowReplacements,
-		PricingScheme:      st.PricingScheme,
-		DevexResets:        st.DevexResets,
-		WeightMin:          st.WeightMin,
-		WeightMax:          st.WeightMax,
-		EtaLen:             st.EtaLen,
-		NumericalResidual:  st.NumericalResidual,
-		PresolvePrunedRows: st.PresolvePrunedRows,
-		Subtrees:           st.Subtrees,
-		PeakRows:           st.PeakRows,
-		PivotMin:           st.PivotMin,
-		PivotMax:           st.PivotMax,
-		ResetReasons:       append([]string(nil), st.ResetReasons...),
-		ViolatedByRound:    append([]int(nil), st.ViolatedByRound...),
-		SeparationTime:     st.SeparationTime,
-		SolveTime:          st.SolveTime,
-	}
-}
+// LP work the §4.6 row-generation loop did and where the time went —
+// rounds and Steiner rows (compare against C(m,2)), pivots as
+// LPIterations, the revised engine's factorization and pricing gauges,
+// the scale-path counters and the separation/solve wall times. It is the
+// LP layer's record itself (see lp.Stats for every field), so the bench
+// JSON, `lubt -stats` and Tree.Stats read one declaration.
+type SolveStats = lp.Stats
 
 func (t *Tree) recomputeStats() {
 	lo, hi := math.Inf(1), math.Inf(-1)
