@@ -53,6 +53,15 @@ echo "== fuzz (sparse LU vs the dense reference)"
 # internal/linalg/testdata/fuzz already ran with the race step above.
 go test -run '^$' -fuzz FuzzSparseLU -fuzztime 10s ./internal/linalg
 
+echo "== fuzz (warm revised engine edits vs cold simplex)"
+# FuzzRevisedEdits runs decoded scripts of row additions, restaging edits
+# (bounds, costs, row replacements and deletions) and solves on one warm
+# lp.Revised with its per-pivot sparse-state check on, and requires each
+# solve to match a cold Simplex solve of the same LP in status and
+# objective; its seed corpus under internal/lp/testdata/fuzz already ran
+# with the race step above.
+go test -run '^$' -fuzz FuzzRevisedEdits -fuzztime 10s ./internal/lp
+
 echo "== bench smoke (lubt-bench/2 JSON + pricing pivot gate + ECO gate + baseline)"
 # Each reference bench is run through `lubtbench -json` (the
 # revised/devex and revised/most-violated lineup plus the single-sink

@@ -3,7 +3,6 @@ package lubt
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"lubt/internal/core"
 	"lubt/internal/obs"
@@ -100,14 +99,11 @@ func (s *Solved) Bounds() Bounds {
 // Retighten replaces sink i's delay window with [l, u] (sink indexed like
 // the input slice, 0-based) and restages the engine in place. The edit
 // takes effect at the next Resolve. A malformed window — NaN on either
-// side, or l > u — is rejected here at the facade, before it can reach
-// the warm engine.
+// side, l < 0, l > u or an infinite l — is rejected before it can reach
+// the warm engine, by the same rule Solve applies.
 func (s *Solved) Retighten(sink int, l, u float64) error {
 	if sink < 0 || sink >= s.in.NumSinks() {
 		return fmt.Errorf("lubt: Retighten sink %d of %d", sink, s.in.NumSinks())
-	}
-	if math.IsNaN(l) || math.IsNaN(u) || l > u {
-		return fmt.Errorf("lubt: Retighten sink %d with invalid window [%g, %g]", sink, l, u)
 	}
 	return s.sess.Retighten(sink+1, l, u)
 }

@@ -60,26 +60,28 @@ func Route(sinks []geom.Point, skewBound float64, source *geom.Point) (*Result, 
 		parent[i] = -1
 	}
 
-	// mergeCost returns the minimal added wirelength S = ea+eb for joining
-	// clusters a and b under the skew budget, and a's share ea.
-	mergeCost := func(a, b *cluster) (s, ea float64) {
-		d := a.mr.Dist(b.mr)
-		s = d
+	// mergeSum returns the minimal added wirelength S = ea+eb for joining
+	// clusters a and b under the skew budget: all the pair scan ranks by.
+	mergeSum := func(a, b *cluster) float64 {
+		s := a.mr.Dist(b.mr)
 		if !math.IsInf(skewBound, 1) {
-			s = math.Max(s, a.hi-b.lo-skewBound)
-			s = math.Max(s, b.hi-a.lo-skewBound)
+			s = max(s, a.hi-b.lo-skewBound, b.hi-a.lo-skewBound)
 		}
+		return s
+	}
+	// mergeSplit returns a's share ea of the merge sum s, computed once
+	// per merge for the chosen pair.
+	mergeSplit := func(a, b *cluster, s float64) float64 {
 		// Feasible ea range at sum s, from the two cross-skew constraints.
 		loEa, hiEa := 0.0, s
 		if !math.IsInf(skewBound, 1) {
-			loEa = math.Max(loEa, (s-skewBound-a.lo+b.hi)/2)
-			hiEa = math.Min(hiEa, (s+skewBound+b.lo-a.hi)/2)
+			loEa = max(loEa, (s-skewBound-a.lo+b.hi)/2)
+			hiEa = min(hiEa, (s+skewBound+b.lo-a.hi)/2)
 		}
 		// Aim at aligning the interval centers, clamped into the feasible
 		// range (for skew bound 0 the range is the single balance point).
 		balanced := (s + (b.lo+b.hi)/2 - (a.lo+a.hi)/2) / 2
-		ea = math.Min(math.Max(balanced, loEa), hiEa)
-		return s, ea
+		return min(max(balanced, loEa), hiEa)
 	}
 
 	alive := make([]int, 0, m) // indices into clusters
@@ -99,7 +101,7 @@ func Route(sinks []geom.Point, skewBound float64, source *geom.Point) (*Result, 
 			if cj == ci {
 				continue
 			}
-			if s, _ := mergeCost(&clusters[ci], &clusters[cj]); s < nnCost[ci] {
+			if s := mergeSum(&clusters[ci], &clusters[cj]); s < nnCost[ci] {
 				nn[ci], nnCost[ci] = cj, s
 			}
 		}
@@ -118,18 +120,17 @@ func Route(sinks []geom.Point, skewBound float64, source *geom.Point) (*Result, 
 		}
 		bj := nn[bi]
 		a, b := &clusters[bi], &clusters[bj]
-		s, ea := mergeCost(a, b)
+		s := mergeSum(a, b)
 		// When the skew bound binds exactly, the split can round to just
 		// outside [0, s] (−2.3e-13 seen); a wire length must not go
-		// negative. Clamped here, once per merge, not in the O(m²) pair
-		// scan, which only needs s.
-		ea = math.Min(math.Max(ea, 0), s)
+		// negative.
+		ea := min(max(mergeSplit(a, b, s), 0), s)
 		eb := s - ea
 		merged := cluster{
 			node:  nextNode,
 			mr:    a.mr.Expand(ea).Intersect(b.mr.Expand(eb)),
-			lo:    math.Min(a.lo+ea, b.lo+eb),
-			hi:    math.Max(a.hi+ea, b.hi+eb),
+			lo:    min(a.lo+ea, b.lo+eb),
+			hi:    max(a.hi+ea, b.hi+eb),
 			alive: true,
 		}
 		if merged.mr.Empty() {

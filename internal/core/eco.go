@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"lubt/internal/lp"
 )
@@ -144,22 +143,18 @@ func (s *Session) ResolvePivots() int { return s.lastPivots }
 // so the basis factorization survives untouched), added if the window was
 // vacuous, or deleted if it became vacuous. The edit takes effect at the
 // next Resolve. The window must satisfy the paper's per-sink necessary
-// conditions (Eq. 2–4), mirroring Bounds.Validate.
+// conditions (Eq. 2–4), the rule Bounds.Validate applies.
 func (s *Session) Retighten(sink int, l, u float64) error {
 	m := s.in.Tree.NumSinks
 	if sink < 1 || sink > m {
 		return fmt.Errorf("core: Retighten sink %d of %d", sink, m)
 	}
-	if l < 0 || l > u || math.IsNaN(l) || math.IsNaN(u) {
-		return fmt.Errorf("core: sink %d has invalid window [%g, %g]", sink, l, u)
+	var radius float64
+	if s.in.Source == nil {
+		radius = s.in.Radius()
 	}
-	const slack = 1e-9
-	if s.in.Source != nil {
-		if d := s.in.Dist(0, sink); u < d-slack-1e-9*d {
-			return fmt.Errorf("core: sink %d upper bound %g below source distance %g (Eq. 3)", sink, u, d)
-		}
-	} else if r := s.in.Radius(); u < r-slack-1e-9*r {
-		return fmt.Errorf("core: sink %d upper bound %g below radius %g (Eq. 4)", sink, u, r)
+	if err := s.in.checkSinkWindow(sink, l, u, radius); err != nil {
+		return err
 	}
 	s.b.L[sink], s.b.U[sink] = l, u
 	lo, hi, ok := delayWindow(l, u)

@@ -97,6 +97,11 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 	if len(b.L) != m+1 || len(b.U) != m+1 {
 		return nil, fmt.Errorf("core: bounds sized %d/%d for %d sinks", len(b.L), len(b.U), m)
 	}
+	for i := 1; i <= m; i++ {
+		if err := checkWindow(i, b.L[i], b.U[i]); err != nil {
+			return nil, err
+		}
+	}
 	solver := opt.Solver // nil (default) selects the persistent revised engine
 	maxIter := opt.MaxIter
 	if maxIter == 0 {

@@ -89,7 +89,8 @@ func SkewWindow(m int, skew, u float64) Bounds {
 	return UniformBounds(m, u-skew, u)
 }
 
-// Validate checks Eq. (2)–(4): 0 ≤ l_i ≤ u_i, and u_i at least
+// Validate checks Eq. (2)–(4): 0 ≤ l_i ≤ u_i with l_i finite and neither
+// side NaN, and u_i at least
 // dist(s0,s_i) (source given) or at least the radius (source free). These
 // are the paper's necessary conditions; definite infeasibility beyond them
 // is detected by the LP itself.
@@ -102,19 +103,36 @@ func (b Bounds) Validate(in *Instance) error {
 	if in.Source == nil {
 		radius = in.Radius()
 	}
-	const slack = 1e-9
 	for i := 1; i <= m; i++ {
-		l, u := b.L[i], b.U[i]
-		if l < 0 || l > u {
-			return fmt.Errorf("core: sink %d has invalid window [%g, %g]", i, l, u)
+		if err := in.checkSinkWindow(i, b.L[i], b.U[i], radius); err != nil {
+			return err
 		}
-		if in.Source != nil {
-			if d := in.Dist(0, i); u < d-slack-1e-9*d {
-				return fmt.Errorf("core: sink %d upper bound %g below source distance %g (Eq. 3)", i, u, d)
-			}
-		} else if u < radius-slack-1e-9*radius {
-			return fmt.Errorf("core: sink %d upper bound %g below radius %g (Eq. 4)", i, u, radius)
+	}
+	return nil
+}
+
+// checkWindow is the delay-window rule every entry point applies: both
+// sides are numbers and 0 ≤ l ≤ u with l finite (u may be +∞).
+func checkWindow(i int, l, u float64) error {
+	if math.IsNaN(l) || math.IsNaN(u) || l < 0 || l > u || math.IsInf(l, 1) {
+		return fmt.Errorf("core: sink %d has invalid window [%g, %g]", i, l, u)
+	}
+	return nil
+}
+
+// checkSinkWindow applies checkWindow and Eq. (3)–(4) to sink i's window:
+// u_i is at least dist(s0, s_i) with a source, else at least radius.
+func (in *Instance) checkSinkWindow(i int, l, u, radius float64) error {
+	if err := checkWindow(i, l, u); err != nil {
+		return err
+	}
+	const slack = 1e-9
+	if in.Source != nil {
+		if d := in.Dist(0, i); u < d-slack-1e-9*d {
+			return fmt.Errorf("core: sink %d upper bound %g below source distance %g (Eq. 3)", i, u, d)
 		}
+	} else if u < radius-slack-1e-9*radius {
+		return fmt.Errorf("core: sink %d upper bound %g below radius %g (Eq. 4)", i, u, radius)
 	}
 	return nil
 }

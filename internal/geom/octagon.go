@@ -159,7 +159,7 @@ func (o Octagon) Dist(p Octagon) float64 {
 	gy := gap(o.YLo, o.YHi, p.YLo, p.YHi)
 	gu := gap(o.ULo, o.UHi, p.ULo, p.UHi)
 	gv := gap(o.VLo, o.VHi, p.VLo, p.VHi)
-	return math.Max(gx+gy, math.Max(gu, gv))
+	return max(gx+gy, gu, gv)
 }
 
 // DistPoint returns the Manhattan distance from p to the region.

@@ -17,8 +17,8 @@
 //   - Revised: a sparse revised dual simplex with bounded variables —
 //     the one warm engine (see below). A pivot is one BTRAN, one sparse
 //     pricing pass and one FTRAN through a sparse LU of the basis's
-//     structural core, O(nnz(L+U)+nnz) where nnz counts the stored
-//     constraint nonzeros.
+//     structural core; its work follows the nonzeros it touches, not
+//     the row or column count (see "Hypersparse pivot loop").
 //
 // Simplex and IPM share no code with Revised; internal/core runs them
 // through the same row-generation loop as independent cross-checks.
@@ -123,10 +123,44 @@
 //     and reset only at the all-slack basis (B = I ⇒ norms exactly 1);
 //     warm-bordered rows seed their position lazily with one BTRAN.
 //
-// All rules break ties by lowest row index and change only the pivot
+// All rules break ties by lowest basis position and change only the pivot
 // path, never the optimum: Stats().PricingScheme labels the rule, and
 // WeightMin/WeightMax gauge the reference weights. Pivot budget per
 // Solve is 20000 + 200·(rows + vars).
+//
+// # Hypersparse pivot loop
+//
+// On the EBF LPs a pivot's BTRAN row ρ and FTRAN column w have tens to
+// about a hundred nonzeros out of thousands of rows, so Revised never
+// walks a whole row- or column-length vector inside the pivot loop. Every work
+// vector it builds (ρ, the pricing row α, the FTRAN right-hand sides and
+// results, the eta being recorded, the accumulators inside the base
+// solves) is a value array plus the list of indices that may be nonzero,
+// and every pass walks the list. Leaving rows are picked from a list of
+// the basis positions that may be primal infeasible: each pivot merges
+// in the positions whose basic value or box it changed, and
+// refactorization, reset and the start of each Solve rebuild the list by
+// a full scan. A pivot then costs the nonzeros of ρ's rows (pricing and
+// the BTRAN scatter), nnz(w) (update, weights and eta), the infeasible
+// list, and t + nnz(L+U) for the two core solves (t = basis core size),
+// plus the eta file — instead of O(rows + columns). A list that would
+// pass a quarter of its vector's length is dropped and that vector is
+// walked in full, as before.
+//
+// The lists change which zeros are visited, never a value: results are
+// bit-identical to full passes (±0 aside). Sums still accumulate in
+// ascending row or position order, because producers sort their short
+// lists; the leaving-row scan walks the ascending infeasible list with
+// strict comparisons, so ties still go to the smaller position; and the
+// ratio test's candidates are sorted by (ratio, id) whatever order they
+// are found in. The dual step clamps only the reduced costs it moves,
+// which relies on an invariant: every other nonbasic reduced cost is
+// already on its dual-feasible side (the loop keeps them there, and
+// refactorization and reset clamp them all). The one exception is a
+// restage that leaves a reduced cost on its wrong side within
+// tolerance; the next dual step then walks every index once, as the
+// full passes did. A test-only hook checks the lists, the infeasible
+// list and the invariant against full recomputation at every pivot.
 //
 // # Sparse storage invariants (CSR/CSC)
 //

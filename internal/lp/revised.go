@@ -98,8 +98,16 @@ const weightFloor = 1e-12
 //   - a product-form eta file between periodic refactorizations.
 //
 // Each pivot costs one BTRAN, one sparse pricing pass and one FTRAN
-// (O(nnz(L+U)+nnz)) instead of a dense rows×columns tableau update, which
-// is what makes warm re-solves scale to r4/r5-sized instances.
+// instead of a dense rows×columns tableau update, which is what makes
+// warm re-solves scale to r4/r5-sized instances. The pivot loop is
+// hypersparse: every work vector carries the list of its nonzeros (see
+// svec) and leaving rows come from a list of the possibly infeasible
+// positions, so a pivot costs the nonzeros of ρ's rows, nnz(w), that
+// list, and t + nnz(L+U) for the core solves — not O(rows + columns).
+// Results are bit-identical to full passes: sums run in ascending index
+// order, leaving-row ties go to the smaller position, and the reduced
+// costs a dual step does not touch are already dual-feasible (see the
+// package doc, "Hypersparse pivot loop").
 type Revised struct {
 	tol   float64
 	nVars int
@@ -132,13 +140,15 @@ type Revised struct {
 	// refactorization*. Pivots taken since then live in the eta file, so
 	// the base solves must use the baseVar snapshot, not basisVar. The
 	// factorization is valid whenever coreCols is non-empty.
-	lu        linalg.SparseLU
-	core      linalg.CSC // the core gathered for factorization
-	baseVar   []int      // basisVar snapshot at factorization time
-	coreCols  []int      // basis positions holding structural variables (in B₀)
-	coreRows  []int      // rows whose slack is nonbasic in B₀ (ascending)
-	rowOfCore []int32    // row → index in coreRows, or −1
-	coreOfVar []int32    // structural var → index in coreCols, or −1
+	lu       linalg.SparseLU
+	core     linalg.CSC // the core gathered for factorization
+	baseVar  []int      // basisVar snapshot at factorization time
+	coreCols []int      // basis positions holding structural variables (in B₀)
+	coreRows []int      // rows whose slack is nonbasic in B₀ (ascending)
+	// rowOfCore maps a row to its index in coreRows, or to −1−p when the
+	// row's slack is basic at position p of B₀.
+	rowOfCore []int32
+	coreOfVar []int32 // structural var → index in coreCols, or −1
 	etas      []eta
 
 	xB []float64 // basic variable values, by position
@@ -146,16 +156,28 @@ type Revised struct {
 	dS []float64 // reduced costs of structural variables
 	dK []float64 // reduced costs of slacks, by row
 
-	// Scratch buffers reused across pivots.
-	alpha   []float64   // pricing row over structural columns
-	colBuf  []float64   // entering column / ftran rhs, by row
-	accBuf  []float64   // structural accumulator inside ftran0, by row
-	posBuf  []float64   // btran intermediate, by position
+	// Work vectors reused across pivots (see svec).
+	rho     svec        // BTRAN result ρ = B⁻ᵀe_r, by row
+	alpha   svec        // pricing row α = ρᵀA over structural columns
+	col     svec        // FTRAN right-hand side (entering column, bound flips), by row
+	w       svec        // FTRAN result, by position
+	acc     svec        // structural accumulator inside ftran0, by row
+	pos     svec        // BTRAN intermediate, by position
+	tau     svec        // steepest-exact: τ = B⁻¹ρ, by position
 	coreRhs []float64   // core-solve right-hand side, len ≥ t
 	coreSol []float64   // core-solve result, len ≥ t
 	xbPrev  []float64   // eta-replayed xB snapshot for the residual gauge
 	cands   []ratioCand // two-sided ratio-test candidates
 	refEach int         // pivots between refactorizations
+
+	// infeas lists, ascending, the basis positions that may be primal
+	// infeasible: a superset of those outside their box by more than the
+	// feasibility tolerance. The leaving-row scan walks only this list.
+	infeas []int32
+	// sideStale is set when a restage left a nonbasic reduced cost on its
+	// dual-infeasible side within tolerance; the next dual step then
+	// clamps every nonbasic reduced cost, not only those it touches.
+	sideStale bool
 
 	// Leaving-row pricing state. gamma[p] is the reference weight of basis
 	// position p: the Devex approximation of ‖B⁻ᵀe_p‖² relative to the
@@ -168,12 +190,8 @@ type Revised struct {
 	gamma       []float64
 	devexResets int
 
-	// Per-Solve pivot-loop scratch, reused across calls.
-	rhoBuf, wBuf    []float64
-	flipRowBuf      []float64
-	flipZBuf        []float64
-	tauBuf          []float64 // steepest-exact: τ = B⁻¹ρ_r
-	maxIterOverride int       // test hook: when > 0, replaces the pivot budget
+	maxIterOverride int  // test hook: when > 0, replaces the pivot budget
+	checkPivots     bool // test hook: verify the sparse pivot state every pivot
 
 	tr *obs.Tracer // span tracer; nil (the default) records nothing
 
@@ -208,6 +226,78 @@ type ratioCand struct {
 	width float64 // box width hi − lo (may be +∞)
 }
 
+// svec is a work vector of the pivot loop: its values, plus the list of
+// indices that may hold a nonzero. Every value off the list is zero.
+// Producers leave the list ascending and free of duplicates, so a pass
+// along it meets the nonzeros in the order a full pass would, and sums
+// come out bit-identical. A list that would pass 1/sparseShare of the
+// vector's length is dropped instead: the vector is then dense, and
+// passes over it walk every index.
+type svec struct {
+	val   []float64
+	idx   []int32
+	dense bool
+}
+
+// sparseShare sets the list length past which a vector goes dense.
+const sparseShare = 4
+
+// reset empties v as a vector of length n and returns its values. It
+// zeroes only what the last use wrote: the listed entries, or all of
+// them when dense. Lengths never shrink over an engine's life (rows are
+// never removed), so entries past the old length are still zero.
+func (v *svec) reset(n int) []float64 {
+	if v.dense {
+		clear(v.val)
+	} else {
+		for _, i := range v.idx {
+			v.val[i] = 0
+		}
+	}
+	v.idx, v.dense = v.idx[:0], false
+	if cap(v.val) < n {
+		v.val = make([]float64, n, n+n/2+8)
+	}
+	v.val = v.val[:n]
+	return v.val
+}
+
+// push lists index i; the caller saw a zero there and is about to write
+// a nonzero. An index listed twice is dropped again by sort.
+func (v *svec) push(i int) {
+	if v.dense {
+		return
+	}
+	if len(v.idx) >= len(v.val)/sparseShare+16 {
+		v.dense = true
+		return
+	}
+	v.idx = append(v.idx, int32(i))
+}
+
+// sort restores the list's order and drops repeated indices.
+func (v *svec) sort() {
+	if !v.dense {
+		slices.Sort(v.idx)
+		v.idx = slices.Compact(v.idx)
+	}
+}
+
+// n is the number of indices a pass over v visits; at(q) is the q-th.
+func (v *svec) n() int {
+	if v.dense {
+		return len(v.val)
+	}
+	return len(v.idx)
+}
+
+func (v *svec) at(q int) int {
+	if v.dense {
+		return q
+	}
+	return int(v.idx[q])
+}
+
 // NewRevised starts a revised dual-simplex engine over n variables
 // (default box [0, ∞) each) with the given non-negative objective
 // (length n; shorter is zero-padded). It panics on a negative cost, which
@@ -222,7 +312,6 @@ func NewRevised(n int, objective []float64) *Revised {
 		atUpperS: make([]bool, n),
 		rows:     newRowStore(n),
 		dS:       make([]float64, n),
-		alpha:    make([]float64, n),
 		refEach:  64,
 	}
 	for j := range rv.hiS {
@@ -277,13 +366,14 @@ func (rv *Revised) SetVarBounds(j int, lo, hi float64) {
 	rv.dirty = true // warm-seeded basic values may assume the old box
 }
 
-// restFor picks the resting side for a nonbasic variable with reduced
+// restSide picks the resting side for a nonbasic variable with reduced
 // cost d and box [lo, hi], preferring the current side cur when d is
-// within tolerance. It reports the side and whether the variable was
-// forced onto a side its reduced cost is dual-infeasible on beyond
-// tolerance (the preferred bound was infinite); the caller then marks the
-// engine dirty so refactorize can clamp — or reset — per its drift rules.
-func restFor(d, dTol, lo, hi float64, cur bool) (atUpper, drifted bool) {
+// within tolerance. A variable forced onto a side its reduced cost is
+// dual-infeasible on (the preferred bound was infinite) marks the engine
+// dirty when beyond tolerance, so refactorize can clamp — or reset — per
+// its drift rules, and marks the sides stale when within it, so the next
+// dual step clamps it.
+func (rv *Revised) restSide(d, dTol, lo, hi float64, cur bool) (atUpper bool) {
 	atUpper = cur
 	switch {
 	case lo == hi:
@@ -300,9 +390,13 @@ func restFor(d, dTol, lo, hi float64, cur bool) (atUpper, drifted bool) {
 		atUpper = true
 	}
 	if lo != hi {
-		drifted = (atUpper && d > dTol) || (!atUpper && d < -dTol)
+		if (atUpper && d > dTol) || (!atUpper && d < -dTol) {
+			rv.dirty = true
+		} else if (atUpper && d > 0) || (!atUpper && d < 0) {
+			rv.sideStale = true
+		}
 	}
-	return atUpper, drifted
+	return atUpper
 }
 
 // applyNonbasicDelta repairs the basic values after the resting value of
@@ -321,27 +415,28 @@ func (rv *Revised) applyNonbasicDelta(id int, delta float64) {
 		rv.dirty = true
 		return
 	}
-	u := grow(&rv.flipRowBuf, m)
-	for k := range u {
-		u[k] = 0
-	}
-	any := false
+	u := rv.col.reset(m)
 	if id < rv.nVars {
 		for _, ce := range rv.rows.col(id) {
 			u[ce.row] = ce.coef * delta
-			any = true
+			rv.col.push(int(ce.row))
 		}
 	} else {
 		u[id-rv.nVars] = delta
-		any = true
+		rv.col.push(id - rv.nVars)
 	}
-	if !any {
+	if rv.col.n() == 0 {
 		return
 	}
-	z := grow(&rv.flipZBuf, m)
-	rv.ftran(u, z)
-	for p := 0; p < m; p++ {
-		rv.xB[p] -= z[p]
+	rv.ftran(&rv.col, &rv.w)
+	rv.subtractXB(&rv.w)
+}
+
+// subtractXB applies xB ← xB − z along z's list.
+func (rv *Revised) subtractXB(z *svec) {
+	for q, n := 0, z.n(); q < n; q++ {
+		p := z.at(q)
+		rv.xB[p] -= z.val[p]
 	}
 }
 
@@ -361,11 +456,7 @@ func (rv *Revised) restageVarBounds(j int, lo, hi float64) {
 	oldRest := rv.structVal(j)
 	rv.loS[j] = lo
 	rv.hiS[j] = hi
-	atU, drifted := restFor(rv.dS[j], rv.dualTol(), lo, hi, rv.atUpperS[j])
-	rv.atUpperS[j] = atU
-	if drifted {
-		rv.dirty = true
-	}
+	rv.atUpperS[j] = rv.restSide(rv.dS[j], rv.dualTol(), lo, hi, rv.atUpperS[j])
 	rv.applyNonbasicDelta(j, rv.structVal(j)-oldRest)
 }
 
@@ -404,13 +495,9 @@ func (rv *Revised) SetCost(j int, cost float64) {
 		oldRest := rv.structVal(j)
 		d := rv.dS[j] + delta
 		rv.dS[j] = d
-		atU, drifted := restFor(d, rv.dualTol(), rv.loS[j], rv.hiS[j], rv.atUpperS[j])
-		if atU != rv.atUpperS[j] {
+		if atU := rv.restSide(d, rv.dualTol(), rv.loS[j], rv.hiS[j], rv.atUpperS[j]); atU != rv.atUpperS[j] {
 			rv.atUpperS[j] = atU
 			rv.boundFlips++
-		}
-		if drifted {
-			rv.dirty = true
 		}
 		rv.applyNonbasicDelta(j, rv.structVal(j)-oldRest)
 		return
@@ -421,42 +508,29 @@ func (rv *Revised) SetCost(j int, cost float64) {
 	}
 	// Basic: shift the duals by Δc·B⁻ᵀe_p and re-price. d_j itself stays 0
 	// (ρ·A_j = 1 by definition of the basis), matching its basic status.
-	rho := grow(&rv.rhoBuf, m)
-	rv.btranPos(p, rho)
-	for jj := 0; jj < rv.nVars; jj++ {
-		rv.alpha[jj] = 0
-	}
-	for k := 0; k < m; k++ {
-		rk := rho[k]
-		if rk == 0 {
-			continue
-		}
-		rv.y[k] += delta * rk
-		ind, val := rv.rows.row(k)
-		for q, jj := range ind {
-			rv.alpha[jj] += val[q] * rk
+	rv.btranPos(p, &rv.rho)
+	rv.priceRow()
+	rho, alpha := rv.rho.val, rv.alpha.val
+	for q, n := 0, rv.rho.n(); q < n; q++ {
+		if k := rv.rho.at(q); rho[k] != 0 {
+			rv.y[k] += delta * rho[k]
 		}
 	}
 	dTol := rv.dualTol()
-	flipRow := grow(&rv.flipRowBuf, m)
-	for k := range flipRow {
-		flipRow[k] = 0
-	}
+	flipRow := rv.col.reset(m)
 	flips := 0
-	for jj := 0; jj < rv.nVars; jj++ {
-		if rv.posOfStruct[jj] >= 0 || rv.alpha[jj] == 0 {
+	for q, n := 0, rv.alpha.n(); q < n; q++ {
+		jj := rv.alpha.at(q)
+		if rv.posOfStruct[jj] >= 0 || alpha[jj] == 0 {
 			continue
 		}
-		d := rv.dS[jj] - delta*rv.alpha[jj]
+		d := rv.dS[jj] - delta*alpha[jj]
 		rv.dS[jj] = d
-		atU, drifted := restFor(d, dTol, rv.loS[jj], rv.hiS[jj], rv.atUpperS[jj])
-		if drifted {
-			rv.dirty = true
-		}
+		atU := rv.restSide(d, dTol, rv.loS[jj], rv.hiS[jj], rv.atUpperS[jj])
 		if atU == rv.atUpperS[jj] {
 			continue
 		}
-		// restFor only flips onto a finite bound, so the traversal below is
+		// restSide only flips onto a finite bound, so the traversal below is
 		// finite whenever the box is sane; guard against a free box anyway.
 		width := rv.hiS[jj] - rv.loS[jj]
 		if math.IsInf(width, 1) {
@@ -469,20 +543,21 @@ func (rv *Revised) SetCost(j int, cost float64) {
 			dv = -width
 		}
 		for _, ce := range rv.rows.col(jj) {
+			if flipRow[ce.row] == 0 {
+				rv.col.push(int(ce.row))
+			}
 			flipRow[ce.row] += ce.coef * dv
 		}
 		flips++
 	}
-	for k := 0; k < m; k++ {
+	for q, n := 0, rv.rho.n(); q < n; q++ {
+		k := rv.rho.at(q)
 		if rv.posOfSlack[k] >= 0 || rho[k] == 0 {
 			continue
 		}
 		d := rv.dK[k] - delta*rho[k]
 		rv.dK[k] = d
-		atU, drifted := restFor(d, dTol, 0, rv.slackHi[k], rv.atUpperK[k])
-		if drifted {
-			rv.dirty = true
-		}
+		atU := rv.restSide(d, dTol, 0, rv.slackHi[k], rv.atUpperK[k])
 		if atU == rv.atUpperK[k] {
 			continue
 		}
@@ -495,15 +570,16 @@ func (rv *Revised) SetCost(j int, cost float64) {
 		if !atU {
 			dv = -dv
 		}
+		if flipRow[k] == 0 {
+			rv.col.push(k)
+		}
 		flipRow[k] += dv
 		flips++
 	}
 	if flips > 0 {
-		z := grow(&rv.flipZBuf, m)
-		rv.ftran(flipRow, z)
-		for q := 0; q < m; q++ {
-			rv.xB[q] -= z[q]
-		}
+		rv.col.sort()
+		rv.ftran(&rv.col, &rv.w)
+		rv.subtractXB(&rv.w)
 		rv.boundFlips += flips
 	}
 }
@@ -613,11 +689,11 @@ func (rv *Revised) ensureWeights(m int) {
 	for p := len(rv.gamma); p < m; p++ {
 		g := 1.0
 		if rv.pricing == PricingSteepestExact {
-			rho := grow(&rv.rhoBuf, m)
-			rv.btranPos(p, rho)
+			rv.btranPos(p, &rv.rho)
 			s := 0.0
-			for k := 0; k < m; k++ {
-				s += rho[k] * rho[k]
+			for q, n := 0, rv.rho.n(); q < n; q++ {
+				rk := rv.rho.val[rv.rho.at(q)]
+				s += rk * rk
 			}
 			g = math.Max(s, weightFloor)
 		}
@@ -626,8 +702,9 @@ func (rv *Revised) ensureWeights(m int) {
 }
 
 // updateWeights applies the per-pivot reference-weight update for leaving
-// position r with FTRAN column w (pivot element a = w[r]) and pricing row
-// rho = B⁻ᵀe_r. Devex (Forrest–Goldfarb's approximate rule):
+// position r with the FTRAN column w in rv.w (pivot element a = w[r]) and
+// the pricing row ρ = B⁻ᵀe_r in rv.rho; both loops walk w's list. Devex
+// (Forrest–Goldfarb's approximate rule):
 //
 //	γ_r ← max(γ_r/a², 1)
 //	γ_p ← max(γ_p, (w_p/a)²·γ_r_old)   for p ≠ r, w_p ≠ 0
@@ -641,17 +718,19 @@ func (rv *Revised) ensureWeights(m int) {
 // Both are applied BEFORE the basis bookkeeping, i.e. to the pre-pivot
 // weights. When the largest Devex weight outruns devexWeightCap the
 // reference framework is restarted (counted in Stats.DevexResets).
-func (rv *Revised) updateWeights(r int, w, rho []float64, m int) {
+func (rv *Revised) updateWeights(r int, m int) {
 	if rv.pricing == PricingMostViolated {
 		return
 	}
+	w := rv.w.val
 	a := w[r]
 	gr := rv.gamma[r]
 	inv2 := 1 / (a * a)
 	switch rv.pricing {
 	case PricingDevex:
 		maxG := 0.0
-		for p := 0; p < m; p++ {
+		for q, n := 0, rv.w.n(); q < n; q++ {
+			p := rv.w.at(q)
 			if p == r || w[p] == 0 {
 				continue
 			}
@@ -676,9 +755,10 @@ func (rv *Revised) updateWeights(r int, w, rho []float64, m int) {
 			rv.resetWeights(m)
 		}
 	case PricingSteepestExact:
-		tau := grow(&rv.tauBuf, m)
-		rv.ftran(rho, tau)
-		for p := 0; p < m; p++ {
+		rv.ftran(&rv.rho, &rv.tau)
+		tau := rv.tau.val
+		for q, n := 0, rv.w.n(); q < n; q++ {
+			p := rv.w.at(q)
 			if p == r || w[p] == 0 {
 				continue
 			}
@@ -856,11 +936,7 @@ func (rv *Revised) ReplaceRangedRow(k int, terms []Term, lo, hi float64) {
 		if rv.posOfSlack[k] < 0 {
 			oldRest := rv.nbSlackVal(k)
 			rv.slackHi[k] = sHi
-			atU, drifted := restFor(rv.dK[k], rv.dualTol(), 0, sHi, rv.atUpperK[k])
-			rv.atUpperK[k] = atU
-			if drifted {
-				rv.dirty = true
-			}
+			rv.atUpperK[k] = rv.restSide(rv.dK[k], rv.dualTol(), 0, sHi, rv.atUpperK[k])
 			delta -= rv.nbSlackVal(k) - oldRest
 		} else {
 			rv.slackHi[k] = sHi
@@ -924,10 +1000,7 @@ func (rv *Revised) addLE(terms []Term, rhs float64, sign float64, sHi float64) {
 	rv.xB = append(rv.xB, 0)
 	rv.y = append(rv.y, 0)
 	rv.dK = append(rv.dK, 0)
-	rv.rowOfCore = append(rv.rowOfCore, -1)
-	rv.colBuf = append(rv.colBuf, 0)
-	rv.accBuf = append(rv.accBuf, 0)
-	rv.posBuf = append(rv.posBuf, 0)
+	rv.rowOfCore = append(rv.rowOfCore, int32(-1-k))
 	if rv.dirty || len(rv.etas) != 0 || len(rv.baseVar) != k {
 		rv.dirty = true
 		return
@@ -1033,7 +1106,7 @@ func (rv *Revised) reset(reason string) {
 		rv.basisVar[k] = rv.nVars + k
 		rv.posOfSlack[k] = int32(k)
 		rv.atUpperK[k] = false
-		rv.rowOfCore[k] = -1
+		rv.rowOfCore[k] = int32(-1 - k)
 		rv.y[k] = 0
 		rv.dK[k] = 0
 		rv.baseVar = append(rv.baseVar, rv.nVars+k)
@@ -1049,6 +1122,8 @@ func (rv *Revised) reset(reason string) {
 	rv.stats.ResetReasons = append(rv.stats.ResetReasons, reason)
 	rv.stats.BasisSize = 0
 	rv.stats.EtaLen = 0
+	rv.sideStale = false
+	rv.scanInfeasible()
 	// All-slack basis ⇒ B = I, so the all-1 framework is exact for every
 	// pricing scheme (including steepest-exact).
 	rv.resetWeights(m)
@@ -1091,8 +1166,9 @@ func (rv *Revised) refactorize() bool {
 		}
 	}
 	for k := 0; k < m; k++ {
-		rv.rowOfCore[k] = -1
-		if rv.posOfSlack[k] < 0 {
+		if p := rv.posOfSlack[k]; p >= 0 {
+			rv.rowOfCore[k] = -1 - p
+		} else {
 			rv.rowOfCore[k] = int32(len(rv.coreRows))
 			rv.coreRows = append(rv.coreRows, k)
 		}
@@ -1135,8 +1211,10 @@ func (rv *Revised) refactorize() bool {
 		rv.stats.FillIn = max(rv.lu.NNZ()-len(c.Val), 0)
 	}
 	// Recompute the primal basic values xB = B⁻¹ (b − N x_N).
-	rv.effRHS(rv.colBuf)
-	rv.ftran0(rv.colBuf, rv.xB)
+	rv.effRHS(rv.col.reset(m))
+	rv.col.dense = true
+	rv.ftran0(&rv.col, &rv.w)
+	copy(rv.xB, rv.w.val)
 	if measure {
 		// Residual gauge: how far the eta-file replay had drifted from the
 		// freshly factored basic values.
@@ -1155,14 +1233,15 @@ func (rv *Revised) refactorize() bool {
 	// Recompute duals y = B⁻ᵀ cB and reduced costs d = c − Aᵀy, clamped to
 	// the dual-feasible side of each nonbasic variable's status: ≥ 0 at a
 	// lower bound, ≤ 0 at an upper bound, unrestricted for fixed variables.
+	cB := rv.pos.reset(m)
+	rv.pos.dense = true
 	for p := 0; p < m; p++ {
 		if v := rv.basisVar[p]; v < rv.nVars {
-			rv.posBuf[p] = rv.c[v]
-		} else {
-			rv.posBuf[p] = 0
+			cB[p] = rv.c[v]
 		}
 	}
-	rv.btran0(rv.posBuf, rv.y)
+	rv.btran0(&rv.pos, &rv.rho)
+	copy(rv.y, rv.rho.val)
 	dTol := rv.dualTol()
 	ok := true
 	for j := 0; j < rv.nVars; j++ {
@@ -1221,6 +1300,8 @@ func (rv *Revised) refactorize() bool {
 		rv.reset("dual-drift")
 		return false
 	}
+	rv.sideStale = false
+	rv.scanInfeasible()
 	if rv.pricing == PricingDevex {
 		// The Devex reference framework is defined relative to the basis at
 		// the last reset point; refactorization is where the framework is
@@ -1229,6 +1310,66 @@ func (rv *Revised) refactorize() bool {
 		rv.resetWeights(m)
 	}
 	return true
+}
+
+// outside reports whether the basic variable at position p lies outside
+// its box by more than feasTol.
+func (rv *Revised) outside(p int, feasTol float64) bool {
+	lo, hi := rv.boxOf(rv.basisVar[p])
+	return lo-rv.xB[p] > feasTol || rv.xB[p]-hi > feasTol
+}
+
+// scanInfeasible rebuilds the infeasible-position list by a full pass.
+func (rv *Revised) scanInfeasible() {
+	feasTol := rv.feasTol()
+	rv.infeas = rv.infeas[:0]
+	for p := range rv.rows.numRows() {
+		if rv.outside(p, feasTol) {
+			rv.infeas = append(rv.infeas, int32(p))
+		}
+	}
+}
+
+// noteInfeasible merges into the infeasible-position list the positions
+// on z's list — those whose basic value a step just moved — that are now
+// outside their box. The merge runs backward in place and keeps the list
+// ascending and free of repeats; a dense z rebuilds the list instead.
+func (rv *Revised) noteInfeasible(z *svec, feasTol float64) {
+	if z.dense {
+		rv.scanInfeasible()
+		return
+	}
+	add := 0
+	for _, p := range z.idx {
+		if rv.outside(int(p), feasTol) {
+			add++
+		}
+	}
+	if add == 0 {
+		return
+	}
+	n := len(rv.infeas)
+	l := slices.Grow(rv.infeas, add)[:n+add]
+	i, o := n-1, n+add
+	for j := len(z.idx) - 1; j >= 0; j-- {
+		p := z.idx[j]
+		if !rv.outside(int(p), feasTol) {
+			continue
+		}
+		for i >= 0 && l[i] > p {
+			o--
+			l[o] = l[i]
+			i--
+		}
+		if i >= 0 && l[i] == p {
+			i-- // already listed: written once below
+		}
+		o--
+		l[o] = p
+	}
+	// l[:i+1] never moved; the merged tail sits at l[o:]. Close the gap
+	// the repeats left.
+	rv.infeas = append(l[:i+1], l[o:]...)
 }
 
 func (rv *Revised) feasTol() float64 {
@@ -1252,19 +1393,22 @@ func (rv *Revised) dualTol() float64 {
 }
 
 // ftran0 computes z = B₀⁻¹ u through the factored structural core
-// (positions with basic slacks are solved by substitution). u is indexed
-// by row, z by basis position; u is left untouched unless aliased.
-func (rv *Revised) ftran0(u, z []float64) {
+// (positions with basic slacks are solved by substitution); u is by row,
+// z by basis position. Besides the core solve (t and nnz(L+U)), the work
+// follows the core columns with a nonzero solution and the rows on the
+// lists of u and of the accumulator: a slack row that neither touches
+// keeps a zero. The accumulator sums in core-column order, as the full
+// pass did.
+func (rv *Revised) ftran0(u, z *svec) {
 	m := rv.rows.numRows()
 	t := len(rv.coreCols)
-	for k := 0; k < m; k++ {
-		rv.accBuf[k] = 0
-	}
+	uv, zv := u.val, z.reset(m)
+	acc := rv.acc.reset(m)
 	var zT []float64
 	if t > 0 {
 		rhs := rv.coreRhs[:t]
 		for i, r := range rv.coreRows {
-			rhs[i] = u[r]
+			rhs[i] = uv[r]
 		}
 		zT = rv.coreSol[:t]
 		rv.lu.SolveInto(rhs, zT)
@@ -1274,95 +1418,162 @@ func (rv *Revised) ftran0(u, z []float64) {
 				continue
 			}
 			for _, ce := range rv.rows.col(rv.baseVar[p]) {
-				rv.accBuf[ce.row] += ce.coef * zi
+				if rv.rowOfCore[ce.row] >= 0 {
+					continue // core rows are solved above
+				}
+				if acc[ce.row] == 0 {
+					rv.acc.push(int(ce.row))
+				}
+				acc[ce.row] += ce.coef * zi
 			}
 		}
 	}
-	for p := 0; p < m; p++ {
-		if v := rv.baseVar[p]; v >= rv.nVars {
-			z[p] = u[v-rv.nVars] - rv.accBuf[v-rv.nVars]
+	slackRow := func(k int) {
+		if c := rv.rowOfCore[k]; c < 0 {
+			if d := uv[k] - acc[k]; d != 0 {
+				p := int(-1 - c)
+				if zv[p] == 0 {
+					z.push(p)
+				}
+				zv[p] = d
+			}
+		}
+	}
+	if u.dense || rv.acc.dense {
+		for k := range m {
+			slackRow(k)
+		}
+	} else {
+		for _, k := range u.idx {
+			slackRow(int(k))
+		}
+		for _, k := range rv.acc.idx {
+			slackRow(int(k))
 		}
 	}
 	for i, p := range rv.coreCols {
-		z[p] = zT[i]
-	}
-}
-
-// btran0 computes ρ = B₀⁻ᵀ u: u is indexed by basis position, ρ by row.
-func (rv *Revised) btran0(u, rho []float64) {
-	m := rv.rows.numRows()
-	for k := 0; k < m; k++ {
-		rho[k] = 0
-	}
-	for p := 0; p < m; p++ {
-		if v := rv.baseVar[p]; v >= rv.nVars {
-			rho[v-rv.nVars] = u[p]
+		if zi := zT[i]; zi != 0 {
+			zv[p] = zi
+			z.push(p)
 		}
 	}
+	z.sort()
+}
+
+// btran0 computes ρ = B₀⁻ᵀ u: u is by basis position, ρ by row. The
+// basic-slack rows take their entries straight from u; their share of
+// the core right-hand side is scattered along each such row with a
+// nonzero ρ, in ascending row order, so each core entry subtracts its
+// terms in the order the full pass did.
+func (rv *Revised) btran0(u, rho *svec) {
+	m := rv.rows.numRows()
+	uv, rh := u.val, rho.reset(m)
+	for q, n := 0, u.n(); q < n; q++ {
+		p := u.at(q)
+		if v := rv.baseVar[p]; v >= rv.nVars && uv[p] != 0 {
+			rh[v-rv.nVars] = uv[p]
+			rho.push(v - rv.nVars)
+		}
+	}
+	rho.sort()
 	t := len(rv.coreCols)
 	if t == 0 {
 		return
 	}
-	// Move the basic-slack rows' share to the right-hand side by scattering
-	// along each such row whose ρ is nonzero: the work follows those rows,
-	// not the full length of every basic column. Rows go in ascending
-	// order, so each entry subtracts its terms in column order.
 	rhs := rv.coreRhs[:t]
 	for i, p := range rv.coreCols {
-		rhs[i] = u[p]
+		rhs[i] = uv[p]
 	}
-	for k := 0; k < m; k++ {
-		rk := rho[k]
+	for q, n := 0, rho.n(); q < n; q++ {
+		k := rho.at(q)
+		rk := rh[k]
 		if rk == 0 || rv.rowOfCore[k] >= 0 {
 			continue
 		}
 		ind, val := rv.rows.row(k)
-		for q, j := range ind {
+		for c, j := range ind {
 			if ci := rv.coreOfVar[j]; ci >= 0 {
-				rhs[ci] -= val[q] * rk
+				rhs[ci] -= val[c] * rk
 			}
 		}
 	}
 	sol := rv.coreSol[:t]
 	rv.lu.SolveTransposeInto(rhs, sol)
 	for i, r := range rv.coreRows {
-		rho[r] = sol[i]
+		if si := sol[i]; si != 0 {
+			rh[r] = si
+			rho.push(r)
+		}
 	}
+	rho.sort()
 }
 
 // ftran computes z = B⁻¹ u (u by row, z by position) through the base
 // factorization and the eta file.
-func (rv *Revised) ftran(u, z []float64) {
+func (rv *Revised) ftran(u, z *svec) {
 	rv.ftran0(u, z)
+	if len(rv.etas) == 0 {
+		return
+	}
+	zv := z.val
 	for i := range rv.etas {
 		e := &rv.etas[i]
-		t := z[e.pos] / e.diag
+		t := zv[e.pos] / e.diag
 		if t != 0 {
 			for q, idx := range e.idx {
-				z[idx] -= e.val[q] * t
+				if zv[idx] == 0 {
+					z.push(int(idx))
+				}
+				zv[idx] -= e.val[q] * t
 			}
 		}
-		z[e.pos] = t
+		zv[e.pos] = t
 	}
+	z.sort()
 }
 
 // btranPos computes ρ = B⁻ᵀ e_pos (ρ by row), the BTRAN pass of one dual
 // pivot.
-func (rv *Revised) btranPos(pos int, rho []float64) {
-	u := rv.posBuf
-	for p := range u[:rv.rows.numRows()] {
-		u[p] = 0
-	}
+func (rv *Revised) btranPos(pos int, rho *svec) {
+	u := rv.pos.reset(rv.rows.numRows())
 	u[pos] = 1
+	rv.pos.push(pos)
 	for i := len(rv.etas) - 1; i >= 0; i-- {
 		e := &rv.etas[i]
 		s := u[e.pos]
 		for q, idx := range e.idx {
 			s -= e.val[q] * u[idx]
 		}
-		u[e.pos] = s / e.diag
+		v := s / e.diag
+		if v != 0 && u[e.pos] == 0 {
+			rv.pos.push(e.pos)
+		}
+		u[e.pos] = v
 	}
-	rv.btran0(u, rho)
+	rv.pos.sort()
+	rv.btran0(&rv.pos, rho)
+}
+
+// priceRow forms the pricing row α = ρᵀA over the structural columns by
+// a CSR pass over the rows on ρ's list, in ascending row order (so each
+// α_j sums its terms as the full pass did).
+func (rv *Revised) priceRow() {
+	alpha, rho := rv.alpha.reset(rv.nVars), rv.rho.val
+	for q, n := 0, rv.rho.n(); q < n; q++ {
+		k := rv.rho.at(q)
+		rk := rho[k]
+		if rk == 0 {
+			continue
+		}
+		ind, val := rv.rows.row(k)
+		for c, j := range ind {
+			if alpha[j] == 0 {
+				rv.alpha.push(int(j))
+			}
+			alpha[j] += val[c] * rk
+		}
+	}
+	rv.alpha.sort()
 }
 
 // Solve re-optimizes with the bounded-variable revised dual simplex and
@@ -1387,14 +1598,14 @@ func (rv *Revised) Solve() (*Solution, error) {
 	}
 	feasTol := rv.feasTol()
 	maxIter := rv.pivotBudget(m)
-	rho := grow(&rv.rhoBuf, m)
-	w := grow(&rv.wBuf, m)
-	flipRow := grow(&rv.flipRowBuf, m)
-	flipZ := grow(&rv.flipZBuf, m)
 	rv.ensureWeights(m)
+	rv.scanInfeasible() // restaging edits moved xB and boxes since the last Solve
 	resets := 0
 	const aTol = 1e-9
 	for iter := 0; ; iter++ {
+		if rv.checkPivots {
+			rv.checkState(feasTol)
+		}
 		if iter >= maxIter {
 			return &Solution{Status: IterLimit, Iterations: rv.iterations}, nil
 		}
@@ -1403,66 +1614,66 @@ func (rv *Revised) Solve() (*Solution, error) {
 		// violation d by d²/γ_p, steering away from rows whose B⁻ᵀ row has
 		// grown long (the degenerate-tie cure — see the Pricing docs). In
 		// either case `worst` holds the selected row's actual violation,
-		// which the bound-flipping walk below consumes.
+		// which the bound-flipping walk below consumes. Only the positions
+		// on the infeasible list can qualify; the walk drops those that
+		// turned feasible and, going in ascending order with strict
+		// comparisons, breaks ties toward the smaller position.
 		r, worst, above := -1, feasTol, false
-		if rv.pricing == PricingMostViolated {
-			for p := 0; p < m; p++ {
-				lo, hi := rv.boxOf(rv.basisVar[p])
-				if d := lo - rv.xB[p]; d > worst {
-					r, worst, above = p, d, false
+		best := 0.0
+		live := rv.infeas[:0]
+		for _, p32 := range rv.infeas {
+			p := int(p32)
+			lo, hi := rv.boxOf(rv.basisVar[p])
+			dLo, dHi := lo-rv.xB[p], rv.xB[p]-hi
+			if dLo <= feasTol && dHi <= feasTol {
+				continue
+			}
+			live = append(live, p32)
+			if rv.pricing == PricingMostViolated {
+				if dLo > worst {
+					r, worst, above = p, dLo, false
 				}
-				if d := rv.xB[p] - hi; d > worst {
-					r, worst, above = p, d, true
+				if dHi > worst {
+					r, worst, above = p, dHi, true
+				}
+				continue
+			}
+			if dLo > feasTol {
+				if s := dLo * dLo / rv.gamma[p]; s > best {
+					r, worst, above, best = p, dLo, false, s
 				}
 			}
-		} else {
-			best := 0.0
-			for p := 0; p < m; p++ {
-				lo, hi := rv.boxOf(rv.basisVar[p])
-				if d := lo - rv.xB[p]; d > feasTol {
-					if s := d * d / rv.gamma[p]; s > best {
-						r, worst, above, best = p, d, false, s
-					}
-				}
-				if d := rv.xB[p] - hi; d > feasTol {
-					if s := d * d / rv.gamma[p]; s > best {
-						r, worst, above, best = p, d, true, s
-					}
+			if dHi > feasTol {
+				if s := dHi * dHi / rv.gamma[p]; s > best {
+					r, worst, above, best = p, dHi, true, s
 				}
 			}
 		}
+		rv.infeas = live
 		if r < 0 {
 			break // primal feasible ⇒ optimal (dual feasibility invariant)
 		}
-		rv.btranPos(r, rho)
+		rv.btranPos(r, &rv.rho)
 		// Pricing: α over structural columns via a CSR pass over the rows
 		// where ρ is nonzero; slack columns have α_k = ρ_k directly.
-		for j := 0; j < rv.nVars; j++ {
-			rv.alpha[j] = 0
-		}
-		for k := 0; k < m; k++ {
-			rk := rho[k]
-			if rk == 0 {
-				continue
-			}
-			ind, val := rv.rows.row(k)
-			for q, j := range ind {
-				rv.alpha[j] += val[q] * rk
-			}
-		}
+		rv.priceRow()
+		rho, alpha := rv.rho.val, rv.alpha.val
 		// Two-sided dual ratio test. dir is the direction xB[r] must move
 		// to re-enter its box; a nonbasic variable qualifies when leaving
 		// its bound pushes xB[r] that way: at-lower variables need
 		// dir·α < 0 (they can only increase), at-upper variables dir·α > 0
 		// (they can only decrease). Fixed variables (zero width) never
-		// enter. The candidate list is sorted by dual ratio with the
-		// variable id as a deterministic tie-break.
+		// enter. A zero α never qualifies, so the lists of α and ρ hold
+		// every candidate. The candidate list is sorted by dual ratio with
+		// the variable id as a deterministic tie-break, which makes the
+		// order the lists are walked in irrelevant.
 		dir := 1.0
 		if above {
 			dir = -1
 		}
 		cands := rv.cands[:0]
-		for j := 0; j < rv.nVars; j++ {
+		for q, n := 0, rv.alpha.n(); q < n; q++ {
+			j := rv.alpha.at(q)
 			if rv.posOfStruct[j] >= 0 {
 				continue
 			}
@@ -1470,7 +1681,7 @@ func (rv *Revised) Solve() (*Solution, error) {
 			if width <= 0 {
 				continue
 			}
-			a := rv.alpha[j]
+			a := alpha[j]
 			at := dir * a
 			var d float64
 			if rv.atUpperS[j] {
@@ -1489,7 +1700,8 @@ func (rv *Revised) Solve() (*Solution, error) {
 			}
 			cands = append(cands, ratioCand{j, a, d / math.Abs(a), width})
 		}
-		for k := 0; k < m; k++ {
+		for q, n := 0, rv.rho.n(); q < n; q++ {
+			k := rv.rho.at(q)
 			if rv.posOfSlack[k] >= 0 {
 				continue
 			}
@@ -1564,9 +1776,7 @@ func (rv *Revised) Solve() (*Solution, error) {
 		// Apply the accumulated bound flips in one FTRAN: xB ← xB − B⁻¹Δ
 		// with Δ = Σ a_j·Δx_j over the flipped columns.
 		if enterIdx > 0 {
-			for k := 0; k < m; k++ {
-				flipRow[k] = 0
-			}
+			flipRow := rv.col.reset(m)
 			for _, cd := range cands[:enterIdx] {
 				var delta float64
 				if cd.id < rv.nVars {
@@ -1578,6 +1788,9 @@ func (rv *Revised) Solve() (*Solution, error) {
 						rv.atUpperS[cd.id] = true
 					}
 					for _, ce := range rv.rows.col(cd.id) {
+						if flipRow[ce.row] == 0 {
+							rv.col.push(int(ce.row))
+						}
 						flipRow[ce.row] += ce.coef * delta
 					}
 				} else {
@@ -1589,29 +1802,33 @@ func (rv *Revised) Solve() (*Solution, error) {
 						delta = cd.width
 						rv.atUpperK[k] = true
 					}
+					if flipRow[k] == 0 {
+						rv.col.push(k)
+					}
 					flipRow[k] += delta
 				}
 			}
-			rv.ftran(flipRow, flipZ)
-			for p := 0; p < m; p++ {
-				rv.xB[p] -= flipZ[p]
-			}
+			rv.col.sort()
+			rv.ftran(&rv.col, &rv.w)
+			rv.subtractXB(&rv.w)
+			rv.noteInfeasible(&rv.w, feasTol)
 			rv.boundFlips += enterIdx
 		}
 		enter := cands[enterIdx].id
 		bestAlpha := cands[enterIdx].alpha
 		// FTRAN the entering column.
-		for k := 0; k < m; k++ {
-			rv.colBuf[k] = 0
-		}
+		col := rv.col.reset(m)
 		if enter < rv.nVars {
 			for _, ce := range rv.rows.col(enter) {
-				rv.colBuf[ce.row] = ce.coef
+				col[ce.row] = ce.coef
+				rv.col.push(int(ce.row))
 			}
 		} else {
-			rv.colBuf[enter-rv.nVars] = 1
+			col[enter-rv.nVars] = 1
+			rv.col.push(enter - rv.nVars)
 		}
-		rv.ftran(rv.colBuf, w)
+		rv.ftran(&rv.col, &rv.w)
+		w := rv.w.val
 		if math.Abs(w[r]) < 1e-8 || math.Abs(w[r]-bestAlpha) > 1e-6*(1+math.Abs(bestAlpha)) {
 			// Pivot disagreement between the pricing row and the FTRAN
 			// column: the eta file has drifted. Refactor; if that does not
@@ -1641,7 +1858,7 @@ func (rv *Revised) Solve() (*Solution, error) {
 		// Reference-weight update — must see the PRE-pivot basis (the
 		// steepest-exact FTRAN of ρ goes through the eta file before this
 		// pivot's eta is appended).
-		rv.updateWeights(r, w, rho, m)
+		rv.updateWeights(r, m)
 		var dEnter float64
 		if enter < rv.nVars {
 			dEnter = rv.dS[enter]
@@ -1658,14 +1875,25 @@ func (rv *Revised) Solve() (*Solution, error) {
 			bound = hiL
 		}
 		deltaX := (rv.xB[r] - bound) / w[r]
-		for p := 0; p < m; p++ {
-			if p != r && w[p] != 0 {
+		for q, n := 0, rv.w.n(); q < n; q++ {
+			if p := rv.w.at(q); p != r && w[p] != 0 {
 				rv.xB[p] -= deltaX * w[p]
 			}
 		}
 		rv.xB[r] = rv.nbVal(enter) + deltaX
 		if thetaD != 0 {
-			for k := 0; k < m; k++ {
+			// Dual step along ρ and α, clamping each reduced cost it moves
+			// onto its variable's dual-feasible side. Every other nonbasic
+			// reduced cost is already on that side (the loop keeps them
+			// there, refactorize and reset clamp them all), so walking the
+			// lists skips only no-op clamps — except after a restage left
+			// one within tolerance on the wrong side, when both passes walk
+			// every index once.
+			if rv.sideStale {
+				rv.rho.dense, rv.alpha.dense, rv.sideStale = true, true, false
+			}
+			for q, n := 0, rv.rho.n(); q < n; q++ {
+				k := rv.rho.at(q)
 				if rho[k] != 0 {
 					rv.y[k] += thetaD * rho[k]
 				}
@@ -1681,8 +1909,9 @@ func (rv *Revised) Solve() (*Solution, error) {
 				}
 				rv.dK[k] = d
 			}
-			for j := 0; j < rv.nVars; j++ {
-				d := rv.dS[j] - thetaD*rv.alpha[j]
+			for q, n := 0, rv.alpha.n(); q < n; q++ {
+				j := rv.alpha.at(q)
+				d := rv.dS[j] - thetaD*alpha[j]
 				if rv.posOfStruct[j] < 0 && rv.loS[j] != rv.hiS[j] {
 					if rv.atUpperS[j] {
 						if d > 0 {
@@ -1725,6 +1954,9 @@ func (rv *Revised) Solve() (*Solution, error) {
 			rv.posOfSlack[enter-rv.nVars] = int32(r)
 			rv.dK[enter-rv.nVars] = 0
 		}
+		// The step moved xB along w's list, and position r now holds the
+		// entering variable's box: re-list whatever left its box.
+		rv.noteInfeasible(&rv.w, feasTol)
 		// Record the eta, reusing a retired entry's idx/val backing arrays
 		// when the eta file was truncated by an earlier refactorization (the
 		// file never outgrows refEach entries in steady state, so after
@@ -1740,8 +1972,8 @@ func (rv *Revised) Solve() (*Solution, error) {
 			et = &rv.etas[len(rv.etas)-1]
 		}
 		et.pos, et.diag = r, w[r]
-		for p := 0; p < m; p++ {
-			if p != r && math.Abs(w[p]) > 1e-13 {
+		for q, n := 0, rv.w.n(); q < n; q++ {
+			if p := rv.w.at(q); p != r && math.Abs(w[p]) > 1e-13 {
 				et.idx = append(et.idx, int32(p))
 				et.val = append(et.val, w[p])
 			}
@@ -1762,9 +1994,87 @@ func (rv *Revised) Solve() (*Solution, error) {
 	return sol, nil
 }
 
+// checkState is the checkPivots test hook: it compares the sparse pivot
+// state with a full recomputation and panics on the first difference.
+// Every work vector's list must cover its nonzeros (the accumulator's
+// list, walked only inside ftran0, need not be ordered; the others must
+// be ascending without repeats); the infeasible list must hold every
+// position a full scan finds outside its box; and unless a restage left
+// the sides stale, no nonbasic reduced cost may sit on its
+// dual-infeasible side, so the dual step's clamp of the reduced costs it
+// does not touch is a no-op.
+func (rv *Revised) checkState(feasTol float64) {
+	fail := func(format string, args ...any) {
+		panic(fmt.Sprintf("lp: sparse pivot state: "+format, args...))
+	}
+	vecs := []struct {
+		name    string
+		v       *svec
+		ordered bool
+	}{
+		{"rho", &rv.rho, true}, {"alpha", &rv.alpha, true}, {"col", &rv.col, true},
+		{"w", &rv.w, true}, {"pos", &rv.pos, true}, {"tau", &rv.tau, true}, {"acc", &rv.acc, false},
+	}
+	for _, vc := range vecs {
+		v := vc.v
+		if v.dense {
+			continue
+		}
+		listed := v.idx
+		if !vc.ordered {
+			listed = slices.Clone(v.idx)
+			slices.Sort(listed)
+			listed = slices.Compact(listed)
+		}
+		for q := 1; q < len(listed); q++ {
+			if listed[q-1] >= listed[q] {
+				fail("%s list not ascending at %d: %v", vc.name, q, listed)
+			}
+		}
+		q := 0
+		for i, x := range v.val {
+			for q < len(listed) && int(listed[q]) < i {
+				q++
+			}
+			if x != 0 && (q == len(listed) || int(listed[q]) != i) {
+				fail("%s[%d] = %g is off its list", vc.name, i, x)
+			}
+		}
+	}
+	for q := 1; q < len(rv.infeas); q++ {
+		if rv.infeas[q-1] >= rv.infeas[q] {
+			fail("infeasible list not ascending at %d", q)
+		}
+	}
+	q := 0
+	for p := range rv.rows.numRows() {
+		for q < len(rv.infeas) && int(rv.infeas[q]) < p {
+			q++
+		}
+		if rv.outside(p, feasTol) && (q == len(rv.infeas) || int(rv.infeas[q]) != p) {
+			fail("position %d is infeasible but not listed", p)
+		}
+	}
+	if rv.sideStale {
+		return
+	}
+	wrong := func(d float64, atUpper bool) bool { return (atUpper && d > 0) || (!atUpper && d < 0) }
+	for j := range rv.nVars {
+		if rv.posOfStruct[j] < 0 && rv.loS[j] != rv.hiS[j] && wrong(rv.dS[j], rv.atUpperS[j]) {
+			fail("structural %d (at upper: %v) has reduced cost %g", j, rv.atUpperS[j], rv.dS[j])
+		}
+	}
+	for k := range rv.rows.numRows() {
+		if rv.posOfSlack[k] < 0 && rv.slackHi[k] != 0 && wrong(rv.dK[k], rv.atUpperK[k]) {
+			fail("slack %d (at upper: %v) has reduced cost %g", k, rv.atUpperK[k], rv.dK[k])
+		}
+	}
+}
+
 // extract assembles the Optimal solution from the current basis: basic
 // values (snapped into their boxes within tolerance) plus nonbasic
-// resting bounds.
+// resting bounds. A zero is reported as +0: which passes visited an
+// entry decides the sign of a zero, never its value.
 func (rv *Revised) extract() *Solution {
 	x := make([]float64, rv.nVars)
 	snap := 1e-7 * (1 + rv.feasTol()/math.Max(rv.tol, 1e-300))
@@ -1776,7 +2086,7 @@ func (rv *Revised) extract() *Solution {
 		if hi := rv.hiS[j]; v > hi && v < hi+snap {
 			v = hi
 		}
-		x[j] = v
+		x[j] = v + 0 // −0 + 0 = +0
 	}
 	var obj float64
 	for j, cj := range rv.c {

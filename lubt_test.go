@@ -297,6 +297,72 @@ func TestMalformedWeightsRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteWindowsRejected: a NaN on either side of a delay window,
+// or an infinite lower bound, is an error on every entry point — never a
+// panic inside the engine, a spin to the round limit, or a nil error.
+func TestNonFiniteWindowsRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	inst, _ := NewInstance(randPoints(rng, 6))
+	if err := inst.UseBalancedTopology(); err != nil {
+		t.Fatal(err)
+	}
+	r := inst.Radius()
+	windows := map[string][2]float64{
+		"nan-lower": {math.NaN(), 1.2 * r},
+		"nan-upper": {0.9 * r, math.NaN()},
+		"inf-lower": {math.Inf(1), math.Inf(1)},
+	}
+	// with puts window w on sink 2 of an otherwise good window set.
+	with := func(lo, hi float64, w [2]float64) Bounds {
+		b := Uniform(6, lo, hi)
+		b.Lower[2], b.Upper[2] = w[0], w[1]
+		return b
+	}
+	solvers := map[string]func(w [2]float64) error{
+		"Solve": func(w [2]float64) error {
+			_, err := inst.Solve(with(0.9*r, 1.2*r, w), nil)
+			return err
+		},
+		"SolveECO": func(w [2]float64) error {
+			_, err := inst.SolveECO(with(0.9*r, 1.2*r, w), nil)
+			return err
+		},
+		"SolveElmore": func(w [2]float64) error {
+			_, err := inst.SolveElmore(with(0, 1e6, w), 0.1, 0.2, nil, nil)
+			return err
+		},
+		"Retighten+Resolve": func(w [2]float64) error {
+			s, err := inst.SolveECO(Uniform(6, 0.9*r, 1.2*r), nil)
+			if err != nil {
+				t.Fatalf("good window: %v", err)
+			}
+			if err := s.Retighten(2, w[0], w[1]); err != nil {
+				return err
+			}
+			_, err = s.Resolve()
+			return err
+		},
+	}
+	for sname, solve := range solvers {
+		for wname, w := range windows {
+			t.Run(sname+"/"+wname, func(t *testing.T) {
+				var err error
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("panicked: %v", p)
+						}
+					}()
+					err = solve(w)
+				}()
+				if err == nil || !strings.Contains(err.Error(), "invalid window") {
+					t.Fatalf("err = %v, want an invalid-window error", err)
+				}
+			})
+		}
+	}
+}
+
 func TestSolveElmoreFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	sinks := randPoints(rng, 5)
