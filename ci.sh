@@ -62,16 +62,13 @@ echo "== fuzz (warm revised engine edits vs cold simplex)"
 # with the race step above.
 go test -run '^$' -fuzz FuzzRevisedEdits -fuzztime 10s ./internal/lp
 
-echo "== bench smoke (lubt-bench/2 JSON + pricing pivot gate + ECO gate + baseline)"
-# Each reference bench is run through `lubtbench -json` (the
-# revised/devex and revised/most-violated lineup plus the single-sink
-# ECO probe on the revised row), then the emitted record is
-# schema-validated (TestBenchJSONFile) and passed through the pricing
-# regression gate (TestBenchJSONPivotGate): Devex must not take more dual
-# pivots than the most-violated baseline — and the warm-restart gate
-# (TestBenchJSONEcoGate): re-solving after a single-sink retighten must
-# take fewer than 25% of the cold solve's pivots. r4-s is the
-# degenerate-tie-heavy instance where the schemes actually separate.
+echo "== bench smoke (lubt-bench/3 JSON + ECO gate + baseline)"
+# Each reference bench is run through `lubtbench -json` (the revised
+# row plus its single-sink ECO probe), then the emitted record is
+# schema-validated (TestBenchJSONFile) and passed through the
+# warm-restart gate (TestBenchJSONEcoGate): re-solving after a
+# single-sink retighten must take fewer than 25% of the cold solve's
+# pivots. r4-s is the degenerate-tie-heavy instance.
 # TestBenchJSONMatchesBaseline then requires every deterministic counter
 # of the record to equal the committed BENCH_<bench>.json at the repo
 # root, so a change that moves pivots must re-pin the baselines.
@@ -84,11 +81,11 @@ for bench in prim1-s r4-s; do
 		echo "ci: lubtbench -json produced no output for $bench" >&2
 		exit 1
 	fi
-	if ! grep -q '"schema": "lubt-bench/2"' "$bench_json"; then
-		echo "ci: $bench_json missing lubt-bench/2 schema marker" >&2
+	if ! grep -q '"schema": "lubt-bench/3"' "$bench_json"; then
+		echo "ci: $bench_json missing lubt-bench/3 schema marker" >&2
 		exit 1
 	fi
-	LUBT_BENCH_JSON="$bench_json" go test -run 'TestBenchJSONFile|TestBenchJSONPivotGate|TestBenchJSONEcoGate|TestBenchJSONMatchesBaseline' ./internal/experiments
+	LUBT_BENCH_JSON="$bench_json" go test -run 'TestBenchJSONFile|TestBenchJSONEcoGate|TestBenchJSONMatchesBaseline' ./internal/experiments
 done
 
 echo "== scale smoke (r6-class: presolve + subtree decomposition gate)"
@@ -112,7 +109,7 @@ if [ ! -s "$scale_json" ]; then
 fi
 for key in presolve_pruned_rows subtrees peak_rows; do
 	if ! grep -q "\"$key\"" "$scale_json"; then
-		echo "ci: $scale_json missing lubt-bench/2 key $key" >&2
+		echo "ci: $scale_json missing lubt-bench/3 key $key" >&2
 		exit 1
 	fi
 done
@@ -122,7 +119,7 @@ echo "== lubtd smoke (live daemon: cold solve, warm eco, lubtd-metrics/2 + prom 
 # Start the daemon on an ephemeral port, send one cold /solve and one
 # warm /eco on the returned key, then scrape /metrics (JSON and
 # ?format=prom) and /debug/flight and validate all three documents the
-# same way the bench smoke validates lubt-bench/2 records
+# same way the bench smoke validates lubt-bench/3 records
 # (TestMetricsJSONFile also asserts cache_hits >= 1 — the warm path was
 # actually taken; TestPromTextFile that the cold and warm-eco latency
 # histograms were populated; TestFlightJSONFile that the flight ring

@@ -6,14 +6,12 @@
 //
 //	lubt -in sinks.txt -lower 0.8 -upper 1.2 [-skew-topology 0.4]
 //	     [-normalized] [-use-source] [-solver simplex|coldsimplex|ipm]
-//	     [-pricing devex|mostviolated|steepest] [-svg out.svg]
-//	     [-stats] [-trace trace.json] [-eco]
+//	     [-svg out.svg] [-stats] [-trace trace.json] [-eco]
 //
 // With -eco the solve is held open as an ECO session: after reporting the
 // tree, sink 1's lower bound is retightened past its routed delay and the
 // engine re-solves warm from the kept basis, printing the warm pivot
-// count against the cold solve's. -eco composes with -pricing: the warm
-// re-solve inherits the selected dual pricing rule.
+// count against the cold solve's.
 //
 // The input format is the one emitted by gensinks: one "x y" pair per
 // line, optional "source x y" line, "#" comments. With -normalized,
@@ -43,7 +41,6 @@ func main() {
 		useSource  = flag.Bool("use-source", false, "pin the source to the file's source line")
 		skewTopo   = flag.Float64("skew-topology", math.Inf(1), "skew bound guiding the topology generator")
 		solver     = flag.String("solver", "simplex", "LP solver: simplex, coldsimplex or ipm")
-		pricing    = flag.String("pricing", "", "dual-simplex pricing: devex (default), mostviolated or steepest (solver=simplex only)")
 		svgPath    = flag.String("svg", "", "write the routed tree as SVG to this file")
 		jsonPath   = flag.String("json", "", "write the routed tree as JSON to this file")
 		boundsPath = flag.String("bounds", "", "per-sink bounds file (one \"l u\" line per sink, overrides -lower/-upper)")
@@ -57,7 +54,7 @@ func main() {
 	cfg := runConfig{
 		inPath: *inPath, lower: *lower, upper: *upper,
 		normalized: *normalized, useSource: *useSource, skewTopo: *skewTopo,
-		solver: *solver, pricing: *pricing, svgPath: *svgPath, jsonPath: *jsonPath,
+		solver: *solver, svgPath: *svgPath, jsonPath: *jsonPath,
 		boundsPath: *boundsPath, showStats: *stats, tracePath: *tracePath, eco: *eco,
 		presolve: *presolve, decompose: *decompose,
 	}
@@ -74,7 +71,6 @@ type runConfig struct {
 	normalized, useSource bool
 	skewTopo              float64
 	solver                string
-	pricing               string
 	svgPath, jsonPath     string
 	boundsPath            string
 	showStats             bool
@@ -138,7 +134,7 @@ func run(cfg runConfig) error {
 	} else {
 		bounds = lubt.Uniform(len(sinks), l, u)
 	}
-	opts := &lubt.Options{Solver: cfg.solver, Pricing: cfg.pricing, Presolve: cfg.presolve, Decompose: cfg.decompose}
+	opts := &lubt.Options{Solver: cfg.solver, Presolve: cfg.presolve, Decompose: cfg.decompose}
 	var traceFile *os.File
 	if cfg.tracePath != "" {
 		var err error

@@ -9,25 +9,22 @@
 //	lubtbench -table 1     # just Table 1
 //	lubtbench -figure 8    # just the Figure 8 curve
 //	lubtbench -full        # full-size instances
-//	lubtbench -stats       # LP engine statistics per engine/pricing
+//	lubtbench -stats       # LP engine statistics per engine row
 //	lubtbench -json        # write BENCH_<name>.json records instead
 //	lubtbench -json -bench prim1-s -repeats 5 -outdir out/
 //
-// -stats and -json run the two-row lineup on each benchmark: "revised"
-// (the sparse boxed dual simplex under its default Devex pricing) and
-// "revised-mv" (same engine, most-violated pricing — the pivot-count
-// ablation baseline). With -json, one machine-readable
-// BENCH_<name>.json file (schema "lubt-bench/2") is written per
-// benchmark into -outdir (default "."). Each engine row is the solve's
-// lp.Stats record (lubt.SolveStats) under its JSON tags, with
-// median-of-repeats timings; see EXPERIMENTS.md for the field
+// -stats and -json run one engine row on each benchmark: "revised", the
+// sparse boxed dual simplex with Devex pricing. With -json, one
+// machine-readable BENCH_<name>.json file (schema "lubt-bench/3") is
+// written per benchmark into -outdir (default "."). Each engine row is
+// the solve's lp.Stats record (lubt.SolveStats) under its JSON tags,
+// with median-of-repeats timings; see EXPERIMENTS.md for the field
 // reference. -stats renders the same rows as a table. The "revised"
 // row additionally carries the ECO probe (eco_pivots, eco_resolve_ms):
 // the solve is held open as a session, sink 1's window is retightened
 // past its routed delay, and the engine re-solves warm from the kept
 // basis. ci.sh's bench smoke validates these files, gates the
-// Devex-vs-most-violated pivot counts (experiments.CheckPivotGate) plus
-// the warm-vs-cold ECO ratio (experiments.CheckEcoGate), and requires
+// warm-vs-cold ECO ratio (experiments.CheckEcoGate), and requires
 // every deterministic counter to match the committed BENCH_<name>.json
 // baseline at the repo root.
 //
@@ -59,8 +56,8 @@ func main() {
 		tableN   = flag.Int("table", 0, "run only this table (1, 2 or 3)")
 		figureN  = flag.Int("figure", 0, "run only this figure (8)")
 		full     = flag.Bool("full", false, "use full-size benchmark instances")
-		stats    = flag.Bool("stats", false, "print LP engine statistics (revised/devex, revised/most-violated) instead of the tables")
-		jsonOut  = flag.Bool("json", false, "write per-benchmark BENCH_<name>.json records (schema lubt-bench/2: lp.Stats rows plus ECO probe and quantiles) instead of the tables")
+		stats    = flag.Bool("stats", false, "print LP engine statistics (one row per engine configuration) instead of the tables")
+		jsonOut  = flag.Bool("json", false, "write per-benchmark BENCH_<name>.json records (schema lubt-bench/3: lp.Stats rows plus ECO probe and quantiles) instead of the tables")
 		benchSel = flag.String("bench", "", "restrict -stats/-json to this one benchmark (e.g. prim1-s)")
 		repeats  = flag.Int("repeats", experiments.DefaultRepeats, "timing repeats per solve; medians are reported")
 		outdir   = flag.String("outdir", ".", "directory for -json output files")

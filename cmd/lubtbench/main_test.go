@@ -33,7 +33,7 @@ func TestRunEngineStats(t *testing.T) {
 
 // TestRunJSON drives the -json path end to end: one benchmark, one
 // repeat, and the emitted BENCH_<name>.json must validate against the
-// lubt-bench/2 schema.
+// lubt-bench/3 schema.
 func TestRunJSON(t *testing.T) {
 	dir := t.TempDir()
 	if err := run(config{json: true, bench: "prim1-s", repeats: 1, outdir: dir}); err != nil {

@@ -1,10 +1,10 @@
 // Command lubtd serves the lubt solver over HTTP/JSON: POST instances to
 // /solve, targeted warm edits to /eco, scrape /metrics (JSON or
 // ?format=prom Prometheus text), inspect the last completed requests at
-// /debug/flight. Requests that share a topology (same sinks, source,
-// resolved parent vector and pricing rule) but differ in delay windows
-// or edge weights hit a cached warm LP session and re-solve in a handful
-// of dual pivots instead of a cold solve.
+// /debug/flight. Requests that share a topology (same sinks, source and
+// resolved parent vector) but differ in delay windows or edge weights
+// hit a cached warm LP session and re-solve in a handful of dual pivots
+// instead of a cold solve.
 //
 // Usage:
 //

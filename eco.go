@@ -48,7 +48,6 @@ func (in *Instance) SolveECO(b Bounds, opt *Options) (*Solved, error) {
 	if opt != nil {
 		copts.FullMatrix = opt.FullMatrix
 		copts.OracleWorkers = opt.OracleWorkers
-		copts.Pricing = opt.Pricing
 		if opt.Weights != nil {
 			copts.Weights = opt.Weights
 		}

@@ -8,7 +8,6 @@ import (
 	"lubt/internal/bst"
 	"lubt/internal/delay"
 	"lubt/internal/geom"
-	"lubt/internal/lp"
 	"lubt/internal/topology"
 	"lubt/internal/wkld"
 )
@@ -48,39 +47,27 @@ func benchInstance(tb testing.TB, name string) (*Instance, Bounds) {
 }
 
 // BenchmarkWarmResolve times the full §4.6 row-generation loop — the
-// repeated warm re-solves after each cutting-plane batch — per pricing
-// scheme. r4-s and r5-s are the degenerate-tie-heavy headline workloads
-// where the pricing schemes separate. Dual pivot counts are reported per
-// op so the wall-time and pivot trends can be read from one
-// `go test -bench` run.
+// repeated warm re-solves after each cutting-plane batch — on the revised
+// engine under Devex pricing. r4-s and r5-s are the degenerate-tie-heavy
+// headline workloads. Dual pivot counts are reported per op so the
+// wall-time and pivot trends can be read from one `go test -bench` run.
 func BenchmarkWarmResolve(b *testing.B) {
-	variants := []struct {
-		name string
-		opt  Options
-	}{
-		{"revised-devex", Options{Pricing: "devex"}},
-		{"revised-mv", Options{Pricing: "mostviolated"}},
-		{"revised-steepest", Options{Pricing: "steepest"}},
-	}
 	for _, name := range []string{"prim2-s", "r4-s", "r5-s"} {
 		in, cb := benchInstance(b, name)
-		for _, v := range variants {
-			b.Run(name+"/"+v.name, func(b *testing.B) {
-				pivots := 0
-				for i := 0; i < b.N; i++ {
-					opt := v.opt
-					res, err := Solve(in, cb, &opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Stats.Rounds == 0 {
-						b.Fatal("no row-generation rounds")
-					}
-					pivots = res.Stats.LPIterations
+		b.Run(name, func(b *testing.B) {
+			pivots := 0
+			for i := 0; i < b.N; i++ {
+				res, err := Solve(in, cb, nil)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(pivots), "pivots/op")
-			})
-		}
+				if res.Stats.Rounds == 0 {
+					b.Fatal("no row-generation rounds")
+				}
+				pivots = res.Stats.LPIterations
+			}
+			b.ReportMetric(float64(pivots), "pivots/op")
+		})
 	}
 }
 
@@ -140,14 +127,10 @@ func BenchmarkEcoResolve(b *testing.B) {
 	})
 }
 
-// BenchmarkElmoreSLP times the Elmore sequential LP, persistent-engine
-// default versus the dense per-iteration rebuild ablation: same
-// instance, same delay windows, same trust-region schedule — the only
-// difference is whether each linearization restages the kept basis or
-// rebuilds an lp.Problem from scratch. The instance is the unit-scale
-// random family the Elmore tests use (the SLP's linearization is
-// scale-sensitive; the clock benches' coordinate magnitudes belong to
-// the linear-delay tables).
+// BenchmarkElmoreSLP times the Elmore sequential LP on its persistent
+// warm engine. The instance is the unit-scale random family the Elmore
+// tests use (the SLP's linearization is scale-sensitive; the clock
+// benches' coordinate magnitudes belong to the linear-delay tables).
 func BenchmarkElmoreSLP(b *testing.B) {
 	const m = 20
 	rng := rand.New(rand.NewSource(83))
@@ -170,24 +153,17 @@ func BenchmarkElmoreSLP(b *testing.B) {
 		worst = math.Max(worst, dl[i])
 	}
 	eb := UniformBounds(m, worst, 3*worst)
-	for _, v := range []struct {
-		name   string
-		solver lp.Solver
-	}{{"engine", nil}, {"dense", &lp.Simplex{}}} {
-		b.Run(v.name, func(b *testing.B) {
-			iters, pivots := 0, 0
-			for i := 0; i < b.N; i++ {
-				res, err := SolveElmore(in, eb, &ElmoreOptions{Model: mdl, Solver: v.solver})
-				if err != nil {
-					b.Fatal(err)
-				}
-				iters = res.Iterations
-				pivots = res.Stats.LPIterations
-			}
-			b.ReportMetric(float64(iters), "iters/op")
-			b.ReportMetric(float64(pivots), "pivots/op")
-		})
+	iters, pivots := 0, 0
+	for i := 0; i < b.N; i++ {
+		res, err := SolveElmore(in, eb, &ElmoreOptions{Model: mdl})
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters = res.Iterations
+		pivots = res.Stats.LPIterations
 	}
+	b.ReportMetric(float64(iters), "iters/op")
+	b.ReportMetric(float64(pivots), "pivots/op")
 }
 
 // BenchmarkSeparationOracle times one full violated-pair scan over the

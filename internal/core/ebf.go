@@ -19,12 +19,6 @@ type Options struct {
 	// whole LP from scratch. Nil (the default) runs the warm sparse
 	// revised dual simplex, lp.Revised.
 	Solver lp.Solver
-	// Pricing selects the leaving-row rule of the revised engine (see
-	// lp.ParsePricing): "" or "devex" (the default), "mostviolated" for
-	// the classic most-violated rule, "steepest" for the exact
-	// steepest-edge cross-check. Only meaningful for the revised engine;
-	// setting it with a cold Solver is an error.
-	Pricing string
 	// OracleWorkers bounds the separation-oracle worker pool; 0 means
 	// GOMAXPROCS. The oracle's output is deterministic regardless.
 	OracleWorkers int
@@ -136,24 +130,11 @@ func (o *Options) tracer() *obs.Tracer {
 // engine builds the RowEngine the row-generation loop runs on: the warm
 // revised engine by default, or a cold adapter around the explicit
 // solver for cross-checking.
-func (o *Options) engine(n int, w []float64) (lp.RowEngine, error) {
-	pricing := ""
-	if o != nil {
-		pricing = o.Pricing
-	}
+func (o *Options) engine(n int, w []float64) lp.RowEngine {
 	if o != nil && o.Solver != nil {
-		if pricing != "" {
-			return nil, fmt.Errorf("core: Pricing %q has no effect with an explicit cold Solver", pricing)
-		}
-		return newColdEngine(n, w, o.Solver), nil
+		return newColdEngine(n, w, o.Solver)
 	}
-	p, err := lp.ParsePricing(pricing)
-	if err != nil {
-		return nil, fmt.Errorf("core: %v", err)
-	}
-	rv := lp.NewRevised(n, w)
-	rv.SetPricing(p)
-	return rv, nil
+	return lp.NewRevised(n, w)
 }
 
 // loopParams lowers the option fields driving the row-generation loop to
@@ -395,10 +376,7 @@ func Solve(in *Instance, b Bounds, opt *Options) (*Result, error) {
 	ebfSpan := tr.Start("ebf")
 	defer ebfSpan.End()
 
-	eng, err := opt.engine(n, w)
-	if err != nil {
-		return nil, err
-	}
+	eng := opt.engine(n, w)
 	// Engines with internal phases (the revised engine's refactorizations
 	// and resets) record them as spans under the current round.
 	if tc, ok := eng.(lp.Traceable); ok {

@@ -59,11 +59,7 @@ func NewSession(in *Instance, b Bounds, opt *Options) (*Session, error) {
 	maxRounds, batch, tol, workers := opt.loopParams(in)
 	tr := opt.tracer()
 
-	eng, err := opt.engine(n, w)
-	if err != nil {
-		return nil, err
-	}
-	rv := eng.(*lp.Revised)
+	rv := lp.NewRevised(n, w)
 	rv.SetTracer(tr)
 	for k := 1; k < n; k++ {
 		if t.ForcedZero[k] {

@@ -12,20 +12,9 @@ import (
 
 // ElmoreOptions tune SolveElmore.
 type ElmoreOptions struct {
-	// Model supplies r_w, c_w and sink loads. Required.
+	// Model supplies r_w, c_w and sink loads. Required: r_w and c_w must
+	// not both be zero, and the model must pass delay.Elmore.Validate.
 	Model delay.Elmore
-	// Solver selects an explicit cold solver; each SLP iteration then
-	// rebuilds a dense lp.Problem from scratch (the ablation baseline).
-	// Nil (the default) runs the whole SLP on one persistent revised
-	// engine: the trust region is restaged as variable boxes, the
-	// linearized delay windows are replaced in place, and each iteration
-	// warm-starts from the previous basis.
-	Solver lp.Solver
-	// MaxIter bounds SLP iterations; 0 means 300.
-	MaxIter int
-	// Tol is the Elmore bound-violation tolerance relative to the bound
-	// magnitudes; 0 means 1e-6.
-	Tol float64
 	// Weights as in Options.
 	Weights []float64
 	// Tracer records the SLP solve as spans (one "slp-iter" per
@@ -33,6 +22,14 @@ type ElmoreOptions struct {
 	// tracing at zero cost.
 	Tracer *obs.Tracer
 }
+
+// The SLP's fixed limits: at most slpMaxIter linearizations, and a
+// delay-window violation tolerance of slpTol relative to the bound
+// magnitudes.
+const (
+	slpMaxIter = 300
+	slpTol     = 1e-6
+)
 
 // ElmoreResult is the outcome of the sequential-LP heuristic.
 type ElmoreResult struct {
@@ -44,13 +41,11 @@ type ElmoreResult struct {
 	// units (≤ the solver tolerance × bound scale on success).
 	MaxViolation float64
 	// IterStats holds one lp.Stats record per SLP iteration, in iteration
-	// order. On the default engine path each record is the delta of the
-	// persistent engine's counters across that iteration (pivots taken,
-	// restages and row replacements absorbed, refactorizations) with the
-	// gauges sampled after its solve; on the cold-solver path it describes
-	// that iteration's dense subproblem. Stats is their fold (plus the
-	// warm start's record) via lp.Stats.Merge, so e.g. Stats.Restages
-	// equals the engine's cumulative restage count.
+	// order: the delta of the persistent engine's counters across that
+	// iteration (pivots taken, restages and row replacements absorbed,
+	// refactorizations) with the gauges sampled after its solve. Stats is
+	// their fold (plus the warm start's record) via lp.Stats.Merge, so
+	// e.g. Stats.Restages equals the engine's cumulative restage count.
 	IterStats []lp.Stats
 	Stats     lp.Stats
 }
@@ -85,6 +80,12 @@ func statsDelta(cur, prev lp.Stats) lp.Stats {
 // linear solver. The result is feasible but only locally optimal; with
 // l=0 the feasible set is convex and SLP converges to the global optimum
 // in practice.
+//
+// The whole SLP runs on one persistent revised engine: the trust region
+// is restaged as variable boxes, the linearized delay windows are
+// replaced in place, and each iteration warm-starts from the previous
+// basis. The result is deterministic: the same input gives the same
+// edge lengths and pivot counts on every run.
 func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -94,6 +95,9 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 	}
 	t := in.Tree
 	m := t.NumSinks
+	if err := opt.Model.Validate(m); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if len(b.L) != m+1 || len(b.U) != m+1 {
 		return nil, fmt.Errorf("core: bounds sized %d/%d for %d sinks", len(b.L), len(b.U), m)
 	}
@@ -101,11 +105,6 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 		if err := checkWindow(i, b.L[i], b.U[i]); err != nil {
 			return nil, err
 		}
-	}
-	solver := opt.Solver // nil (default) selects the persistent revised engine
-	maxIter := opt.MaxIter
-	if maxIter == 0 {
-		maxIter = 300
 	}
 	n := t.N()
 	w, err := (&Options{Weights: opt.Weights}).weights(n)
@@ -118,9 +117,8 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 	defer slpSpan.End()
 
 	// Starting point: the minimum-wirelength tree (Steiner constraints
-	// only), which satisfies the geometric constraints exactly. A nil
-	// opt.Solver selects the fast incremental engine.
-	start, err := Solve(in, UniformBounds(m, 0, math.Inf(1)), &Options{Solver: opt.Solver, Weights: opt.Weights, Tracer: tr})
+	// only), which satisfies the geometric constraints exactly.
+	start, err := Solve(in, UniformBounds(m, 0, math.Inf(1)), &Options{Weights: opt.Weights, Tracer: tr})
 	if err != nil {
 		return nil, fmt.Errorf("core: Elmore warm start failed: %w", err)
 	}
@@ -172,10 +170,6 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 		timeScale = 1 // no finite bounds: only Steiner feasibility matters
 	}
 	geoScale := 1 + in.Radius()
-	tol := opt.Tol
-	if tol == 0 {
-		tol = 1e-6
-	}
 
 	// boundViol is the worst delay-window violation in time units.
 	boundViol := func(e []float64) float64 {
@@ -200,20 +194,24 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 	// cost. This is robust where a fixed-penalty merit function stalls on
 	// slowly-improving violations.
 	better := func(candV, candC, curV, curC float64) bool {
-		if curV > tol {
+		if curV > slpTol {
 			return candV < curV-1e-15 || (candV <= curV+1e-15 && candC < curC-1e-12)
 		}
-		return candV <= tol && candC < curC-1e-12
+		return candV <= slpTol && candC < curC-1e-12
 	}
 
-	// Growing Steiner row pool (pairs), seeded like the linear solver.
-	pool := map[pairKey][2]int{}
+	// Growing Steiner row pool (pairs), seeded like the linear solver. It
+	// is kept in insertion order — the seed pairs, then each round's
+	// violatedPairs in the oracle's deterministic order — so the engine
+	// states its rows, and takes its pivots, the same way on every run.
+	var pool [][2]int
+	inPool := map[pairKey]bool{}
 	addPair := func(pr [2]int) {
-		i, j := pr[0], pr[1]
-		if i > j {
-			i, j = j, i
+		key := pairKey{min(pr[0], pr[1]), max(pr[0], pr[1])}
+		if !inPool[key] {
+			inPool[key] = true
+			pool = append(pool, [2]int{key.i, key.j})
 		}
-		pool[pairKey{i, j}] = [2]int{i, j}
 	}
 	for _, pr := range seedPairs(in) {
 		addPair(pr)
@@ -237,47 +235,37 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 			nSlack++
 		}
 	}
-	// Default path: ONE persistent revised engine for the whole SLP. The
-	// trust region lives in the variable boxes (restaged between solves,
-	// zero rows), the linearized delay windows are rows replaced in place
-	// each iteration (a true coefficient rewrite: one refactorization, but
-	// the basis membership survives), the Steiner pool is append-only, and
+	// ONE persistent revised engine for the whole SLP. The trust region
+	// lives in the variable boxes (restaged between solves, zero rows),
+	// the linearized delay windows are rows replaced in place each
+	// iteration (a true coefficient rewrite: one refactorization, but the
+	// basis membership survives), the Steiner pool is append-only, and
 	// penalty escalation restages the slack costs. Each iteration
 	// warm-starts from the previous trust-region subproblem's basis.
-	useEngine := solver == nil
-	var (
-		rv             *lp.Revised
-		rowLow, rowUpp []int // sink → engine tableau row of that window side, or −1
-		poolAdded      map[pairKey]bool
-		lastPenalty    float64
-		prevStats      lp.Stats
-	)
-	if useEngine {
-		costs := make([]float64, n+nSlack)
-		for k := 1; k < n; k++ {
-			costs[k] = w[k]
-		}
-		for s := 0; s < nSlack; s++ {
-			costs[n+s] = penalty
-		}
-		rv = lp.NewRevised(n+nSlack, costs)
-		rv.SetTracer(tr)
-		for k := 1; k < n; k++ {
-			if t.ForcedZero[k] {
-				rv.SetVarBounds(k, 0, 0)
-			}
-		}
-		rowLow = make([]int, m+1)
-		rowUpp = make([]int, m+1)
-		for i := range rowLow {
-			rowLow[i], rowUpp[i] = -1, -1
-		}
-		poolAdded = map[pairKey]bool{}
-		lastPenalty = penalty
-		prevStats = rv.Stats()
+	costs := make([]float64, n+nSlack)
+	for k := 1; k < n; k++ {
+		costs[k] = w[k]
 	}
+	for s := 0; s < nSlack; s++ {
+		costs[n+s] = penalty
+	}
+	rv := lp.NewRevised(n+nSlack, costs)
+	rv.SetTracer(tr)
+	for k := 1; k < n; k++ {
+		if t.ForcedZero[k] {
+			rv.SetVarBounds(k, 0, 0)
+		}
+	}
+	// Sink → engine tableau row of that window side, or −1.
+	rowLow, rowUpp := make([]int, m+1), make([]int, m+1)
+	for i := range rowLow {
+		rowLow[i], rowUpp[i] = -1, -1
+	}
+	poolAdded := 0 // pool[:poolAdded] are engine rows
+	lastPenalty := penalty
+	prevStats := rv.Stats()
 	iters := 0
-	for ; iters < maxIter; iters++ {
+	for ; iters < slpMaxIter; iters++ {
 		// Refresh Steiner pool at the current point.
 		for _, pr := range violatedPairs(in, e, 1e-9*(1+in.Radius()), 4*m) {
 			addPair(pr)
@@ -297,158 +285,78 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 			}
 		}
 		d := mdl.Delays(t, ep)
-		// The slp-iter span wraps the whole iteration step: on the engine
-		// path that is restage (trust boxes, penalty costs, window-row
-		// replacement) + warm solve; on the cold path, build + solve.
+		// The slp-iter span wraps the whole iteration step: restage (trust
+		// boxes, penalty costs, window-row replacement) + warm solve.
 		isp := tr.Start("slp-iter")
 		isp.SetInt("iter", iters)
-		var (
-			sol *lp.Solution
-			err error
-			ist lp.Stats
-		)
-		if useEngine {
-			// Trust region as restaged variable boxes (zero rows).
-			for k := 1; k < n; k++ {
-				if t.ForcedZero[k] {
-					continue
-				}
-				rv.SetVarBounds(k, math.Max(e[k]-tau, 0), e[k]+tau)
+		// Trust region as restaged variable boxes (zero rows).
+		for k := 1; k < n; k++ {
+			if t.ForcedZero[k] {
+				continue
 			}
-			if penalty != lastPenalty {
-				for s := 0; s < nSlack; s++ {
-					rv.SetCost(n+s, penalty)
-				}
-				lastPenalty = penalty
-			}
-			// Append newly separated Steiner rows (the pool only grows).
-			for key, pr := range pool {
-				if poolAdded[key] {
-					continue
-				}
-				poolAdded[key] = true
-				rv.AddRow(unitTermsOf(t.Path(pr[0], pr[1])), lp.GE, in.Dist(pr[0], pr[1]))
-			}
-			// Linearized Elmore delay windows with elastic slack:
-			// d_j(e0) + g_j·(e−e0) + s ≥ l,  d_j(e0) + g_j·(e−e0) − s' ≤ u,
-			// replaced in place each iteration (the gradient moved).
-			slot := n
-			for i := 1; i <= m; i++ {
-				g := mdl.Gradient(t, ep, i)
-				var terms []lp.Term
-				off := d[i]
-				for k := 1; k < n; k++ {
-					if g[k] != 0 {
-						terms = append(terms, lp.Term{Var: k, Coef: g[k]})
-						off -= g[k] * ep[k]
-					}
-				}
-				if b.L[i] > 0 {
-					rows := append(append([]lp.Term(nil), terms...), lp.Term{Var: slot, Coef: 1})
-					if rowLow[i] < 0 {
-						rowLow[i] = rv.TableauRows()
-						rv.AddRangedRow(rows, b.L[i]-off, math.Inf(1))
-					} else {
-						rv.ReplaceRangedRow(rowLow[i], rows, b.L[i]-off, math.Inf(1))
-					}
-					slot++
-				}
-				if !math.IsInf(b.U[i], 1) {
-					rows := append(append([]lp.Term(nil), terms...), lp.Term{Var: slot, Coef: -1})
-					if rowUpp[i] < 0 {
-						rowUpp[i] = rv.TableauRows()
-						rv.AddRangedRow(rows, math.Inf(-1), b.U[i]-off)
-					} else {
-						rv.ReplaceRangedRow(rowUpp[i], rows, math.Inf(-1), b.U[i]-off)
-					}
-					slot++
-				}
-			}
-			isp.SetInt("rows", rv.NumRows())
-			t0 := time.Now()
-			sol, err = rv.Solve()
-			dt := time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("core: SLP subproblem failed: %w", err)
-			}
-			// Per-iteration record: the engine's counter deltas across this
-			// restage+solve, with the gauges sampled after it.
-			cur := rv.Stats()
-			ist = statsDelta(cur, prevStats)
-			prevStats = cur
-			ist.SolveTime = dt
-			ist.Rounds = 1
-			ist.SteinerRows = len(pool)
-		} else {
-			// Ablation path (explicit cold Solver): a fresh dense Problem
-			// per iteration, exactly the pre-restaging pipeline.
-			p := lp.NewProblem(n + nSlack)
-			for k := 1; k < n; k++ {
-				p.SetCost(k, w[k])
-			}
+			rv.SetVarBounds(k, math.Max(e[k]-tau, 0), e[k]+tau)
+		}
+		if penalty != lastPenalty {
 			for s := 0; s < nSlack; s++ {
-				p.SetCost(n+s, penalty)
+				rv.SetCost(n+s, penalty)
 			}
+			lastPenalty = penalty
+		}
+		// Append newly separated Steiner rows (the pool only grows).
+		for _, pr := range pool[poolAdded:] {
+			rv.AddRow(unitTermsOf(t.Path(pr[0], pr[1])), lp.GE, in.Dist(pr[0], pr[1]))
+		}
+		poolAdded = len(pool)
+		// Linearized Elmore delay windows with elastic slack:
+		// d_j(e0) + g_j·(e−e0) + s ≥ l,  d_j(e0) + g_j·(e−e0) − s' ≤ u,
+		// replaced in place each iteration (the gradient moved).
+		slot := n
+		for i := 1; i <= m; i++ {
+			g := mdl.Gradient(t, ep, i)
+			var terms []lp.Term
+			off := d[i]
 			for k := 1; k < n; k++ {
-				if t.ForcedZero[k] {
-					p.AddSumEQ([]int{k}, 0, "")
-					continue
-				}
-				// Trust region.
-				p.AddConstraint([]lp.Term{{Var: k, Coef: 1}}, lp.LE, e[k]+tau, "")
-				if lo := e[k] - tau; lo > 0 {
-					p.AddConstraint([]lp.Term{{Var: k, Coef: 1}}, lp.GE, lo, "")
+				if g[k] != 0 {
+					terms = append(terms, lp.Term{Var: k, Coef: g[k]})
+					off -= g[k] * ep[k]
 				}
 			}
-			for _, pr := range pool {
-				path := t.Path(pr[0], pr[1])
-				p.AddSumGE(path, in.Dist(pr[0], pr[1]), "")
-			}
-			slack := n
-			for i := 1; i <= m; i++ {
-				g := mdl.Gradient(t, ep, i)
-				var terms []lp.Term
-				off := d[i]
-				for k := 1; k < n; k++ {
-					if g[k] != 0 {
-						terms = append(terms, lp.Term{Var: k, Coef: g[k]})
-						off -= g[k] * ep[k]
-					}
+			if b.L[i] > 0 {
+				rows := append(append([]lp.Term(nil), terms...), lp.Term{Var: slot, Coef: 1})
+				if rowLow[i] < 0 {
+					rowLow[i] = rv.TableauRows()
+					rv.AddRangedRow(rows, b.L[i]-off, math.Inf(1))
+				} else {
+					rv.ReplaceRangedRow(rowLow[i], rows, b.L[i]-off, math.Inf(1))
 				}
-				if b.L[i] > 0 {
-					rows := append(append([]lp.Term(nil), terms...), lp.Term{Var: slack, Coef: 1})
-					p.AddConstraint(rows, lp.GE, b.L[i]-off, "")
-					slack++
+				slot++
+			}
+			if !math.IsInf(b.U[i], 1) {
+				rows := append(append([]lp.Term(nil), terms...), lp.Term{Var: slot, Coef: -1})
+				if rowUpp[i] < 0 {
+					rowUpp[i] = rv.TableauRows()
+					rv.AddRangedRow(rows, math.Inf(-1), b.U[i]-off)
+				} else {
+					rv.ReplaceRangedRow(rowUpp[i], rows, math.Inf(-1), b.U[i]-off)
 				}
-				if !math.IsInf(b.U[i], 1) {
-					rows := append(append([]lp.Term(nil), terms...), lp.Term{Var: slack, Coef: -1})
-					p.AddConstraint(rows, lp.LE, b.U[i]-off, "")
-					slack++
-				}
-			}
-			isp.SetInt("rows", len(p.Cons))
-			t0 := time.Now()
-			sol, err = solver.Solve(p)
-			dt := time.Since(t0)
-			if err != nil {
-				return nil, fmt.Errorf("core: SLP subproblem failed: %w", err)
-			}
-			// The subproblem is cold, so pivots, size and terminal residual
-			// fully describe it.
-			ist = lp.Stats{
-				LPIterations:       sol.Iterations,
-				LogicalRows:        len(p.Cons),
-				TableauRows:        len(p.Cons),
-				LoweredTableauRows: len(p.Cons), // Problem rows are lowered on entry
-				NumericalResidual:  sol.NumericalResidual,
-				SolveTime:          dt,
-				Rounds:             1,
-				SteinerRows:        len(pool),
-			}
-			for _, c := range p.Cons {
-				ist.RowNonzeros += len(c.Terms)
+				slot++
 			}
 		}
+		isp.SetInt("rows", rv.NumRows())
+		t0 := time.Now()
+		sol, err := rv.Solve()
+		dt := time.Since(t0)
+		if err != nil {
+			return nil, fmt.Errorf("core: SLP subproblem failed: %w", err)
+		}
+		// Per-iteration record: the engine's counter deltas across this
+		// restage+solve, with the gauges sampled after it.
+		cur := rv.Stats()
+		ist := statsDelta(cur, prevStats)
+		prevStats = cur
+		ist.SolveTime = dt
+		ist.Rounds = 1
+		ist.SteinerRows = len(pool)
 		iterStats = append(iterStats, ist)
 		mergedStats.Merge(ist)
 		isp.SetInt("pivots", ist.LPIterations)
@@ -483,13 +391,13 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 			}
 		} else {
 			tau *= 0.5
-			if curV > tol {
+			if curV > slpTol {
 				// Violation is stuck: escalate the elastic penalty so the
 				// next subproblem prioritizes feasibility over cost.
 				penalty = math.Min(penalty*4, 1e12*(1+cost(e))/timeScale)
 			}
 		}
-		if curV <= tol && step < 1e-7*(1+in.Radius()) {
+		if curV <= slpTol && step < 1e-7*(1+in.Radius()) {
 			break
 		}
 		if tau < 1e-10*(1+in.Radius()) {
@@ -497,7 +405,7 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 		}
 	}
 	e = best
-	if v := violation(e); v > tol {
+	if v := violation(e); v > slpTol {
 		return nil, fmt.Errorf("%w (Elmore SLP stalled with residual %g)", ErrInfeasible, v)
 	}
 	return &ElmoreResult{

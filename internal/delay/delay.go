@@ -39,6 +39,31 @@ type Elmore struct {
 	SinkCap []float64
 }
 
+// Validate checks the model for a net of numSinks sinks: r_w and c_w are
+// finite and ≥ 0, and SinkCap is nil or has exactly numSinks+1 entries
+// whose entries 1…numSinks are finite and ≥ 0. Callers add their own
+// requirements on top, such as nonzero or positive r_w and c_w.
+func (m Elmore) Validate(numSinks int) error {
+	if !finiteNonNeg(m.Rw) || !finiteNonNeg(m.Cw) {
+		return fmt.Errorf("delay: Elmore r_w %g and c_w %g must be finite and ≥ 0", m.Rw, m.Cw)
+	}
+	if m.SinkCap == nil {
+		return nil
+	}
+	if len(m.SinkCap) != numSinks+1 {
+		return fmt.Errorf("delay: %d sink-load entries for %d sinks, want %d (entry 0 unused)",
+			len(m.SinkCap), numSinks, numSinks+1)
+	}
+	for i := 1; i <= numSinks; i++ {
+		if !finiteNonNeg(m.SinkCap[i]) {
+			return fmt.Errorf("delay: sink %d load %g must be finite and ≥ 0", i, m.SinkCap[i])
+		}
+	}
+	return nil
+}
+
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
 // sinkCap returns the load of sink i.
 func (m Elmore) sinkCap(i int) float64 {
 	if m.SinkCap == nil || i >= len(m.SinkCap) {

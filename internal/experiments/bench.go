@@ -13,7 +13,7 @@ import (
 // BenchSchema identifies the machine-readable per-benchmark record
 // emitted by `lubtbench -json`. Bump the suffix on any breaking change
 // to the BenchRecord shape; TestBenchJSONSchema pins the current one.
-const BenchSchema = "lubt-bench/2"
+const BenchSchema = "lubt-bench/3"
 
 // BenchRecord is one BENCH_<name>.json document: the instance identity
 // plus one EngineRecord per engine configuration. Consumers must ignore
@@ -120,7 +120,7 @@ func BenchRecords(names []string, repeats int) ([]BenchRecord, error) {
 			// that cold session solve would dwarf the whole record, so
 			// the probe only runs below the scale threshold.
 			if eng.Label == "revised" && !in.scale() {
-				er.EcoPivots, er.EcoResolveMS, err = in.runECO(base, l, u, eng, repeats)
+				er.EcoPivots, er.EcoResolveMS, err = in.runECO(base, l, u, repeats)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%s eco: %w", name, eng.Label, err)
 				}
@@ -140,7 +140,7 @@ func WriteBenchJSON(w io.Writer, rec BenchRecord) error {
 	return enc.Encode(rec)
 }
 
-// ValidateBenchJSON checks that data is a well-formed lubt-bench/2
+// ValidateBenchJSON checks that data is a well-formed lubt-bench/3
 // document: strict field set (unknown keys reject — catching producer
 // drift), correct schema string, and the structural invariants a consumer
 // relies on. It backs the ci.sh bench-smoke gate.
@@ -204,39 +204,6 @@ func ValidateBenchJSON(data []byte) error {
 	}
 	if rec.Radius < 0 {
 		return fmt.Errorf("bench json: radius = %g", rec.Radius)
-	}
-	return nil
-}
-
-// CheckPivotGate enforces the pricing regression gate behind ci.sh's
-// bench smoke: on a record that carries both the "revised" (Devex) and
-// "revised-mv" (most-violated) engine rows, the Devex pivot count must
-// not exceed the most-violated baseline — reference-norm pricing exists
-// to cut pivots on the degenerate-tie-heavy instances, so a regression
-// here means the weight update or reset contract broke. Records without
-// the ablation pair (e.g. hand-built ones) pass vacuously.
-func CheckPivotGate(rec BenchRecord) error {
-	var devex, mv *EngineRecord
-	for i := range rec.Engines {
-		switch rec.Engines[i].Engine {
-		case "revised":
-			devex = &rec.Engines[i]
-		case "revised-mv":
-			mv = &rec.Engines[i]
-		}
-	}
-	if devex == nil || mv == nil {
-		return nil
-	}
-	if devex.PricingScheme != "devex" {
-		return fmt.Errorf("pivot gate: %s: engine \"revised\" ran pricing %q, want devex", rec.Bench, devex.PricingScheme)
-	}
-	if mv.PricingScheme != "most-violated" {
-		return fmt.Errorf("pivot gate: %s: engine \"revised-mv\" ran pricing %q, want most-violated", rec.Bench, mv.PricingScheme)
-	}
-	if devex.LPIterations > mv.LPIterations {
-		return fmt.Errorf("pivot gate: %s: devex took %d pivots, most-violated baseline %d — Devex pricing regressed",
-			rec.Bench, devex.LPIterations, mv.LPIterations)
 	}
 	return nil
 }

@@ -32,40 +32,17 @@ func TestBenchRecordsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := recs[0]
-	if len(rec.Engines) != 2 || rec.Engines[0].Engine != "revised" || rec.Engines[1].Engine != "revised-mv" {
-		t.Fatalf("engines: %+v, want the two rows revised, revised-mv", rec.Engines)
+	if len(rec.Engines) != 1 || rec.Engines[0].Engine != "revised" {
+		t.Fatalf("engines: %+v, want the one row revised", rec.Engines)
 	}
-	// All engine rows must agree on the optimum.
-	for _, e := range rec.Engines[1:] {
-		a, b := rec.Engines[0].Cost, e.Cost
-		if a <= 0 || b <= 0 || a/b > 1.001 || b/a > 1.001 {
-			t.Errorf("engine costs disagree: %s %g vs %s %g",
-				rec.Engines[0].Engine, a, e.Engine, b)
-		}
-	}
-	for _, e := range rec.Engines {
-		if e.LPIterations <= 0 || e.Rounds <= 0 || e.SteinerRows <= 0 {
-			t.Errorf("%s: empty counters: %+v", e.Engine, e)
-		}
-	}
-	// Both rows must carry their pricing identity.
-	if a, b := rec.Engines[0].PricingScheme, rec.Engines[1].PricingScheme; a != "devex" || b != "most-violated" {
-		t.Errorf("pricing schemes: revised=%q revised-mv=%q, want devex and most-violated", a, b)
-	}
-	if err := CheckPivotGate(rec); err != nil {
-		t.Errorf("pivot gate on prim1-s: %v", err)
+	e := rec.Engines[0]
+	if e.Cost <= 0 || e.LPIterations <= 0 || e.Rounds <= 0 || e.SteinerRows <= 0 {
+		t.Errorf("empty counters: %+v", e)
 	}
 	// The revised row must carry a measured ECO probe and pass the warm
-	// gate; the probe runs on that row only, so the other reports zeros.
-	for _, e := range rec.Engines {
-		if e.Engine == "revised" {
-			if e.EcoResolveMS <= 0 {
-				t.Errorf("revised row missing ECO probe: eco_resolve_ms = %g", e.EcoResolveMS)
-			}
-		} else if e.EcoPivots != 0 || e.EcoResolveMS != 0 {
-			t.Errorf("%s reports an ECO probe (%d pivots, %g ms), want zeros",
-				e.Engine, e.EcoPivots, e.EcoResolveMS)
-		}
+	// gate.
+	if e.EcoResolveMS <= 0 {
+		t.Errorf("revised row missing ECO probe: eco_resolve_ms = %g", e.EcoResolveMS)
 	}
 	if err := CheckEcoGate(rec); err != nil {
 		t.Errorf("eco gate on prim1-s: %v", err)
@@ -87,10 +64,11 @@ func TestBenchRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBenchJSONSchema locks the lubt-bench/2 key set: any new, removed or
-// renamed field must bump the schema version. lubt-bench/2 is the
+// TestBenchJSONSchema locks the lubt-bench/3 key set: any new, removed or
+// renamed field must bump the schema version. lubt-bench/2 was the
 // lubt-bench/1 set plus logical_rows, reset_reasons and violated_by_round,
-// the lp.Stats fields the /1 rows did not copy.
+// the lp.Stats fields the /1 rows did not copy; lubt-bench/3 is /2
+// without pricing_scheme.
 func TestBenchJSONSchema(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteBenchJSON(&buf, BenchRecord{
@@ -122,7 +100,7 @@ func TestBenchJSONSchema(t *testing.T) {
 		"refactorizations", "resets", "basis_size", "fill_in", "eta_len",
 		"tableau_rows", "lowered_tableau_rows", "ranged_rows", "row_nonzeros",
 		"numerical_residual", "pivot_min", "pivot_max",
-		"pricing_scheme", "devex_resets", "weight_min", "weight_max",
+		"devex_resets", "weight_min", "weight_max",
 		"restages", "row_replacements", "eco_pivots", "eco_resolve_ms",
 		"sep_scan_ns", "lp_solve_ns", "wall_ns",
 		"wall_p50_ms", "wall_p99_ms", "lp_solve_p50_ms", "lp_solve_p99_ms",
@@ -182,7 +160,7 @@ func TestValidateBenchJSONRejects(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if err := ValidateBenchJSON([]byte(`{"schema":"lubt-bench/2","surprise":1}`)); err == nil {
+	if err := ValidateBenchJSON([]byte(`{"schema":"lubt-bench/3","surprise":1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 }
@@ -224,17 +202,6 @@ func readBenchJSON(t *testing.T, path string) BenchRecord {
 	return rec
 }
 
-// TestBenchJSONPivotGate applies the Devex-vs-most-violated pivot gate
-// to an externally produced BENCH_*.json named by LUBT_BENCH_JSON
-// (skipped when unset). ci.sh runs it on the reference instances after
-// `lubtbench -json`, failing the smoke when Devex pricing pivots more
-// than the most-violated baseline.
-func TestBenchJSONPivotGate(t *testing.T) {
-	if err := CheckPivotGate(benchJSONFromEnv(t)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBenchJSONEcoGate applies the warm-ECO pivot gate to an externally
 // produced BENCH_*.json named by LUBT_BENCH_JSON (skipped when unset).
 // ci.sh runs it after `lubtbench -json` on r4-s: the warm re-solve after
@@ -273,8 +240,8 @@ func TestBenchJSONMatchesBaseline(t *testing.T) {
 }
 
 // baselineDrift lists every deterministic difference of got from base:
-// the instance identity, the row order and engine labels, each row's
-// pricing scheme, every int field and []int field of the row — the
+// the instance identity, the row order and engine labels, every int
+// field and []int field of the row — the
 // embedded lp.Stats counters (violated_by_round included), eco_pivots
 // and pivots_p50/p99 — and the cost beyond 1e-6·radius. The timings are
 // int64 nanoseconds or float milliseconds, so they are never compared.
@@ -285,7 +252,7 @@ func baselineDrift(base, got BenchRecord) []string {
 	}
 	label := func(r BenchRecord) (ls []string) {
 		for _, e := range r.Engines {
-			ls = append(ls, e.Engine+"/"+e.PricingScheme)
+			ls = append(ls, e.Engine)
 		}
 		return ls
 	}
@@ -334,10 +301,10 @@ func TestBaselineDrift(t *testing.T) {
 			Bench: "x", Sinks: 10, Radius: 1000,
 			Engines: []EngineRecord{
 				{Engine: "revised", Cost: 500, Stats: lp.Stats{
-					Rounds: 3, LPIterations: 40, PricingScheme: "devex",
+					Rounds: 3, LPIterations: 40,
 					ViolatedByRound: []int{7, 2, 0}, SolveTime: time.Millisecond,
 				}, EcoPivots: 4, WallNS: 9, PivotsP50: 40, PivotsP99: 40},
-				{Engine: "revised-mv", Cost: 500, Stats: lp.Stats{PricingScheme: "most-violated"}},
+				{Engine: "revised-nopresolve", Cost: 500},
 			},
 		}
 		if mut != nil {
@@ -372,8 +339,7 @@ func TestBaselineDrift(t *testing.T) {
 		"violated_by_round":   func(r *BenchRecord) { r.Engines[0].ViolatedByRound = []int{7, 3, 0} },
 		"eco_pivots":          func(r *BenchRecord) { r.Engines[0].EcoPivots = 5 },
 		"pivots_p99":          func(r *BenchRecord) { r.Engines[0].PivotsP99 = 41 },
-		"pricing_scheme":      func(r *BenchRecord) { r.Engines[0].PricingScheme = "steepest-exact" },
-		"engine label":        func(r *BenchRecord) { r.Engines[1].Engine = "revised-nopresolve" },
+		"engine label":        func(r *BenchRecord) { r.Engines[1].Engine = "nopresolve" },
 		"row order":           func(r *BenchRecord) { r.Engines[0], r.Engines[1] = r.Engines[1], r.Engines[0] },
 		"missing row":         func(r *BenchRecord) { r.Engines = r.Engines[:1] },
 		"cost beyond 1e-6·R":  func(r *BenchRecord) { r.Engines[0].Cost += 2e-3 },
@@ -389,7 +355,7 @@ func TestBaselineDrift(t *testing.T) {
 
 // TestCommittedBenchRecords checks the committed baselines at the repo
 // root: every reference benchmark has one, and each file passes the
-// schema validator and the pivot, ECO and presolve gates.
+// schema validator and the ECO and presolve gates.
 func TestCommittedBenchRecords(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
 	if err != nil {
@@ -402,7 +368,7 @@ func TestCommittedBenchRecords(t *testing.T) {
 			t.Errorf("%s holds the record of %s", path, want)
 		}
 		have[rec.Bench] = true
-		for _, gate := range []func(BenchRecord) error{CheckPivotGate, CheckEcoGate, CheckPresolveGate} {
+		for _, gate := range []func(BenchRecord) error{CheckEcoGate, CheckPresolveGate} {
 			if err := gate(rec); err != nil {
 				t.Errorf("%s: %v", path, err)
 			}
@@ -470,7 +436,7 @@ func TestCheckEcoGate(t *testing.T) {
 			Bench: "x",
 			Engines: []EngineRecord{
 				{Engine: "revised", Stats: lp.Stats{LPIterations: cold}, EcoPivots: warm, EcoResolveMS: ms},
-				{Engine: "revised-mv"},
+				{Engine: "revised-nopresolve"},
 			},
 		}
 	}
@@ -488,7 +454,7 @@ func TestCheckEcoGate(t *testing.T) {
 		t.Errorf("no probe: %v", err)
 	}
 	// No revised row → vacuous pass.
-	if err := CheckEcoGate(BenchRecord{Engines: []EngineRecord{{Engine: "revised-mv"}}}); err != nil {
+	if err := CheckEcoGate(BenchRecord{Engines: []EngineRecord{{Engine: "revised-nopresolve"}}}); err != nil {
 		t.Errorf("no revised row: %v", err)
 	}
 }
@@ -518,40 +484,6 @@ func TestCheckWarmPivots(t *testing.T) {
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: warm=%d cold=%d: err=%v, wantErr=%v", c.name, c.warm, c.cold, err, c.wantErr)
 		}
-	}
-}
-
-// TestCheckPivotGate exercises the gate's decision table on hand-built
-// records.
-func TestCheckPivotGate(t *testing.T) {
-	mk := func(devexPivots, mvPivots int) BenchRecord {
-		return BenchRecord{
-			Bench: "x",
-			Engines: []EngineRecord{
-				{Engine: "revised", Stats: lp.Stats{PricingScheme: "devex", LPIterations: devexPivots}},
-				{Engine: "revised-mv", Stats: lp.Stats{PricingScheme: "most-violated", LPIterations: mvPivots}},
-				{Engine: "revised-nopresolve"},
-			},
-		}
-	}
-	if err := CheckPivotGate(mk(10, 20)); err != nil {
-		t.Errorf("devex better: %v", err)
-	}
-	if err := CheckPivotGate(mk(20, 20)); err != nil {
-		t.Errorf("tie must pass: %v", err)
-	}
-	if err := CheckPivotGate(mk(21, 20)); err == nil {
-		t.Error("devex regression accepted")
-	}
-	// Missing ablation pair → vacuous pass.
-	if err := CheckPivotGate(BenchRecord{Engines: []EngineRecord{{Engine: "revised"}}}); err != nil {
-		t.Errorf("no pair: %v", err)
-	}
-	// A mislabeled pricing scheme must be caught, not silently compared.
-	bad := mk(10, 20)
-	bad.Engines[0].PricingScheme = "most-violated"
-	if err := CheckPivotGate(bad); err == nil {
-		t.Error("mislabeled devex row accepted")
 	}
 }
 

@@ -105,34 +105,27 @@ func (in *instance) runLUBTOpts(base *bst.Result, l, u float64, opt *core.Option
 
 // engineSpec is one configuration of the revised engine the stats/bench
 // harness exercises; Label is the row key that reaches the tables and
-// the lubt-bench/2 JSON. Presolve/Decompose override core.Solve's
+// the lubt-bench/3 JSON. Presolve/Decompose override core.Solve's
 // presolve and subtree-decomposition settings ("" = auto).
 type engineSpec struct {
 	Label     string
-	Pricing   string
 	Presolve  string
 	Decompose string
 }
 
-// statEngines are the engine rows of `lubtbench -stats` / `-json`:
-// the revised dual simplex under its default Devex pricing and under the
-// classic most-violated rule — the pricing ablation pair the ci.sh pivot
-// gate compares.
-var statEngines = []engineSpec{
-	{Label: "revised", Pricing: "devex"},
-	{Label: "revised-mv", Pricing: "mostviolated"},
-}
+// statEngines is the one engine row of `lubtbench -stats` / `-json` on
+// sub-scale benchmarks: the revised dual simplex under its auto
+// settings.
+var statEngines = []engineSpec{{Label: "revised"}}
 
 // scaleEngines is the lineup for scale-class benchmarks (at least
 // core.ScaleAutoSinks sinks): the revised engine under the auto
 // settings — presolve dominance pruning plus subtree decomposition —
 // against the same engine with both passes forced off. That is the
-// before/after ablation pair CheckPresolveGate compares. The
-// most-violated row is dropped at this size; the pricing pair is
-// compared on the sub-scale benches.
+// before/after ablation pair CheckPresolveGate compares.
 var scaleEngines = []engineSpec{
-	{Label: "revised", Pricing: "devex"},
-	{Label: "revised-nopresolve", Pricing: "devex", Presolve: "off", Decompose: "off"},
+	{Label: "revised"},
+	{Label: "revised-nopresolve", Presolve: "off", Decompose: "off"},
 }
 
 // engines picks the engine lineup by instance size.
@@ -154,12 +147,12 @@ func EngineStatsN(names []string, repeats int) (*table.Table, error) {
 		return nil, err
 	}
 	t := table.New("LP engine statistics (skew window 0.1·radius, median timings)",
-		"bench", "engine", "pricing", "rounds", "steiner", "pivots", "flips", "refactor",
+		"bench", "engine", "rounds", "steiner", "pivots", "flips", "refactor",
 		"basis", "fill-in", "rows", "lowered", "nnz", "sep-scan", "lp-solve", "wall")
 	us := func(d time.Duration) string { return d.Round(time.Microsecond).String() }
 	for _, rec := range recs {
 		for _, e := range rec.Engines {
-			t.Addf(rec.Bench, e.Engine, e.PricingScheme, e.Rounds, e.SteinerRows, e.LPIterations,
+			t.Addf(rec.Bench, e.Engine, e.Rounds, e.SteinerRows, e.LPIterations,
 				e.BoundFlips, e.Refactorizations, e.BasisSize, e.FillIn,
 				e.TableauRows, e.LoweredTableauRows, e.RowNonzeros,
 				us(e.SeparationTime), us(e.SolveTime), us(time.Duration(e.WallNS)))
@@ -190,9 +183,7 @@ func (in *instance) runRepeated(base *bst.Result, l, u float64, eng engineSpec, 
 	run := &repeatedRun{}
 	for r := 0; r < repeats; r++ {
 		t0 := time.Now()
-		res, err := in.runLUBTOpts(base, l, u, &core.Options{
-			Pricing: eng.Pricing, Presolve: eng.Presolve, Decompose: eng.Decompose,
-		})
+		res, err := in.runLUBTOpts(base, l, u, &core.Options{Presolve: eng.Presolve, Decompose: eng.Decompose})
 		wall := time.Since(t0)
 		if err != nil {
 			return nil, err
@@ -214,7 +205,7 @@ func (in *instance) runRepeated(base *bst.Result, l, u float64, eng engineSpec, 
 // leaf edge can elongate), and re-solve warm from the kept basis. The
 // pivot count comes from the first (deterministic) run; the resolve time
 // is the median over `repeats` sessions, in milliseconds.
-func (in *instance) runECO(base *bst.Result, l, u float64, eng engineSpec, repeats int) (pivots int, resolveMS float64, err error) {
+func (in *instance) runECO(base *bst.Result, l, u float64, repeats int) (pivots int, resolveMS float64, err error) {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -232,7 +223,7 @@ func (in *instance) runECO(base *bst.Result, l, u float64, eng engineSpec, repea
 	}
 	var times []time.Duration
 	for r := 0; r < repeats; r++ {
-		sess, err := core.NewSession(ci, cb, &core.Options{Pricing: eng.Pricing})
+		sess, err := core.NewSession(ci, cb, nil)
 		if err != nil {
 			return 0, 0, err
 		}

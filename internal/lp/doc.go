@@ -63,7 +63,7 @@
 //
 //   - SetVarBounds / SetCost — bound boxes and objective coefficients
 //     never enter the basis matrix, so the factorization, eta file and
-//     pricing weights stay valid; the engine re-picks resting sides and
+//     Devex weights stay valid; the engine re-picks resting sides and
 //     repairs the basic values with one FTRAN (plus one BTRAN and a
 //     re-pricing pass when a BASIC variable's cost moves). Counted in
 //     Stats().Restages.
@@ -102,30 +102,18 @@
 // breakpoint, where the last candidate enters. See DESIGN.md's "Bounded-variable formulation" section for the
 // constraint-kind → row/box mapping table.
 //
-// # Dual pricing (leaving-row rules)
+// # Devex pricing (the leaving-row rule)
 //
-// Revised selects the leaving row with one of three pricing rules
-// (Revised.SetPricing, parsed from CLI tokens by ParsePricing; the
-// choice must be made before the first Solve):
-//
-//   - PricingDevex (default, "devex"): dual Devex — each basic position
-//     carries a reference weight γ ≥ 1, the leaving row maximizes
-//     violation²/γ, and weights are updated per pivot from the entering
-//     column against the PRE-pivot basis. The reference framework
-//     re-anchors to all-ones at every refactorization and basis reset,
-//     and on overflow past 1e12 (counted in Stats().DevexResets — only
-//     overflow restarts, scheduled re-anchors are Refactorizations).
-//   - PricingMostViolated ("mostviolated"): the textbook rule — largest
-//     primal violation wins. Cheapest per pivot; ablation baseline.
-//   - PricingSteepestExact ("steepest"): exact dual steepest edge
-//     (Forrest–Goldfarb), true norms ‖B⁻ᵀe_p‖² maintained with one extra
-//     FTRAN per pivot. Weights survive refactorization (basis unchanged)
-//     and reset only at the all-slack basis (B = I ⇒ norms exactly 1);
-//     warm-bordered rows seed their position lazily with one BTRAN.
-//
-// All rules break ties by lowest basis position and change only the pivot
-// path, never the optimum: Stats().PricingScheme labels the rule, and
-// WeightMin/WeightMax gauge the reference weights. Pivot budget per
+// Revised picks the leaving row by dual Devex pricing: each basic
+// position carries a reference weight γ ≥ 1, and the leaving row
+// maximizes violation²/γ. Weights are updated per pivot from the
+// entering column against the PRE-pivot basis, and a row added warm
+// starts at weight 1. The reference framework re-anchors to all-ones at
+// every refactorization and basis reset, and on overflow past 1e12
+// (counted in Stats().DevexResets — only overflow restarts; scheduled
+// re-anchors are Refactorizations). Ties go to the lowest basis
+// position. Stats().WeightMin/WeightMax gauge the weights. The pricing
+// rule changes only the pivot path, never the optimum. Pivot budget per
 // Solve is 20000 + 200·(rows + vars).
 //
 // # Hypersparse pivot loop
@@ -192,7 +180,7 @@
 //
 // Stats is the one declaration of the solver's counters and gauges:
 // lubt.SolveStats is an alias of it, its String is what `lubt -stats`
-// prints, and its JSON tags are the engine-row keys of the lubt-bench/2
+// prints, and its JSON tags are the engine-row keys of the lubt-bench/3
 // records (LPIterations is "pivots"; the two times are "sep_scan_ns" and
 // "lp_solve_ns"). A new field needs one JSON tag and one line in Merge.
 //
@@ -210,7 +198,7 @@
 // "pivot-disagreement").
 //
 // Three fields carry the internal/core scale-path story (DESIGN §8)
-// and reach the lubt-bench/2 JSON under the same names:
+// and reach the lubt-bench/3 JSON under the same names:
 // PresolvePrunedRows (presolve_pruned_rows) counts sink-pair Steiner
 // rows the dominance presolve removed before pricing; Subtrees
 // (subtrees) the root-branch subproblems the decomposition solved on

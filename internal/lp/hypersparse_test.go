@@ -61,14 +61,13 @@ func pathTerms(edges []int) []Term {
 }
 
 // engine builds the engine with every sink's window as its first rows.
-func (nt *ebfNet) engine(p Pricing) *Revised {
+func (nt *ebfNet) engine() *Revised {
 	n, m := nt.tree.N(), nt.tree.NumSinks
 	costs := make([]float64, n)
 	for k := 1; k < n; k++ {
 		costs[k] = 1
 	}
 	rv := NewRevised(n, costs)
-	rv.SetPricing(p)
 	rv.checkPivots = true
 	nt.delayRow = make([]int, m+1)
 	for i := 1; i <= m; i++ {
@@ -124,23 +123,21 @@ func (nt *ebfNet) solve(t *testing.T, rv *Revised) *Solution {
 }
 
 // TestSparsePivotStateEBF runs the §4.6 loop on prim2-s and r4-s under
-// all three pricing rules with the per-pivot check of the sparse pivot
-// state on (Revised.checkState panics on the first difference from a
-// full recomputation).
+// Devex pricing with the per-pivot check of the sparse pivot state on
+// (Revised.checkState panics on the first difference from a full
+// recomputation).
 func TestSparsePivotStateEBF(t *testing.T) {
 	for _, name := range []string{"prim2-s", "r4-s"} {
-		for _, p := range []Pricing{PricingDevex, PricingMostViolated, PricingSteepestExact} {
-			t.Run(name+"/"+p.String(), func(t *testing.T) {
-				nt := newEBFNet(t, name)
-				rv := nt.engine(p)
-				if sol := nt.solve(t, rv); sol.Status != Optimal {
-					t.Fatalf("status %v", sol.Status)
-				}
-				if rv.Iterations() == 0 {
-					t.Fatal("no pivots: the check never ran")
-				}
-			})
-		}
+		t.Run(name+"/devex", func(t *testing.T) {
+			nt := newEBFNet(t, name)
+			rv := nt.engine()
+			if sol := nt.solve(t, rv); sol.Status != Optimal {
+				t.Fatalf("status %v", sol.Status)
+			}
+			if rv.Iterations() == 0 {
+				t.Fatal("no pivots: the check never ran")
+			}
+		})
 	}
 }
 
@@ -149,56 +146,54 @@ func TestSparsePivotStateEBF(t *testing.T) {
 // reweights of basic and nonbasic edges, row deletions and revivals,
 // pattern-changing row replacements and variable boxes.
 func TestSparsePivotStateECO(t *testing.T) {
-	for _, p := range []Pricing{PricingDevex, PricingMostViolated, PricingSteepestExact} {
-		t.Run(p.String(), func(t *testing.T) {
-			nt := newEBFNet(t, "prim2-s")
-			rv := nt.engine(p)
-			nt.solve(t, rv)
-			rng := rand.New(rand.NewSource(15))
-			m, n := nt.tree.NumSinks, nt.tree.N()
-			deleted := map[int]bool{}
-			for step := 0; step < 24; step++ {
-				i := 1 + rng.Intn(m)
-				terms := pathTerms(nt.tree.PathToRoot(i))
-				switch step % 6 {
-				case 0: // retighten: same terms, narrower window
-					lo, hi := nt.window(i)
-					if !deleted[i] {
-						rv.ReplaceRangedRow(nt.delayRow[i], terms, lo+0.3*(hi-lo), hi)
-					}
-				case 1: // reweight an edge (basic or not)
-					rv.SetCost(1+rng.Intn(n-1), 0.5+rng.Float64())
-				case 2: // relax a window away: delete its row
-					if !deleted[i] {
-						rv.DeleteRow(nt.delayRow[i])
-						deleted[i] = true
-					}
-				case 3: // revive every deleted window
-					for k := 1; k <= m; k++ {
-						if deleted[k] {
-							lo, hi := nt.window(k)
-							rv.ReplaceRangedRow(nt.delayRow[k], pathTerms(nt.tree.PathToRoot(k)), lo, hi)
-							delete(deleted, k)
-						}
-					}
-				case 4: // a pattern change: the window on the parent's path
-					if par := nt.tree.Parent[i]; par > 0 && !deleted[i] {
-						rv.ReplaceRangedRow(nt.delayRow[i], pathTerms(nt.tree.PathToRoot(par)), 0, nt.hi)
-					}
-				case 5: // box an edge around its value, then restore the window
-					k := 1 + rng.Intn(n-1)
-					rv.SetVarBounds(k, 0, 2*rv.structVal(k)+1)
-					if lo, hi := nt.window(i); !deleted[i] {
-						rv.ReplaceRangedRow(nt.delayRow[i], terms, lo, hi)
+	t.Run("devex", func(t *testing.T) {
+		nt := newEBFNet(t, "prim2-s")
+		rv := nt.engine()
+		nt.solve(t, rv)
+		rng := rand.New(rand.NewSource(15))
+		m, n := nt.tree.NumSinks, nt.tree.N()
+		deleted := map[int]bool{}
+		for step := 0; step < 24; step++ {
+			i := 1 + rng.Intn(m)
+			terms := pathTerms(nt.tree.PathToRoot(i))
+			switch step % 6 {
+			case 0: // retighten: same terms, narrower window
+				lo, hi := nt.window(i)
+				if !deleted[i] {
+					rv.ReplaceRangedRow(nt.delayRow[i], terms, lo+0.3*(hi-lo), hi)
+				}
+			case 1: // reweight an edge (basic or not)
+				rv.SetCost(1+rng.Intn(n-1), 0.5+rng.Float64())
+			case 2: // relax a window away: delete its row
+				if !deleted[i] {
+					rv.DeleteRow(nt.delayRow[i])
+					deleted[i] = true
+				}
+			case 3: // revive every deleted window
+				for k := 1; k <= m; k++ {
+					if deleted[k] {
+						lo, hi := nt.window(k)
+						rv.ReplaceRangedRow(nt.delayRow[k], pathTerms(nt.tree.PathToRoot(k)), lo, hi)
+						delete(deleted, k)
 					}
 				}
-				nt.solve(t, rv)
+			case 4: // a pattern change: the window on the parent's path
+				if par := nt.tree.Parent[i]; par > 0 && !deleted[i] {
+					rv.ReplaceRangedRow(nt.delayRow[i], pathTerms(nt.tree.PathToRoot(par)), 0, nt.hi)
+				}
+			case 5: // box an edge around its value, then restore the window
+				k := 1 + rng.Intn(n-1)
+				rv.SetVarBounds(k, 0, 2*rv.structVal(k)+1)
+				if lo, hi := nt.window(i); !deleted[i] {
+					rv.ReplaceRangedRow(nt.delayRow[i], terms, lo, hi)
+				}
 			}
-			if rv.Stats().Restages == 0 || rv.Stats().RowReplacements == 0 {
-				t.Fatalf("edits did not restage: %+v", rv.Stats())
-			}
-		})
-	}
+			nt.solve(t, rv)
+		}
+		if rv.Stats().Restages == 0 || rv.Stats().RowReplacements == 0 {
+			t.Fatalf("edits did not restage: %+v", rv.Stats())
+		}
+	})
 }
 
 // TestNoteInfeasibleMerge pins the in-place merge of the infeasible list:

@@ -6,50 +6,6 @@ import (
 	"testing"
 )
 
-func TestParsePricing(t *testing.T) {
-	cases := map[string]Pricing{
-		"":               PricingDevex,
-		"devex":          PricingDevex,
-		"mostviolated":   PricingMostViolated,
-		"most-violated":  PricingMostViolated,
-		"mv":             PricingMostViolated,
-		"steepest":       PricingSteepestExact,
-		"steepest-exact": PricingSteepestExact,
-		"steepestexact":  PricingSteepestExact,
-		"se":             PricingSteepestExact,
-	}
-	for s, want := range cases {
-		got, err := ParsePricing(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePricing(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParsePricing("dantzig"); err == nil {
-		t.Error("ParsePricing accepted an unknown scheme")
-	}
-	if PricingDevex.String() != "devex" || PricingMostViolated.String() != "most-violated" ||
-		PricingSteepestExact.String() != "steepest-exact" {
-		t.Error("Pricing.String drifted from the stable tokens")
-	}
-	if Pricing(99).String() != "unknown" {
-		t.Error("out-of-range Pricing must stringify as unknown")
-	}
-}
-
-func TestSetPricingAfterSolvePanics(t *testing.T) {
-	rv := NewRevised(1, []float64{1})
-	rv.AddRow([]Term{{0, 1}}, GE, 1)
-	if _, err := rv.Solve(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetPricing after Solve did not panic")
-		}
-	}()
-	rv.SetPricing(PricingMostViolated)
-}
-
 // TestPivotBudget pins the Solve pivot cap to 20000 + 200·(m + nVars):
 // the regression for the budget that used to double-count the row count
 // (20000 + 200·(m + nVars + m)).
@@ -101,8 +57,8 @@ func TestRevisedIterLimit(t *testing.T) {
 // buildTieHeavy states a tie-heavy boxed instance on an engine and the
 // matching cold Problem: blocks of structurally identical ranged
 // delay-window rows whose violations are exactly equal at the all-slack
-// start — the degenerate-tie pattern ROADMAP flags for r4/r5. Every
-// pricing scheme must break the ties without cycling.
+// start — the degenerate-tie pattern of the r4/r5 clock nets. Devex
+// must break the ties without cycling.
 func buildTieHeavy(add func(terms []Term, lo, hi float64), n, blocks int) {
 	for b := 0; b < blocks; b++ {
 		// Identical windows over rotating variable pairs: equal RHS, equal
@@ -120,10 +76,9 @@ func buildTieHeavy(add func(terms []Term, lo, hi float64), n, blocks int) {
 }
 
 // TestPricingSchemesDegenerateTies solves the tie-heavy instance under
-// all three pricing schemes and cross-checks each against the cold
-// simplex and IPM oracles; every scheme must terminate Optimal (no
-// IterLimit) and agree to 1e-6 of the data scale. Pivot counts are
-// logged so the scheme comparison is visible in -v runs.
+// Devex pricing and cross-checks it against the cold simplex and IPM
+// oracles: it must terminate Optimal (no IterLimit) and agree to 1e-6 of
+// the data scale. The pivot count is logged for -v runs.
 func TestPricingSchemesDegenerateTies(t *testing.T) {
 	const n, blocks = 10, 6
 	costs := make([]float64, n)
@@ -150,90 +105,79 @@ func TestPricingSchemesDegenerateTies(t *testing.T) {
 		t.Fatalf("oracles disagree: cold %.9g ipm %.9g", cold.Objective, ipm.Objective)
 	}
 
-	pivots := map[Pricing]int{}
-	for _, scheme := range []Pricing{PricingDevex, PricingMostViolated, PricingSteepestExact} {
-		rv := NewRevised(n, costs)
-		rv.SetPricing(scheme)
-		buildTieHeavy(rv.AddRangedRow, n, blocks)
-		sol, err := rv.Solve()
-		if err != nil {
-			t.Fatalf("%v: %v", scheme, err)
-		}
-		if sol.Status != Optimal {
-			t.Fatalf("%v: status %v (IterLimit on a tie-heavy instance means the tie-break cycled)", scheme, sol.Status)
-		}
-		if math.Abs(sol.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
-			t.Errorf("%v: objective %.9g, oracle %.9g", scheme, sol.Objective, cold.Objective)
-		}
-		st := rv.Stats()
-		if st.PricingScheme != scheme.String() {
-			t.Errorf("%v: Stats.PricingScheme = %q", scheme, st.PricingScheme)
-		}
-		if scheme != PricingMostViolated && st.WeightMax < st.WeightMin {
-			t.Errorf("%v: weight extremes inverted: [%g, %g]", scheme, st.WeightMin, st.WeightMax)
-		}
-		pivots[scheme] = st.LPIterations
-		t.Logf("%v: %d pivots, weights [%g, %g], devex-resets %d",
-			scheme, st.LPIterations, st.WeightMin, st.WeightMax, st.DevexResets)
+	rv := NewRevised(n, costs)
+	buildTieHeavy(rv.AddRangedRow, n, blocks)
+	sol, err := rv.Solve()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if sol.Status != Optimal {
+		t.Fatalf("status %v (IterLimit on a tie-heavy instance means the tie-break cycled)", sol.Status)
+	}
+	if math.Abs(sol.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
+		t.Errorf("objective %.9g, oracle %.9g", sol.Objective, cold.Objective)
+	}
+	st := rv.Stats()
+	if st.WeightMax < st.WeightMin {
+		t.Errorf("weight extremes inverted: [%g, %g]", st.WeightMin, st.WeightMax)
+	}
+	t.Logf("%d pivots, weights [%g, %g], devex-resets %d",
+		st.LPIterations, st.WeightMin, st.WeightMax, st.DevexResets)
 }
 
-// TestPricingSchemesWarmAgreement replays the long warm row-generation
-// sequence under all three pricing schemes against the cold simplex:
-// the pricing rule must not change any optimum, only the pivot path.
+// TestPricingSchemesWarmAgreement replays a long warm row-generation
+// sequence under Devex pricing against the cold simplex: every warm
+// re-solve must land on the cold optimum.
 func TestPricingSchemesWarmAgreement(t *testing.T) {
-	for _, scheme := range []Pricing{PricingDevex, PricingMostViolated, PricingSteepestExact} {
-		rng := rand.New(rand.NewSource(11))
-		n := 10
-		costs := make([]float64, n)
-		for j := range costs {
-			costs[j] = 0.5 + rng.Float64()
+	rng := rand.New(rand.NewSource(11))
+	n := 10
+	costs := make([]float64, n)
+	for j := range costs {
+		costs[j] = 0.5 + rng.Float64()
+	}
+	rv := NewRevised(n, costs)
+	p := NewProblem(n)
+	for j, c := range costs {
+		p.SetCost(j, c)
+	}
+	for round := 0; round < 40; round++ {
+		var terms []Term
+		for j := 0; j < n; j++ {
+			if rng.Intn(3) == 0 {
+				terms = append(terms, Term{j, 1})
+			}
 		}
-		rv := NewRevised(n, costs)
-		rv.SetPricing(scheme)
-		p := NewProblem(n)
-		for j, c := range costs {
-			p.SetCost(j, c)
+		if len(terms) == 0 {
+			terms = []Term{{rng.Intn(n), 1}}
 		}
-		for round := 0; round < 40; round++ {
-			var terms []Term
-			for j := 0; j < n; j++ {
-				if rng.Intn(3) == 0 {
-					terms = append(terms, Term{j, 1})
-				}
-			}
-			if len(terms) == 0 {
-				terms = []Term{{rng.Intn(n), 1}}
-			}
-			if round%4 == 3 {
-				hi := 1 + rng.Float64()*3
-				lo := hi - 0.5 - rng.Float64()
-				rv.AddRangedRow(terms, lo, hi)
-				lowerRanged(p, terms, lo, hi)
-			} else {
-				rhs := rng.Float64() * 3
-				rv.AddRow(terms, GE, rhs)
-				p.AddConstraint(terms, GE, rhs, "")
-			}
-			warm, err := rv.Solve()
-			if err != nil {
-				t.Fatalf("%v round %d: %v", scheme, round, err)
-			}
-			cold, err := (&Simplex{}).Solve(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm.Status != cold.Status {
-				t.Fatalf("%v round %d: warm %v vs cold %v", scheme, round, warm.Status, cold.Status)
-			}
-			if warm.Status == Infeasible {
-				// Rows are append-only, so infeasibility is sticky: the
-				// remaining rounds add nothing to the comparison.
-				break
-			}
-			if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
-				t.Fatalf("%v round %d: warm %.9g cold %.9g", scheme, round, warm.Objective, cold.Objective)
-			}
+		if round%4 == 3 {
+			hi := 1 + rng.Float64()*3
+			lo := hi - 0.5 - rng.Float64()
+			rv.AddRangedRow(terms, lo, hi)
+			lowerRanged(p, terms, lo, hi)
+		} else {
+			rhs := rng.Float64() * 3
+			rv.AddRow(terms, GE, rhs)
+			p.AddConstraint(terms, GE, rhs, "")
+		}
+		warm, err := rv.Solve()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		cold, err := (&Simplex{}).Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != cold.Status {
+			t.Fatalf("round %d: warm %v vs cold %v", round, warm.Status, cold.Status)
+		}
+		if warm.Status == Infeasible {
+			// Rows are append-only, so infeasibility is sticky: the
+			// remaining rounds add nothing to the comparison.
+			break
+		}
+		if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("round %d: warm %.9g cold %.9g", round, warm.Objective, cold.Objective)
 		}
 	}
 }

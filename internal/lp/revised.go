@@ -9,73 +9,10 @@ import (
 	"lubt/internal/obs"
 )
 
-// Pricing selects the leaving-row rule of the revised dual simplex: how
-// Solve picks which primal-infeasible basic variable leaves the basis
-// each pivot. All schemes reach the same optimum; they differ in pivot
-// count on degenerate-tie-heavy instances (many equal violations, e.g.
-// the ranged delay-window rows of large clock trees).
-type Pricing int
-
-const (
-	// PricingDevex (the default) maintains approximate dual
-	// steepest-edge reference weights γ_p per basic row and selects the
-	// leaving row by max violation²/γ_p. The weights are updated on
-	// every pivot from quantities the pivot already computes (the FTRAN
-	// column w and the pivot element w[r]) and the reference framework
-	// is reset to the current basis at every refactorization or basis
-	// reset — so the scheme costs O(nnz(w)) extra per pivot.
-	PricingDevex Pricing = iota
-	// PricingMostViolated is the classic rule: leave the basic variable
-	// furthest outside its box, ties broken by basis position. Kept as
-	// the ablation baseline; prone to degenerate ties on r4/r5-sized
-	// instances.
-	PricingMostViolated
-	// PricingSteepestExact maintains exact dual steepest-edge norms
-	// β_p = ‖B⁻ᵀe_p‖² via the Forrest–Goldfarb update, which needs one
-	// extra FTRAN (of the pricing row ρ) per pivot plus one BTRAN per
-	// warm-added row to seed the new row's norm. It is the
-	// cross-checking oracle for the Devex approximation, not a
-	// production default.
-	PricingSteepestExact
-)
-
-// String returns the scheme's stable token ("devex", "most-violated",
-// "steepest-exact"), used in Stats.PricingScheme and the bench JSON.
-func (p Pricing) String() string {
-	switch p {
-	case PricingDevex:
-		return "devex"
-	case PricingMostViolated:
-		return "most-violated"
-	case PricingSteepestExact:
-		return "steepest-exact"
-	}
-	return "unknown"
-}
-
-// ParsePricing maps a flag token to a Pricing scheme. Accepted spellings:
-// "" or "devex"; "mostviolated", "most-violated" or "mv"; "steepest",
-// "steepest-exact", "steepestexact" or "se".
-func ParsePricing(s string) (Pricing, error) {
-	switch s {
-	case "", "devex":
-		return PricingDevex, nil
-	case "mostviolated", "most-violated", "mv":
-		return PricingMostViolated, nil
-	case "steepest", "steepest-exact", "steepestexact", "se":
-		return PricingSteepestExact, nil
-	}
-	return 0, fmt.Errorf("lp: unknown pricing scheme %q (want devex, mostviolated or steepest)", s)
-}
-
 // devexWeightCap bounds the Devex reference weights: when the largest
 // weight exceeds it the reference framework has drifted too far from the
 // current basis and is reset (counted in Stats.DevexResets).
 const devexWeightCap = 1e12
-
-// weightFloor keeps reference weights strictly positive against roundoff
-// in the exact steepest-edge update.
-const weightFloor = 1e-12
 
 // Revised is a sparse revised dual-simplex engine for cutting planes: the
 // warm realization of the §4.6 row-generation loop. It requires a
@@ -163,7 +100,6 @@ type Revised struct {
 	w       svec        // FTRAN result, by position
 	acc     svec        // structural accumulator inside ftran0, by row
 	pos     svec        // BTRAN intermediate, by position
-	tau     svec        // steepest-exact: τ = B⁻¹ρ, by position
 	coreRhs []float64   // core-solve right-hand side, len ≥ t
 	coreSol []float64   // core-solve result, len ≥ t
 	xbPrev  []float64   // eta-replayed xB snapshot for the residual gauge
@@ -179,14 +115,11 @@ type Revised struct {
 	// clamps every nonbasic reduced cost, not only those it touches.
 	sideStale bool
 
-	// Leaving-row pricing state. gamma[p] is the reference weight of basis
-	// position p: the Devex approximation of ‖B⁻ᵀe_p‖² relative to the
-	// reference framework, or the exact norm for PricingSteepestExact.
-	// Devex resets gamma to all-1 at every refactorization/reset and on
-	// overflow past devexWeightCap; steepest-exact keeps its weights across
-	// refactorization (the basis is unchanged, so they stay exact) and
-	// recomputes only at a basis reset.
-	pricing     Pricing
+	// Devex leaving-row pricing state. gamma[p] is the reference weight of
+	// basis position p, the Devex approximation of ‖B⁻ᵀe_p‖² relative to
+	// the reference framework: the leaving row maximizes violation²/γ_p.
+	// gamma resets to all-1 at every refactorization and reset, and on
+	// overflow past devexWeightCap.
 	gamma       []float64
 	devexResets int
 
@@ -198,7 +131,7 @@ type Revised struct {
 	dirty          bool // rows/bounds changed since the last factorization
 	justRefactored bool
 	infeasible     bool
-	solved         bool // a Solve has run (gates SetPricing; bound/row/cost edits now restage)
+	solved         bool // a Solve has run (bound/row/cost edits now restage)
 	iterations     int
 	logicalRows    int
 	rangedRows     int
@@ -343,7 +276,7 @@ func NewRevised(n int, objective []float64) *Revised {
 // solution all survive the edit exactly. A basic variable keeps its
 // position — if its value now violates the new box, the next Solve's
 // pricing loop sees the violation and prices it out through the regular
-// Devex/steepest framework. A nonbasic variable has its resting side
+// Devex framework. A nonbasic variable has its resting side
 // re-picked from its reduced cost (d > 0 → lower, d < 0 → upper, a fixed
 // box → lower) and the basic values are repaired with one FTRAN for the
 // resting-value delta. A sticky Infeasible certificate is cleared: the
@@ -612,9 +545,8 @@ func (rv *Revised) Stats() Stats {
 	s.BoundFlips = rv.boundFlips
 	s.RowNonzeros = rv.rows.nnz()
 	s.ResetReasons = append([]string(nil), rv.stats.ResetReasons...)
-	s.PricingScheme = rv.pricing.String()
 	s.DevexResets = rv.devexResets
-	if n := rv.rows.numRows(); n > 0 && len(rv.gamma) >= n && rv.pricing != PricingMostViolated {
+	if n := rv.rows.numRows(); n > 0 && len(rv.gamma) >= n {
 		mn, mx := rv.gamma[0], rv.gamma[0]
 		for _, g := range rv.gamma[1:n] {
 			if g < mn {
@@ -635,19 +567,6 @@ func (rv *Revised) Stats() Stats {
 // (the default) records nothing at zero cost.
 func (rv *Revised) SetTracer(tr *obs.Tracer) { rv.tr = tr }
 
-// SetPricing selects the leaving-row rule (see Pricing). Unlike bounds,
-// costs and rows — which restage between Solves — the pricing rule is
-// construction-time state: calling it after the first Solve panics,
-// because the reference weights would not match the pivots already
-// taken.
-func (rv *Revised) SetPricing(p Pricing) {
-	if rv.solved {
-		panic("lp: SetPricing after the first Solve")
-	}
-	rv.pricing = p
-	rv.gamma = rv.gamma[:0]
-}
-
 // grow returns (*buf)[:n], reallocating the backing array only when the
 // capacity is insufficient; the returned slice is NOT cleared.
 func grow(buf *[]float64, n int) []float64 {
@@ -657,15 +576,11 @@ func grow(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
-// resetWeights restarts the pricing reference framework at the current
-// basis: every basis position gets weight 1. For Devex this happens at
-// every refactorization and basis reset (the framework is *defined*
-// relative to the current basis); for steepest-exact only at a basis
-// reset, where the all-slack basis makes ‖B⁻ᵀe_p‖² = 1 exact.
+// resetWeights restarts the Devex reference framework at the current
+// basis: every basis position gets weight 1. This happens at every
+// refactorization and basis reset (the framework is *defined* relative
+// to the current basis) and on weight overflow.
 func (rv *Revised) resetWeights(m int) {
-	if rv.pricing == PricingMostViolated {
-		return
-	}
 	rv.gamma = grow(&rv.gamma, m)
 	for p := range rv.gamma {
 		rv.gamma[p] = 1
@@ -673,100 +588,58 @@ func (rv *Revised) resetWeights(m int) {
 }
 
 // ensureWeights extends gamma to m entries after rows were warm-added
-// with a bordered basis extension. A Devex weight starts at the reference
-// value 1. A steepest-exact weight must be the true ‖B⁻ᵀe_p‖² of the new
-// position: the bordered extension [B₀ 0; aᵀ 1] leaves the B⁻ᵀ rows of
-// the old positions unchanged, so only the new positions need one BTRAN
-// each to seed their exact norm.
+// with a bordered basis extension; each new position starts at the
+// reference value 1.
 func (rv *Revised) ensureWeights(m int) {
-	if rv.pricing == PricingMostViolated {
-		return
-	}
 	if len(rv.gamma) > m {
 		rv.gamma = rv.gamma[:m]
 		return
 	}
 	for p := len(rv.gamma); p < m; p++ {
-		g := 1.0
-		if rv.pricing == PricingSteepestExact {
-			rv.btranPos(p, &rv.rho)
-			s := 0.0
-			for q, n := 0, rv.rho.n(); q < n; q++ {
-				rk := rv.rho.val[rv.rho.at(q)]
-				s += rk * rk
-			}
-			g = math.Max(s, weightFloor)
-		}
-		rv.gamma = append(rv.gamma, g)
+		rv.gamma = append(rv.gamma, 1)
 	}
 }
 
-// updateWeights applies the per-pivot reference-weight update for leaving
-// position r with the FTRAN column w in rv.w (pivot element a = w[r]) and
-// the pricing row ρ = B⁻ᵀe_r in rv.rho; both loops walk w's list. Devex
-// (Forrest–Goldfarb's approximate rule):
+// updateWeights applies the per-pivot Devex update (Forrest–Goldfarb's
+// approximate rule) for leaving position r with the FTRAN column w in
+// rv.w (pivot element a = w[r]), walking w's list:
 //
 //	γ_r ← max(γ_r/a², 1)
 //	γ_p ← max(γ_p, (w_p/a)²·γ_r_old)   for p ≠ r, w_p ≠ 0
 //
-// Exact steepest edge (Forrest–Goldfarb, with τ = B⁻¹ρ_r — one extra
-// FTRAN per pivot):
-//
-//	β_p ← β_p − 2(w_p/a)τ_p + (w_p/a)²·β_r_old   for p ≠ r
-//	β_r ← β_r_old/a²
-//
-// Both are applied BEFORE the basis bookkeeping, i.e. to the pre-pivot
-// weights. When the largest Devex weight outruns devexWeightCap the
-// reference framework is restarted (counted in Stats.DevexResets).
+// It is applied BEFORE the basis bookkeeping, i.e. to the pre-pivot
+// weights. When the largest weight outruns devexWeightCap the reference
+// framework is restarted (counted in Stats.DevexResets).
 func (rv *Revised) updateWeights(r int, m int) {
-	if rv.pricing == PricingMostViolated {
-		return
-	}
 	w := rv.w.val
 	a := w[r]
 	gr := rv.gamma[r]
 	inv2 := 1 / (a * a)
-	switch rv.pricing {
-	case PricingDevex:
-		maxG := 0.0
-		for q, n := 0, rv.w.n(); q < n; q++ {
-			p := rv.w.at(q)
-			if p == r || w[p] == 0 {
-				continue
-			}
-			if g := w[p] * w[p] * inv2 * gr; g > rv.gamma[p] {
-				rv.gamma[p] = g
-			}
-			if rv.gamma[p] > maxG {
-				maxG = rv.gamma[p]
-			}
+	maxG := 0.0
+	for q, n := 0, rv.w.n(); q < n; q++ {
+		p := rv.w.at(q)
+		if p == r || w[p] == 0 {
+			continue
 		}
-		rv.gamma[r] = math.Max(gr*inv2, 1)
-		if rv.gamma[r] > maxG {
-			maxG = rv.gamma[r]
+		if g := w[p] * w[p] * inv2 * gr; g > rv.gamma[p] {
+			rv.gamma[p] = g
 		}
-		if maxG > devexWeightCap {
-			// The reference framework has drifted too far from the current
-			// basis for the approximation to steer usefully: restart it here
-			// rather than waiting for the next refactorization. Counted in
-			// Stats.DevexResets (scheduled re-anchors are not — those are
-			// already visible as Refactorizations).
-			rv.devexResets++
-			rv.resetWeights(m)
+		if rv.gamma[p] > maxG {
+			maxG = rv.gamma[p]
 		}
-	case PricingSteepestExact:
-		rv.ftran(&rv.rho, &rv.tau)
-		tau := rv.tau.val
-		for q, n := 0, rv.w.n(); q < n; q++ {
-			p := rv.w.at(q)
-			if p == r || w[p] == 0 {
-				continue
-			}
-			t := w[p] / a
-			g := rv.gamma[p] - 2*t*tau[p] + t*t*gr
-			rv.gamma[p] = math.Max(g, weightFloor)
-		}
-		rv.gamma[r] = math.Max(gr*inv2, weightFloor)
+	}
+	rv.gamma[r] = math.Max(gr*inv2, 1)
+	if rv.gamma[r] > maxG {
+		maxG = rv.gamma[r]
+	}
+	if maxG > devexWeightCap {
+		// The reference framework has drifted too far from the current
+		// basis for the approximation to steer usefully: restart it here
+		// rather than waiting for the next refactorization. Counted in
+		// Stats.DevexResets (scheduled re-anchors are not — those are
+		// already visible as Refactorizations).
+		rv.devexResets++
+		rv.resetWeights(m)
 	}
 }
 
@@ -1124,8 +997,7 @@ func (rv *Revised) reset(reason string) {
 	rv.stats.EtaLen = 0
 	rv.sideStale = false
 	rv.scanInfeasible()
-	// All-slack basis ⇒ B = I, so the all-1 framework is exact for every
-	// pricing scheme (including steepest-exact).
+	// All-slack basis ⇒ B = I, so the all-1 framework is exact.
 	rv.resetWeights(m)
 	sp := rv.tr.Start("reset")
 	sp.SetString("reason", reason)
@@ -1302,13 +1174,10 @@ func (rv *Revised) refactorize() bool {
 	}
 	rv.sideStale = false
 	rv.scanInfeasible()
-	if rv.pricing == PricingDevex {
-		// The Devex reference framework is defined relative to the basis at
-		// the last reset point; refactorization is where the framework is
-		// re-anchored to the current basis (the exact scheme keeps its
-		// weights — the basis did not change, so they are still exact).
-		rv.resetWeights(m)
-	}
+	// The Devex reference framework is defined relative to the basis at
+	// the last reset point; refactorization is where the framework is
+	// re-anchored to the current basis.
+	rv.resetWeights(m)
 	return true
 }
 
@@ -1609,14 +1478,12 @@ func (rv *Revised) Solve() (*Solution, error) {
 		if iter >= maxIter {
 			return &Solution{Status: IterLimit, Iterations: rv.iterations}, nil
 		}
-		// Leaving position. PricingMostViolated takes the basic variable
-		// furthest outside its box; the reference-weight schemes score each
-		// violation d by d²/γ_p, steering away from rows whose B⁻ᵀ row has
-		// grown long (the degenerate-tie cure — see the Pricing docs). In
-		// either case `worst` holds the selected row's actual violation,
-		// which the bound-flipping walk below consumes. Only the positions
-		// on the infeasible list can qualify; the walk drops those that
-		// turned feasible and, going in ascending order with strict
+		// Leaving position. Devex scores each violation d by d²/γ_p,
+		// steering away from rows whose B⁻ᵀ row has grown long (the
+		// degenerate-tie cure); `worst` holds the selected row's actual
+		// violation, which the bound-flipping walk below consumes. Only the
+		// positions on the infeasible list can qualify; the walk drops those
+		// that turned feasible and, going in ascending order with strict
 		// comparisons, breaks ties toward the smaller position.
 		r, worst, above := -1, feasTol, false
 		best := 0.0
@@ -1629,15 +1496,6 @@ func (rv *Revised) Solve() (*Solution, error) {
 				continue
 			}
 			live = append(live, p32)
-			if rv.pricing == PricingMostViolated {
-				if dLo > worst {
-					r, worst, above = p, dLo, false
-				}
-				if dHi > worst {
-					r, worst, above = p, dHi, true
-				}
-				continue
-			}
 			if dLo > feasTol {
 				if s := dLo * dLo / rv.gamma[p]; s > best {
 					r, worst, above, best = p, dLo, false, s
@@ -1855,9 +1713,7 @@ func (rv *Revised) Solve() (*Solution, error) {
 				rv.stats.PivotMin = aw
 			}
 		}
-		// Reference-weight update — must see the PRE-pivot basis (the
-		// steepest-exact FTRAN of ρ goes through the eta file before this
-		// pivot's eta is appended).
+		// Reference-weight update, on the PRE-pivot weights.
 		rv.updateWeights(r, m)
 		var dEnter float64
 		if enter < rv.nVars {
@@ -2013,7 +1869,7 @@ func (rv *Revised) checkState(feasTol float64) {
 		ordered bool
 	}{
 		{"rho", &rv.rho, true}, {"alpha", &rv.alpha, true}, {"col", &rv.col, true},
-		{"w", &rv.w, true}, {"pos", &rv.pos, true}, {"tau", &rv.tau, true}, {"acc", &rv.acc, false},
+		{"w", &rv.w, true}, {"pos", &rv.pos, true}, {"acc", &rv.acc, false},
 	}
 	for _, vc := range vecs {
 		v := vc.v

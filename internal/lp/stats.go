@@ -10,7 +10,7 @@ import (
 // pivot and factorization counters; the row-generation loop in
 // internal/core fills the round, Steiner-row and scale-path fields. The
 // public lubt.SolveStats is this type, `lubt -stats` prints its String,
-// and the lubt-bench/2 JSON embeds it in every engine row under the tags
+// and the lubt-bench/3 JSON embeds it in every engine row under the tags
 // below. Counters are cumulative over the lifetime of one engine / one
 // solve. A new field needs a JSON tag and a line in Merge.
 type Stats struct {
@@ -77,16 +77,15 @@ type Stats struct {
 	// many orders below PivotMax warns of ill-conditioned bases.
 	PivotMin float64 `json:"pivot_min"`
 	PivotMax float64 `json:"pivot_max"`
-	// PricingScheme is the leaving-row rule the revised engine ran with
-	// ("devex", "most-violated" or "steepest-exact"; empty on the other
-	// engines). DevexResets counts Devex reference-framework restarts
-	// forced by weight overflow past the cap — scheduled re-anchors at
-	// refactorization are NOT counted here (they track Refactorizations).
-	PricingScheme string `json:"pricing_scheme"`
-	DevexResets   int    `json:"devex_resets"`
-	// WeightMin and WeightMax are the reference-weight extremes γ_min/γ_max
-	// over the basis at the last Stats snapshot (both 0 under
-	// PricingMostViolated). A very large WeightMax flags a basis whose B⁻ᵀ
+	// DevexResets counts the revised engine's Devex reference-framework
+	// restarts forced by weight overflow past the cap — scheduled
+	// re-anchors at refactorization are NOT counted here (they track
+	// Refactorizations).
+	DevexResets int `json:"devex_resets"`
+	// WeightMin and WeightMax are the Devex reference-weight extremes
+	// γ_min/γ_max over the basis at the last Stats snapshot (both 0 on the
+	// cold engines and before the revised engine holds a row). Every
+	// weight is at least 1. A very large WeightMax flags a basis whose B⁻ᵀ
 	// rows have grown long — the same signal that triggers DevexResets.
 	// They are gauges: Merge replaces them.
 	WeightMin float64 `json:"weight_min"`
@@ -151,9 +150,6 @@ func (s *Stats) Merge(other Stats) {
 	if other.PivotMax > s.PivotMax {
 		s.PivotMax = other.PivotMax
 	}
-	if other.PricingScheme != "" {
-		s.PricingScheme = other.PricingScheme
-	}
 	s.DevexResets += other.DevexResets
 	s.WeightMin = other.WeightMin
 	s.WeightMax = other.WeightMax
@@ -181,9 +177,9 @@ func (s Stats) String() string {
 	if s.Restages > 0 || s.RowReplacements > 0 {
 		fmt.Fprintf(&b, "restages %d  row-replacements %d\n", s.Restages, s.RowReplacements)
 	}
-	if s.PricingScheme != "" {
-		fmt.Fprintf(&b, "pricing %s  devex-resets %d  weights [%.3g, %.3g]\n",
-			s.PricingScheme, s.DevexResets, s.WeightMin, s.WeightMax)
+	if s.WeightMax > 0 {
+		fmt.Fprintf(&b, "devex-resets %d  weights [%.3g, %.3g]\n",
+			s.DevexResets, s.WeightMin, s.WeightMax)
 	}
 	if s.PresolvePrunedRows > 0 || s.Subtrees > 0 || s.PeakRows > 0 {
 		fmt.Fprintf(&b, "presolve-pruned %d  subtrees %d  peak-rows %d\n",

@@ -92,20 +92,22 @@ func TestStatsString(t *testing.T) {
 		LogicalRows: 9, TableauRows: 9, LoweredTableauRows: 11, RangedRows: 2, RowNonzeros: 31,
 		Rounds: 3, SteinerRows: 6, ViolatedByRound: []int{5, 2, 0},
 		EtaLen: 6, NumericalResidual: 2.5e-10, PivotMin: 1e-4, PivotMax: 3,
+		DevexResets: 2, WeightMin: 1, WeightMax: 4,
 	}
 	out := s.String()
 	for _, want := range []string{
 		"pivots 12", "bound-flips 3", "refactorizations 2", "basis 7", "fill-in 4",
 		"rows 9 logical / 9 tableau (11 lowered, 2 ranged)", "nnz 31", "rounds 3", "steiner-rows 6",
 		"eta-len 6", "residual 2.5e-10", "pivot-el [0.0001, 3]",
-		"reset-reasons [dual-drift]", "violated/round [5 2 0]",
+		"reset-reasons [dual-drift]", "violated/round [5 2 0]", "devex-resets 2  weights [1, 4]",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("String() missing %q:\n%s", want, out)
 		}
 	}
 	var empty Stats
-	if out := empty.String(); strings.Contains(out, "reset-reasons") || strings.Contains(out, "violated/round") {
+	if out := empty.String(); strings.Contains(out, "reset-reasons") || strings.Contains(out, "violated/round") ||
+		strings.Contains(out, "devex-resets") {
 		t.Errorf("empty Stats shows optional lines:\n%s", out)
 	}
 }

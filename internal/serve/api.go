@@ -59,10 +59,6 @@ type SolveRequest struct {
 	// nil means unit weights. The resolved parent vector is returned in
 	// every response's tree.parent.
 	Weights []float64 `json:"weights,omitempty"`
-	// Pricing selects the dual-simplex leaving-row rule ("", "devex",
-	// "mostviolated", "steepest"). Part of the cache key: sessions are
-	// never shared across pricing rules.
-	Pricing string `json:"pricing,omitempty"`
 	// Cold bypasses the warm-basis cache: the solve runs on a fresh
 	// instance and is not cached. Use for one-shot topology experiments
 	// that should not displace warm sessions.
@@ -212,11 +208,11 @@ func (req *SolveRequest) bounds(m int, radius float64) (lubt.Bounds, *httpError)
 func (e WindowEdit) window() (l, u float64) { return e.Lower, inf(e.Upper) }
 
 // requestKey is the canonical topology key: a hash over the sink
-// coordinates (exact float bits), the source, the RESOLVED parent
-// vector and the pricing rule. Everything a warm re-solve can absorb —
-// delay windows, edge weights — is deliberately excluded; everything
-// that would need a fresh engine is included.
-func requestKey(sinks []lubt.Point, source *lubt.Point, parent []int, pricing string) string {
+// coordinates (exact float bits), the source and the RESOLVED parent
+// vector. Everything a warm re-solve can absorb — delay windows, edge
+// weights — is deliberately excluded; everything that would need a
+// fresh engine is included.
+func requestKey(sinks []lubt.Point, source *lubt.Point, parent []int) string {
 	h := sha256.New()
 	var buf [8]byte
 	wf := func(f float64) {
@@ -244,7 +240,6 @@ func requestKey(sinks []lubt.Point, source *lubt.Point, parent []int, pricing st
 	for _, p := range parent {
 		wi(p)
 	}
-	h.Write([]byte(pricing))
 	return "t:" + hex.EncodeToString(h.Sum(nil)[:12])
 }
 

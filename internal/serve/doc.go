@@ -2,9 +2,8 @@
 // public lubt facade that amortizes LP work across requests.
 //
 // The interesting part is the keyed warm-basis cache. A solve request is
-// split into what fixes the LP's structure (sink/source geometry, the
-// resolved topology, the pricing rule — hashed into a canonical topology
-// key) and what a restageable engine absorbs in place (delay windows,
+// split into what fixes the LP's structure (sink/source geometry and the
+// resolved topology — hashed into a canonical topology key) and what a restageable engine absorbs in place (delay windows,
 // edge weights). Requests sharing a key are routed to one held-open
 // lubt.Solved session: the first pays the cold solve, every later one is
 // diffed against the session's staged state, restaged with

@@ -554,18 +554,12 @@ func (s *Server) solve(req *SolveRequest, st *reqState) (*SolveResponse, *httpEr
 			}
 		}
 	}
-	switch req.Pricing {
-	case "", "devex", "mostviolated", "steepest":
-	default:
-		sp.End()
-		return nil, badRequest("unknown pricing %q (devex, mostviolated or steepest)", req.Pricing)
-	}
-	key := requestKey(sinks, source, parent, req.Pricing)
+	key := requestKey(sinks, source, parent)
 	sp.SetInt("nodes", len(parent))
 	sp.End()
 	s.hBuild.ObserveDuration(time.Since(bStart))
 
-	opts := &lubt.Options{Pricing: req.Pricing, Weights: req.Weights}
+	opts := &lubt.Options{Weights: req.Weights}
 	if req.Cold {
 		return s.solveBypass(inst, b, opts, key, radius, "bypass", st)
 	}

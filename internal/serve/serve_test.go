@@ -196,9 +196,9 @@ func TestSolveBadRequests(t *testing.T) {
 		decodeError(t, rr.Body, rr.Code, 400, "bad_request")
 	})
 	t.Run("unknown pricing", func(t *testing.T) {
-		req := solveReq(b, 0, 0)
-		req.Pricing = "bland"
-		rr := post(req)
+		// "pricing" is not a request field: like any unknown field, it
+		// is rejected.
+		rr := post(map[string]any{"sinks": solveReq(b, 0, 0).Sinks, "pricing": "devex"})
 		decodeError(t, rr.Body, rr.Code, 400, "bad_request")
 	})
 	t.Run("weights length", func(t *testing.T) {
@@ -572,7 +572,7 @@ func TestRequestKey(t *testing.T) {
 		if herr != nil {
 			t.Fatalf("build: %v", herr)
 		}
-		return requestKey(s, src, parent, req.Pricing)
+		return requestKey(s, src, parent)
 	}
 	base := mk(&SolveRequest{Sinks: sinks})
 	if base == "" || !strings.HasPrefix(base, "t:") {
@@ -585,7 +585,7 @@ func TestRequestKey(t *testing.T) {
 	if k := mk(&SolveRequest{Sinks: sinks, LowerAll: 10, UpperAll: 500, Weights: []float64{0, 2, 2}}); k != base {
 		t.Fatalf("windows/weights changed the key: %s vs %s", k, base)
 	}
-	// Geometry, topology and pricing are structural: different keys.
+	// Geometry and topology are structural: different keys.
 	if k := mk(&SolveRequest{Sinks: []PointJSON{{X: 1, Y: 2}, {X: 3, Y: 5}}}); k == base {
 		t.Fatal("moved sink kept the key")
 	}
@@ -601,9 +601,6 @@ func TestRequestKey(t *testing.T) {
 	chain := mk(&SolveRequest{Sinks: sinks, Topology: &TopologySpec{Type: "custom", Parent: []int{-1, 0, 1}}})
 	if chain == base {
 		t.Fatal("different resolved topology kept the key")
-	}
-	if k := mk(&SolveRequest{Sinks: sinks, Pricing: "steepest"}); k == base {
-		t.Fatal("different pricing kept the key")
 	}
 }
 

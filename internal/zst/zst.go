@@ -35,6 +35,9 @@ func Route(sinks []geom.Point, mdl delay.Elmore, source *geom.Point) (*Result, e
 	if m == 0 {
 		return nil, errors.New("zst: no sinks")
 	}
+	if err := mdl.Validate(m); err != nil {
+		return nil, fmt.Errorf("zst: %w", err)
+	}
 	if mdl.Rw <= 0 || mdl.Cw <= 0 {
 		return nil, fmt.Errorf("zst: Elmore model needs positive r_w and c_w (got %g, %g)", mdl.Rw, mdl.Cw)
 	}

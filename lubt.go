@@ -97,14 +97,9 @@ type Options struct {
 	// "coldsimplex" (two-phase primal simplex re-solved from scratch each
 	// round) or "ipm" (the interior-point method, the solver family the
 	// paper used via LOQO). The two cold methods are the independent
-	// cross-checks of the warm engine.
+	// cross-checks of the warm engine, for Solve only: SolveECO and
+	// SolveElmore need the warm engine and reject them.
 	Solver string
-	// Pricing selects the leaving-row rule of the revised dual-simplex
-	// engine: "" or "devex" (the default, reference-weight pricing),
-	// "mostviolated" (the classic rule, kept as the ablation baseline) or
-	// "steepest" (exact steepest edge, the Devex cross-check). Only valid
-	// with Solver "" / "simplex"; any other solver rejects it.
-	Pricing string
 	// Weights holds per-edge objective weights (§7), indexed by edge
 	// (child node id); nil means unit weights. A non-nil slice needs one
 	// entry per node of the chosen topology (len(Topology())), and
@@ -319,7 +314,6 @@ func (in *Instance) Solve(b Bounds, opt *Options) (*Tree, error) {
 	if opt != nil {
 		copts.FullMatrix = opt.FullMatrix
 		copts.OracleWorkers = opt.OracleWorkers
-		copts.Pricing = opt.Pricing
 		copts.Presolve = opt.Presolve
 		copts.Decompose = opt.Decompose
 		if opt.Weights != nil {
@@ -347,9 +341,12 @@ func (in *Instance) Solve(b Bounds, opt *Options) (*Tree, error) {
 
 // SolveElmore runs the §7 Elmore-delay extension: the delay windows are
 // interpreted under the Elmore model and solved by sequential linear
-// programming (heuristic; see package core). Rw/Cw are wire resistance
-// and capacitance per unit length; sinkCap is indexed like the sinks (nil
-// means zero loads).
+// programming (heuristic; see package core) on one persistent warm
+// revised engine, so Options.Solver "coldsimplex" or "ipm" is an error.
+// Rw/Cw are wire resistance and capacitance per unit length, finite and
+// ≥ 0 and not both zero; sinkCap is indexed like the sinks (nil means
+// zero loads) and its loads are finite and ≥ 0. The same input gives the
+// same tree on every run.
 func (in *Instance) SolveElmore(b Bounds, rw, cw float64, sinkCap []float64, opt *Options) (*Tree, error) {
 	if in.tree == nil {
 		return nil, errors.New("lubt: choose a topology before solving")
@@ -362,13 +359,15 @@ func (in *Instance) SolveElmore(b Bounds, rw, cw float64, sinkCap []float64, opt
 	if err != nil {
 		return nil, err
 	}
-	mdl := delay.Elmore{Rw: rw, Cw: cw}
-	if sinkCap != nil {
-		mdl.SinkCap = make([]float64, len(in.sinks)+1)
-		copy(mdl.SinkCap[1:], sinkCap)
+	if solver != nil {
+		return nil, fmt.Errorf("lubt: SolveElmore needs the warm revised engine, not solver %q", opt.Solver)
+	}
+	mdl, err := elmoreModel(rw, cw, sinkCap, len(in.sinks))
+	if err != nil {
+		return nil, err
 	}
 	tr := opt.tracer("solve-elmore")
-	eopts := &core.ElmoreOptions{Model: mdl, Solver: solver, Tracer: tr}
+	eopts := &core.ElmoreOptions{Model: mdl, Tracer: tr}
 	if opt != nil && opt.Weights != nil {
 		eopts.Weights = opt.Weights
 	}
@@ -396,6 +395,21 @@ func (in *Instance) SolveElmore(b Bounds, rw, cw float64, sinkCap []float64, opt
 		return nil, err
 	}
 	return tree, nil
+}
+
+// elmoreModel builds the Elmore model of a net of m sinks from the
+// facade's sink-indexed loads (nil means zero loads); the model's own
+// rules are checked by delay.Elmore.Validate where it is used.
+func elmoreModel(rw, cw float64, sinkCap []float64, m int) (delay.Elmore, error) {
+	mdl := delay.Elmore{Rw: rw, Cw: cw}
+	if sinkCap != nil {
+		if len(sinkCap) != m {
+			return mdl, fmt.Errorf("lubt: %d sink loads for %d sinks", len(sinkCap), m)
+		}
+		mdl.SinkCap = make([]float64, m+1)
+		copy(mdl.SinkCap[1:], sinkCap)
+	}
+	return mdl, nil
 }
 
 // finish embeds edge lengths and assembles the public Tree.
@@ -439,7 +453,8 @@ func (in *Instance) finish(ci *core.Instance, cb core.Bounds, e []float64, cost 
 // snaking where no split of the direct wire balances. All sink Elmore
 // delays in the result are exactly equal. It complements SolveElmore the
 // way BoundedSkewBaseline complements Solve: a constructive baseline from
-// the literature next to the paper's optimization formulation.
+// the literature next to the paper's optimization formulation. Rw and Cw
+// must be finite and positive; sinkCap is as in SolveElmore.
 func ElmoreZeroSkew(sinks []Point, rw, cw float64, sinkCap []float64, source *Point) (*Tree, error) {
 	gs := make([]geom.Point, len(sinks))
 	for i, s := range sinks {
@@ -450,10 +465,9 @@ func ElmoreZeroSkew(sinks []Point, rw, cw float64, sinkCap []float64, source *Po
 		s := gp(*source)
 		src = &s
 	}
-	mdl := delay.Elmore{Rw: rw, Cw: cw}
-	if sinkCap != nil {
-		mdl.SinkCap = make([]float64, len(sinks)+1)
-		copy(mdl.SinkCap[1:], sinkCap)
+	mdl, err := elmoreModel(rw, cw, sinkCap, len(sinks))
+	if err != nil {
+		return nil, err
 	}
 	res, err := zst.Route(gs, mdl, src)
 	if err != nil {

@@ -396,8 +396,8 @@ func TestSolveElmoreFacade(t *testing.T) {
 
 // TestSolveElmoreReportsSteinerRows: the Elmore SLP states every
 // Steiner row of its pool, so its stats must count them like Solve's do —
-// at least one, at most C(m,2) sink pairs plus m source rows — on both
-// the persistent-engine path and the cold-solver path.
+// at least one, at most C(m,2) sink pairs plus m source rows. The SLP
+// runs on the warm engine only, so the cold solvers are errors.
 func TestSolveElmoreReportsSteinerRows(t *testing.T) {
 	const m = 6
 	rng := rand.New(rand.NewSource(12))
@@ -406,13 +406,80 @@ func TestSolveElmoreReportsSteinerRows(t *testing.T) {
 	if err := inst.UseBalancedTopology(); err != nil {
 		t.Fatal(err)
 	}
-	for _, solver := range []string{"", "coldsimplex"} {
-		tree, err := inst.SolveElmore(Uniform(m, 0, 1e9), 0.1, 0.2, nil, &Options{Solver: solver})
-		if err != nil {
-			t.Fatalf("solver %q: %v", solver, err)
+	tree, err := inst.SolveElmore(Uniform(m, 0, 1e9), 0.1, 0.2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tree.Stats.SteinerRows; got <= 0 || got > m*(m-1)/2+m {
+		t.Errorf("SteinerRows = %d, want in (0, %d]", got, m*(m-1)/2+m)
+	}
+	for _, solver := range []string{"coldsimplex", "ipm"} {
+		if _, err := inst.SolveElmore(Uniform(m, 0, 1e9), 0.1, 0.2, nil, &Options{Solver: solver}); err == nil {
+			t.Errorf("solver %q accepted", solver)
 		}
-		if got := tree.Stats.SteinerRows; got <= 0 || got > m*(m-1)/2+m {
-			t.Errorf("solver %q: SteinerRows = %d, want in (0, %d]", solver, got, m*(m-1)/2+m)
+	}
+}
+
+// TestMalformedElmoreModelRejected: a non-finite or negative wire
+// parasitic or sink load, or a sinkCap whose length is not the sink
+// count, is an error on both Elmore entry points — never a panic, a
+// silent zero-fill or truncation, or an infeasibility verdict.
+func TestMalformedElmoreModelRejected(t *testing.T) {
+	const m = 6
+	rng := rand.New(rand.NewSource(12))
+	sinks := randPoints(rng, m)
+	inst, _ := NewInstance(sinks)
+	if err := inst.UseBalancedTopology(); err != nil {
+		t.Fatal(err)
+	}
+	// loads gives every sink 0.5 except sink k, which gets v.
+	loads := func(k int, v float64) []float64 {
+		c := make([]float64, m)
+		for i := range c {
+			c[i] = 0.5
+		}
+		c[k] = v
+		return c
+	}
+	type model struct {
+		rw, cw  float64
+		sinkCap []float64
+	}
+	models := map[string]model{
+		"nan-rw":        {math.NaN(), 0.2, nil},
+		"inf-rw":        {math.Inf(1), 0.2, nil},
+		"negative-cw":   {0.1, -1, nil},
+		"nan-load":      {0.1, 0.2, loads(2, math.NaN())},
+		"negative-load": {0.1, 0.2, loads(2, -1)},
+		"short-sinkcap": {0.1, 0.2, []float64{0.5}},
+		"long-sinkcap":  {0.1, 0.2, make([]float64, m+5)},
+	}
+	solvers := map[string]func(md model) error{
+		"SolveElmore": func(md model) error {
+			_, err := inst.SolveElmore(Uniform(m, 0, 1e6), md.rw, md.cw, md.sinkCap, nil)
+			return err
+		},
+		"ElmoreZeroSkew": func(md model) error {
+			_, err := ElmoreZeroSkew(sinks, md.rw, md.cw, md.sinkCap, nil)
+			return err
+		},
+	}
+	for sname, solve := range solvers {
+		for mname, md := range models {
+			t.Run(sname+"/"+mname, func(t *testing.T) {
+				var err error
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("panicked: %v", p)
+						}
+					}()
+					err = solve(md)
+				}()
+				if err == nil || errors.Is(err, ErrInfeasible) {
+					t.Fatalf("err = %v, want a model error", err)
+				}
+			})
 		}
 	}
 }
