@@ -62,6 +62,16 @@ echo "== fuzz (warm revised engine edits vs cold simplex)"
 # with the race step above.
 go test -run '^$' -fuzz FuzzRevisedEdits -fuzztime 10s ./internal/lp
 
+echo "== fuzz (separation oracle vs the brute-force pair scan)"
+# FuzzSeparationOracle decodes small instances (random topologies with
+# Steiner nodes, non-leaf sinks and high degree, an optional source,
+# every delay-window shape, a random edge vector) and requires the block
+# oracle to report the brute-force scan's violated pairs and worst
+# violation without its window arm, and to drop only pairs its block
+# witnesses dominate with it; its seed corpus under
+# internal/core/testdata/fuzz already ran with the race step above.
+go test -run '^$' -fuzz FuzzSeparationOracle -fuzztime 10s ./internal/core
+
 echo "== bench smoke (lubt-bench/3 JSON + ECO gate + baseline)"
 # Each reference bench is run through `lubtbench -json` (the revised
 # row plus its single-sink ECO probe), then the emitted record is
@@ -88,18 +98,19 @@ for bench in prim1-s r4-s; do
 	LUBT_BENCH_JSON="$bench_json" go test -run 'TestBenchJSONFile|TestBenchJSONEcoGate|TestBenchJSONMatchesBaseline' ./internal/experiments
 done
 
-echo "== scale smoke (r6-class: presolve + subtree decomposition gate)"
+echo "== scale smoke (r6-class: window-arm pruning + subtree decomposition gate)"
 # r6-s (2500 sinks) crosses the scale threshold, so `lubtbench -json`
 # switches to the sector-partitioned baseline and the ablation lineup:
-# "revised" under the auto settings (dominance presolve + parallel
-# subtree decomposition) against "revised-nopresolve" with both passes
-# forced off. The emitted record is schema-validated and passed through
-# experiments.CheckPresolveGate (TestBenchJSONPresolveGate): presolve
-# must prune a nonzero number of candidate rows, the decomposed peak
-# row count must not exceed the monolithic one, and the two optima must
-# agree to 1e-6·radius. The nopresolve row is the long pole here — it
-# is the ~20x-slower monolithic solve the passes exist to avoid. The record
-# must also match the committed BENCH_r6-s.json baseline
+# "revised" under the auto setting (parallel subtree decomposition)
+# against "revised-monolithic" with decomposition off; both prune with
+# the separation oracle's window arm. The emitted record is
+# schema-validated and passed through experiments.CheckPresolveGate
+# (TestBenchJSONPresolveGate): the window arm must prune a nonzero
+# number of candidate rows, the decomposed peak row count must not
+# exceed the monolithic one, and the two optima must agree to
+# 1e-6·radius. The monolithic row is the long pole here — it is the
+# ~8x-slower solve decomposition exists to avoid. The record must also
+# match the committed BENCH_r6-s.json baseline
 # (TestBenchJSONMatchesBaseline).
 go run ./cmd/lubtbench -json -bench r6-s -repeats 1 -outdir "$tmp"
 scale_json="$tmp/BENCH_r6-s.json"

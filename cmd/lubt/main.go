@@ -7,6 +7,12 @@
 //	lubt -in sinks.txt -lower 0.8 -upper 1.2 [-skew-topology 0.4]
 //	     [-normalized] [-use-source] [-solver simplex|coldsimplex|ipm]
 //	     [-svg out.svg] [-stats] [-trace trace.json] [-eco]
+//	     [-decompose on|off]
+//
+// Every solve runs the one separation oracle, which prunes the Steiner
+// rows the delay windows imply (-stats reports them as presolve-pruned);
+// -decompose overrides the automatic subtree decomposition, which
+// engages from 2048 sinks when the source is fixed (-use-source).
 //
 // With -eco the solve is held open as an ECO session: after reporting the
 // tree, sink 1's lower bound is retightened past its routed delay and the
@@ -47,7 +53,6 @@ func main() {
 		stats      = flag.Bool("stats", false, "print LP engine statistics (pivots, rounds, fill-in, timings)")
 		tracePath  = flag.String("trace", "", "write the solve span tree as JSON (schema lubt-trace/1) to this file")
 		eco        = flag.Bool("eco", false, "ECO demo: retighten sink 1's window after solving and warm re-solve in place")
-		presolve   = flag.String("presolve", "", "dominance presolve: on, off or empty (auto from 2048 sinks)")
 		decompose  = flag.String("decompose", "", "subtree decomposition with a fixed source: on, off or empty (auto from 2048 sinks)")
 	)
 	flag.Parse()
@@ -56,7 +61,7 @@ func main() {
 		normalized: *normalized, useSource: *useSource, skewTopo: *skewTopo,
 		solver: *solver, svgPath: *svgPath, jsonPath: *jsonPath,
 		boundsPath: *boundsPath, showStats: *stats, tracePath: *tracePath, eco: *eco,
-		presolve: *presolve, decompose: *decompose,
+		decompose: *decompose,
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "lubt:", err)
@@ -76,7 +81,7 @@ type runConfig struct {
 	showStats             bool
 	tracePath             string
 	eco                   bool
-	presolve, decompose   string
+	decompose             string
 }
 
 func run(cfg runConfig) error {
@@ -134,7 +139,7 @@ func run(cfg runConfig) error {
 	} else {
 		bounds = lubt.Uniform(len(sinks), l, u)
 	}
-	opts := &lubt.Options{Solver: cfg.solver, Presolve: cfg.presolve, Decompose: cfg.decompose}
+	opts := &lubt.Options{Solver: cfg.solver, Decompose: cfg.decompose}
 	var traceFile *os.File
 	if cfg.tracePath != "" {
 		var err error

@@ -28,18 +28,20 @@
 // every deterministic counter to match the committed BENCH_<name>.json
 // baseline at the repo root.
 //
-// Scale-class benchmarks (r6-class and up, at least 2048 sinks — e.g.
-// -bench r6-s) switch both the baseline and the lineup: the topology
-// comes from the sector-partitioned router (8 angular sectors, so the
-// root has independent branches), and the engine rows become "revised"
-// (auto settings — dominance presolve plus parallel subtree
-// decomposition) versus "revised-nopresolve" (both passes forced off),
-// the before/after pair behind the presolve_pruned_rows, subtrees and
-// peak_rows keys. ci.sh's scale smoke gates that record with
-// experiments.CheckPresolveGate: presolve must prune rows, the
-// decomposed peak row count must not exceed the monolithic one, and the
-// two optima must agree to 1e-6·radius. The ECO probe is skipped at this
-// size (sessions solve monolithically without presolve).
+// Every row's solve runs the one separation oracle with its window arm,
+// so presolve_pruned_rows is nonzero on most records. Scale-class
+// benchmarks (r6-class and up, at least 2048 sinks — e.g. -bench r6-s)
+// switch both the baseline and the lineup: the topology comes from the
+// sector-partitioned router (8 angular sectors, so the root has
+// independent branches), and the engine rows become "revised" (auto
+// settings — parallel subtree decomposition) versus
+// "revised-monolithic" (decomposition off), the before/after pair
+// behind the subtrees and peak_rows keys. ci.sh's scale smoke gates
+// that record with experiments.CheckPresolveGate: the window arm must
+// prune rows, the decomposed peak row count must not exceed the
+// monolithic one, and the two optima must agree to 1e-6·radius. The
+// ECO probe is skipped at this size (sessions solve monolithically
+// without the window arm).
 package main
 
 import (

@@ -166,8 +166,9 @@ func BenchmarkElmoreSLP(b *testing.B) {
 	b.ReportMetric(float64(pivots), "pivots/op")
 }
 
-// BenchmarkSeparationOracle times one full violated-pair scan over the
-// optimal edge vector of prim2-s, serial versus the striped worker pool.
+// BenchmarkSeparationOracle times one separation round (window arm on,
+// as in Solve) over the optimal edge vector of prim2-s, serial versus
+// the striped worker pool.
 func BenchmarkSeparationOracle(b *testing.B) {
 	in, cb := benchInstance(b, "prim2-s")
 	res, err := Solve(in, cb, nil)
@@ -180,13 +181,15 @@ func BenchmarkSeparationOracle(b *testing.B) {
 	for i, v := range res.E {
 		e[i] = 0.95 * v
 	}
+	d := in.Tree.Delays(e)
+	ps := newPresolve(in, &cb)
 	for _, bc := range []struct {
 		name    string
 		workers int
 	}{{"serial", 1}, {"pool", 4}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := violatedPairsN(in, e, 1e-9, 64, bc.workers); len(got) == 0 {
+				if got := ps.violatedPairs(d, 1e-9, 64, bc.workers); len(got) == 0 {
 					b.Fatal("oracle found nothing")
 				}
 			}

@@ -20,7 +20,7 @@ import (
 // every cross-branch row is implied, the objective is edge-separable,
 // and the independent branch optima compose into the exact global
 // optimum in one pass. A free source has no such rows, so the branches
-// stay coupled and Options.scaleSettings never decomposes it.
+// stay coupled and Options.decompose never decomposes it.
 
 // branchProblem is one root branch lowered to a standalone instance:
 // node 0 is the original root, sinks are renumbered 1…mb preserving
@@ -142,7 +142,7 @@ func buildBranch(in *Instance, bd Bounds, w []float64, c int) (*branchProblem, [
 // instance. done == false means the topology has fewer than two root
 // branches and the caller should run the monolithic path; when done is
 // true, res/err is the final outcome.
-func solveDecomposed(in *Instance, bd Bounds, opt *Options, presolveOn bool) (res *Result, done bool, err error) {
+func solveDecomposed(in *Instance, bd Bounds, opt *Options) (res *Result, done bool, err error) {
 	t := in.Tree
 	branches := effectiveRootBranches(t)
 	if len(branches) < 2 {
@@ -169,10 +169,6 @@ func solveDecomposed(in *Instance, bd Bounds, opt *Options, presolveOn bool) (re
 		}
 		o.Tracer = nil // branch solves run concurrently; spans stay monolithic
 		o.Decompose = "off"
-		o.Presolve = "off"
-		if presolveOn {
-			o.Presolve = "on"
-		}
 		o.Weights = wSubs[i]
 		return o
 	}

@@ -57,23 +57,21 @@ func TestDecomposeAgreement(t *testing.T) {
 		t.Fatalf("partitioned instance has %d effective root branches, want 4", n)
 	}
 	tol := 1e-6 * math.Max(1, in.Radius())
-	mono := mustSolve(t, in, cb, &Options{Presolve: "off", Decompose: "off"})
-	for _, pres := range []string{"on", "off"} {
-		dec := mustSolve(t, in, cb, &Options{Presolve: pres, Decompose: "on"})
-		if dec.Stats.Subtrees != 4 {
-			t.Errorf("presolve %s: Subtrees = %d, want 4", pres, dec.Stats.Subtrees)
-		}
-		if d := math.Abs(dec.Cost - mono.Cost); d > tol {
-			t.Errorf("presolve %s: decomposed cost %.10g vs monolithic %.10g: |Δ| = %g > %g",
-				pres, dec.Cost, mono.Cost, d, tol)
-		}
-		if err := Verify(in, cb, dec.E, 1e-6); err != nil {
-			t.Errorf("presolve %s: decomposed solution fails verification: %v", pres, err)
-		}
-		if dec.Stats.PeakRows <= 0 || dec.Stats.PeakRows > mono.Stats.PeakRows {
-			t.Errorf("presolve %s: PeakRows = %d (monolithic %d), want a smaller positive tableau",
-				pres, dec.Stats.PeakRows, mono.Stats.PeakRows)
-		}
+	mono := mustSolve(t, in, cb, &Options{Decompose: "off"})
+	dec := mustSolve(t, in, cb, &Options{Decompose: "on"})
+	if dec.Stats.Subtrees != 4 {
+		t.Errorf("Subtrees = %d, want 4", dec.Stats.Subtrees)
+	}
+	if d := math.Abs(dec.Cost - mono.Cost); d > tol {
+		t.Errorf("decomposed cost %.10g vs monolithic %.10g: |Δ| = %g > %g",
+			dec.Cost, mono.Cost, d, tol)
+	}
+	if err := Verify(in, cb, dec.E, 1e-6); err != nil {
+		t.Errorf("decomposed solution fails verification: %v", err)
+	}
+	if dec.Stats.PeakRows <= 0 || dec.Stats.PeakRows > mono.Stats.PeakRows {
+		t.Errorf("PeakRows = %d (monolithic %d), want a smaller positive tableau",
+			dec.Stats.PeakRows, mono.Stats.PeakRows)
 	}
 }
 
@@ -83,8 +81,8 @@ func TestDecomposeAgreement(t *testing.T) {
 // meaningful under -race, where goroutine interleaving is perturbed.
 func TestDecomposeDeterminism(t *testing.T) {
 	in, cb := partInstance(t, "r3-s", 4)
-	opt1 := &Options{Decompose: "on", Presolve: "on", OracleWorkers: 1}
-	optN := &Options{Decompose: "on", Presolve: "on", OracleWorkers: runtime.GOMAXPROCS(0)}
+	opt1 := &Options{Decompose: "on", OracleWorkers: 1}
+	optN := &Options{Decompose: "on", OracleWorkers: runtime.GOMAXPROCS(0)}
 	a := mustSolve(t, in, cb, opt1)
 	b := mustSolve(t, in, cb, optN)
 	if a.Cost != b.Cost {
@@ -120,7 +118,6 @@ func TestViolatedByRoundMatchesRounds(t *testing.T) {
 		opt  *Options
 	}{
 		{"monolithic", nil},
-		{"presolve", &Options{Presolve: "on"}},
 		{"decompose", &Options{Decompose: "on"}},
 	} {
 		res := mustSolve(t, in, cb, c.opt)
@@ -182,9 +179,8 @@ func TestDecomposeFreeSource(t *testing.T) {
 }
 
 // TestDecomposeScaleAuto pins the auto gate end-to-end on an r6-class
-// instance: at ScaleAutoSinks and beyond, a default Solve must engage
-// both presolve and decomposition, agree with the forced-off paths, and
-// shrink the peak tableau.
+// instance: at ScaleAutoSinks and beyond, a default Solve must
+// decompose, prune rows with the oracle's window arm, and verify.
 func TestDecomposeScaleAuto(t *testing.T) {
 	if testing.Short() {
 		t.Skip("r6-class instance in -short mode")
@@ -203,7 +199,7 @@ func TestDecomposeScaleAuto(t *testing.T) {
 }
 
 // TestDecomposeR6Full is the full 10 000-sink end-to-end acceptance run
-// (sectored baseline, auto presolve + decomposition, full-matrix
+// (sectored baseline, window-arm pruning + auto decomposition, full-matrix
 // verification at 1e-6·radius). It takes minutes of routing + solving,
 // so it only runs when LUBT_SCALE_FULL is set:
 //

@@ -172,10 +172,12 @@ func TestRadiusTopWindowFeasible(t *testing.T) {
 	}
 }
 
-// TestOracleDeterministicAcrossWorkers fixes the separation scan's output
-// order regardless of the worker count.
+// TestOracleDeterministicAcrossWorkers fixes the separation oracle's
+// output order and prune count regardless of the worker count, with and
+// without the window arm. The instance has enough sinks (≥ 64) for the
+// oracle to stripe its blocks across workers.
 func TestOracleDeterministicAcrossWorkers(t *testing.T) {
-	in, b := randomInstance(t, 209, 24)
+	in, b := randomInstance(t, 209, 80)
 	res, err := Solve(in, b, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -184,18 +186,26 @@ func TestOracleDeterministicAcrossWorkers(t *testing.T) {
 	for i, v := range res.E {
 		e[i] = 0.9 * v // shrink so the scan reports plenty of pairs
 	}
-	want := violatedPairsN(in, e, 1e-9, 32, 1)
-	if len(want) == 0 {
-		t.Fatal("oracle found nothing to compare")
-	}
-	for _, workers := range []int{2, 3, 4, 7} {
-		got := violatedPairsN(in, e, 1e-9, 32, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d pairs vs %d serial", workers, len(got), len(want))
+	d := in.Tree.Delays(e)
+	for _, windows := range []*Bounds{nil, &b} {
+		serial := newPresolve(in, windows)
+		want := serial.violatedPairs(d, 1e-9, 32, 1)
+		if len(want) == 0 {
+			t.Fatal("oracle found nothing to compare")
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: pair %d = %v vs serial %v", workers, i, got[i], want[i])
+		for _, workers := range []int{2, 3, 4, 7} {
+			ps := newPresolve(in, windows)
+			got := ps.violatedPairs(d, 1e-9, 32, workers)
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d: %d pairs vs %d serial", workers, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d: pair %d = %v vs serial %v", workers, i, got[i], want[i])
+				}
+			}
+			if ps.prunedRows() != serial.prunedRows() {
+				t.Errorf("workers=%d: pruned %d vs %d serial", workers, ps.prunedRows(), serial.prunedRows())
 			}
 		}
 	}

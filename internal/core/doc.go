@@ -18,8 +18,9 @@
 // constraint to the engine in its natural shape:
 //
 //   - Steiner pairs enter as one-sided ≥ rows (AddRow with lp.GE), added
-//     lazily: each round the separation oracle scans sink pairs for
-//     violations and only the violated rows join the LP.
+//     lazily: each round the separation oracle (presolve.go) scans the
+//     sink-pair blocks whose exact bound shows a violation and only the
+//     violated rows join the LP.
 //   - Delay windows enter as ONE logical ranged row each via
 //     AddRangedRow(path, l_i, u_i); a vacuous side (l_i ≤ 0 with the path
 //     already non-negative) is stated as −∞ so pure upper-bound problems
@@ -38,11 +39,12 @@
 // The loop runs warm on lp.Revised, the one warm engine.
 // Options.Solver replaces it with a cold solver (lp.Simplex or lp.IPM)
 // re-solving from scratch each round — the independent cross-checks;
-// Options.FullMatrix states all C(m,2) Steiner rows up front. From
-// ScaleAutoSinks sinks a dominance presolve prunes the separation scan
-// (presolve.go) and, when the source is fixed, the root branches solve
-// as independent subproblems whose optima compose exactly
-// (decompose.go).
+// Options.FullMatrix states all C(m,2) Steiner rows up front. Solve's
+// oracle also prunes the rows its fixed delay windows imply (the window
+// arm), so Stats.PresolvePrunedRows is nonzero on most solves; the ECO
+// Session, the Elmore SLP and FullMatrix run the oracle without it. From
+// ScaleAutoSinks sinks with a fixed source, the root branches solve as
+// independent subproblems whose optima compose exactly (decompose.go).
 //
 // # Tolerances
 //

@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"lubt/internal/lp"
@@ -19,7 +16,7 @@ type Options struct {
 	// whole LP from scratch. Nil (the default) runs the warm sparse
 	// revised dual simplex, lp.Revised.
 	Solver lp.Solver
-	// OracleWorkers bounds the separation-oracle worker pool; 0 means
+	// OracleWorkers bounds the separation-oracle worker pool; ≤ 0 means
 	// GOMAXPROCS. The oracle's output is deterministic regardless.
 	OracleWorkers int
 	// Weights is the per-edge objective weight w_k (§7 "different weights
@@ -30,23 +27,14 @@ type Options struct {
 	// FullMatrix disables row generation and states all C(m,2) Steiner
 	// rows upfront (the ablation baseline for §4.6).
 	FullMatrix bool
-	// MaxRounds bounds row-generation rounds; 0 means 200.
+	// MaxRounds bounds row-generation rounds; ≤ 0 means 200.
 	MaxRounds int
-	// Batch is the number of violated rows added per round; 0 means
+	// Batch is the number of violated rows added per round; ≤ 0 means
 	// max(64, m).
 	Batch int
 	// Tol is the Steiner-violation tolerance, scaled by the instance
-	// radius; 0 means 1e-7.
+	// radius; ≤ 0 means 1e-7.
 	Tol float64
-	// Presolve controls the dominance-pruning presolve pass (see
-	// presolve.go): "" is auto — on for instances with at least
-	// ScaleAutoSinks sinks, keeping the legacy oracle byte-for-byte on
-	// every smaller instance — "on" forces it, "off" disables it.
-	// Presolve requires the Lemma 3.1 all-sinks-are-leaves topology;
-	// otherwise the legacy oracle runs regardless of this setting.
-	// FullMatrix and the ECO Session always run without presolve (the
-	// Session's window edits would invalidate the dominance witnesses).
-	Presolve string
 	// Decompose controls root-branch subtree decomposition (see
 	// decompose.go): "" is auto — on when the instance has at least
 	// ScaleAutoSinks sinks — "on" forces it, "off" disables it. Either
@@ -60,63 +48,34 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// ScaleAutoSinks is the sink count at which the "" (auto) settings of
-// Options.Presolve and Options.Decompose engage: large enough that every
-// benchmark class at or below r5-s keeps the legacy monolithic path (and
-// its pinned pivot trajectories), small enough that the r6/r7 scale
-// classes get the pruned, decomposed path by default.
+// ScaleAutoSinks is the sink count at which the "" (auto) setting of
+// Options.Decompose engages: large enough that every benchmark class at
+// or below r5-s solves monolithically, small enough that the r6/r7 scale
+// classes get the decomposed path by default.
 const ScaleAutoSinks = 2048
 
-// scaleSetting lowers a Presolve/Decompose option string to a decision
-// for an instance with m sinks ("" = auto at the ScaleAutoSinks
-// threshold). Unknown values are reported by Validate-time callers.
-func scaleSetting(s string, m int) (bool, error) {
+// decompose resolves Options.Decompose against the instance ("" = auto
+// at the ScaleAutoSinks threshold). FullMatrix never decomposes (the
+// ablation states every row by definition), and neither does a free
+// source: decomposition needs a fixed one, the regime where root
+// branches are exactly independent given the seeded source rows.
+func (o *Options) decompose(in *Instance) (bool, error) {
+	s, full := "", false
+	if o != nil {
+		s, full = o.Decompose, o.FullMatrix
+	}
+	on := false
 	switch s {
 	case "":
-		return m >= ScaleAutoSinks, nil
+		on = in.Tree.NumSinks >= ScaleAutoSinks
 	case "on":
-		return true, nil
+		on = true
 	case "off":
-		return false, nil
+	default:
+		return false, fmt.Errorf("core: unknown decompose setting %q (want \"\", \"on\" or \"off\")", s)
 	}
-	return false, fmt.Errorf("core: unknown presolve/decompose setting %q (want \"\", \"on\" or \"off\")", s)
-}
-
-// scaleSettings resolves both scale options against the instance.
-// FullMatrix disables presolve (the ablation states every row by
-// definition) and decomposition; decomposition additionally requires a
-// fixed source — the regime where root branches are exactly independent
-// given the seeded source rows.
-func (o *Options) scaleSettings(in *Instance) (presolveOn, decomposeOn bool, err error) {
-	m := in.Tree.NumSinks
-	pStr, dStr := "", ""
-	full := false
-	if o != nil {
-		pStr, dStr, full = o.Presolve, o.Decompose, o.FullMatrix
-	}
-	presolveOn, err = scaleSetting(pStr, m)
-	if err != nil {
-		return false, false, err
-	}
-	decomposeOn, err = scaleSetting(dStr, m)
-	if err != nil {
-		return false, false, err
-	}
-	if full {
-		presolveOn, decomposeOn = false, false
-	}
-	if in.Source == nil {
-		decomposeOn = false // free-source branches are coupled through d_i + d_j ≥ dist(i, j)
-	}
-	if !in.Tree.AllSinksAreLeaves() {
-		// The block oracle enumerates sink pairs by (LCA, child-subtree
-		// pair); a sink that is an ancestor of another sink forms pairs
-		// outside every block, so dominance pruning is complete only under
-		// the Lemma 3.1 all-sinks-are-leaves condition. Fall back to the
-		// legacy oracle (stats report zero pruned rows) otherwise.
-		presolveOn = false
-	}
-	return presolveOn, decomposeOn, nil
+	// Free-source branches are coupled through d_i + d_j ≥ dist(i, j).
+	return on && !full && in.Source != nil, nil
 }
 
 // tracer returns the configured tracer, nil (disabled) when opt is nil.
@@ -147,11 +106,8 @@ func (o *Options) loopParams(in *Instance) (maxRounds, batch int, tol float64, w
 	if o != nil {
 		batch = o.Batch
 	}
-	if batch == 0 {
-		batch = in.Tree.NumSinks
-		if batch < 64 {
-			batch = 64
-		}
+	if batch <= 0 {
+		batch = max(64, in.Tree.NumSinks)
 	}
 	tol = 1e-7
 	if o != nil && o.Tol > 0 {
@@ -232,9 +188,48 @@ type genState struct {
 	tol       float64 // already scaled by the instance radius
 	workers   int
 	tr        *obs.Tracer
-	// ps, when non-nil, replaces the flat separation scan with the
-	// block-structured dominance-pruning oracle (presolve.go).
-	ps *presolve
+	ps        *presolve // the separation oracle (presolve.go)
+}
+
+// newGenState builds the loop state over an engine that already holds
+// the delay rows and states the first Steiner rows: every fixed-point
+// pair under FullMatrix, otherwise the oracle's seeds. windows are the
+// delay windows the engine holds as fixed linear rows, which turn the
+// oracle's window arm on; nil runs without it, and so does FullMatrix.
+func newGenState(in *Instance, eng lp.RowEngine, w []float64, opt *Options, windows *Bounds) *genState {
+	maxRounds, batch, tol, workers := opt.loopParams(in)
+	g := &genState{
+		in:        in,
+		eng:       eng,
+		w:         w,
+		have:      map[pairKey]bool{},
+		full:      opt != nil && opt.FullMatrix,
+		batch:     batch,
+		maxRounds: maxRounds,
+		tol:       tol,
+		workers:   workers,
+		tr:        opt.tracer(),
+	}
+	if !g.full {
+		g.ps = newPresolve(in, windows)
+		for _, pr := range g.ps.seedPairs() {
+			g.addPair(pr[0], pr[1])
+		}
+		return g
+	}
+	g.ps = newPresolve(in, nil)
+	m := in.Tree.NumSinks
+	for i := 1; i <= m; i++ {
+		for j := i + 1; j <= m; j++ {
+			g.addPair(i, j)
+		}
+	}
+	if in.Source != nil {
+		for i := 1; i <= m; i++ {
+			g.addPair(0, i)
+		}
+	}
+	return g
 }
 
 // addPair states the Steiner row for fixed-point pair (i, j) once.
@@ -290,12 +285,7 @@ func (g *genState) run() (*Result, error) {
 		copy(e[1:], sol.X[1:n])
 		ssp := g.tr.Start("separation")
 		t1 := time.Now()
-		var viol [][2]int
-		if g.ps != nil {
-			viol = g.ps.violatedPairs(t.Delays(e), g.tol, g.batch, g.workers)
-		} else {
-			viol = violatedPairsN(g.in, e, g.tol, g.batch, g.workers)
-		}
+		viol := g.ps.violatedPairs(t.Delays(e), g.tol, g.batch, g.workers)
 		sepTime += time.Since(t1)
 		ssp.SetInt("violated", len(viol))
 		ssp.End()
@@ -308,9 +298,7 @@ func (g *genState) run() (*Result, error) {
 			st.ViolatedByRound = violByRound
 			st.SolveTime = solveTime
 			st.SeparationTime = sepTime
-			if g.ps != nil {
-				st.PresolvePrunedRows = g.ps.prunedRows()
-			}
+			st.PresolvePrunedRows = g.ps.prunedRows()
 			st.PeakRows = g.eng.TableauRows()
 			return &Result{E: e, Delays: t.Delays(e), Cost: weightedCost(g.w, e), Stats: st}, nil
 		}
@@ -355,18 +343,17 @@ func Solve(in *Instance, b Bounds, opt *Options) (*Result, error) {
 	}
 	t := in.Tree
 	n := t.N() // LP variables: edges 1…n−1 mapped to columns 1…n−1 (column 0 unused but harmless)
-	maxRounds, batch, tol, workers := opt.loopParams(in)
 	w, err := opt.weights(n)
 	if err != nil {
 		return nil, err
 	}
 
-	presolveOn, decomposeOn, err := opt.scaleSettings(in)
+	decomposeOn, err := opt.decompose(in)
 	if err != nil {
 		return nil, err
 	}
 	if decomposeOn {
-		if res, done, err := solveDecomposed(in, b, opt, presolveOn); done {
+		if res, done, err := solveDecomposed(in, b, opt); done {
 			return res, err
 		}
 		// Fewer than two root branches: monolithic path.
@@ -407,46 +394,9 @@ func Solve(in *Instance, b Bounds, opt *Options) (*Result, error) {
 		}
 		eng.AddRangedRow(unitTermsOf(t.PathToRoot(i)), lo, hi)
 	}
-
-	gen := &genState{
-		in:        in,
-		eng:       eng,
-		w:         w,
-		have:      map[pairKey]bool{},
-		full:      opt != nil && opt.FullMatrix,
-		batch:     batch,
-		maxRounds: maxRounds,
-		tol:       tol,
-		workers:   workers,
-		tr:        tr,
-	}
-	if presolveOn && !gen.full {
-		gen.ps = newPresolve(in, b)
-	}
-	switch {
-	case gen.full:
-		for i := 1; i <= t.NumSinks; i++ {
-			for j := i + 1; j <= t.NumSinks; j++ {
-				gen.addPair(i, j)
-			}
-		}
-		if in.Source != nil {
-			for i := 1; i <= t.NumSinks; i++ {
-				gen.addPair(0, i)
-			}
-		}
-	case gen.ps != nil:
-		// Dominance needs every block witness stated from round 0; implied
-		// source rows are dropped here — the prune half of presolve.
-		for _, pr := range gen.ps.seedPairs() {
-			gen.addPair(pr[0], pr[1])
-		}
-	default:
-		for _, pr := range seedPairs(in) {
-			gen.addPair(pr[0], pr[1])
-		}
-	}
-	return gen.run()
+	// The windows stay fixed for the whole solve, so the oracle's window
+	// arm prunes the rows they imply.
+	return newGenState(in, eng, w, opt, &b).run()
 }
 
 // coldEngine adapts an explicit lp.Solver to the RowEngine interface: rows
@@ -548,204 +498,6 @@ func unitTermsOf(vars []int) []lp.Term {
 		ts[i] = lp.Term{Var: v, Coef: 1}
 	}
 	return ts
-}
-
-// seedPairs returns the initial Steiner rows for row generation: for every
-// internal node, the farthest sink pair straddling its two child subtrees
-// (the candidate most likely to bind), plus every source-sink pair when
-// the source is fixed. Farthest pairs come from rotated-coordinate
-// extremes, so seeding costs O(n).
-func seedPairs(in *Instance) [][2]int {
-	t := in.Tree
-	type extreme struct {
-		minU, maxU, minV, maxV float64
-		argMinU, argMaxU       int
-		argMinV, argMaxV       int
-	}
-	ex := make([]extreme, t.N())
-	post := t.Postorder()
-	for _, k := range post {
-		if t.IsSink(k) {
-			u, v := in.SinkLoc[k].UV()
-			ex[k] = extreme{u, u, v, v, k, k, k, k}
-			continue
-		}
-		first := true
-		for _, c := range t.Children(k) {
-			if first {
-				ex[k] = ex[c]
-				first = false
-				continue
-			}
-			if ex[c].minU < ex[k].minU {
-				ex[k].minU, ex[k].argMinU = ex[c].minU, ex[c].argMinU
-			}
-			if ex[c].maxU > ex[k].maxU {
-				ex[k].maxU, ex[k].argMaxU = ex[c].maxU, ex[c].argMaxU
-			}
-			if ex[c].minV < ex[k].minV {
-				ex[k].minV, ex[k].argMinV = ex[c].minV, ex[c].argMinV
-			}
-			if ex[c].maxV > ex[k].maxV {
-				ex[k].maxV, ex[k].argMaxV = ex[c].maxV, ex[c].argMaxV
-			}
-		}
-		if first {
-			// Internal node with no sink below (cannot happen in valid
-			// merge topologies, but stay safe).
-			ex[k] = extreme{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1), -1, -1, -1, -1}
-		}
-	}
-	var pairs [][2]int
-	for k := 0; k < t.N(); k++ {
-		ch := t.Children(k)
-		if len(ch) < 2 {
-			continue
-		}
-		for a := 0; a < len(ch); a++ {
-			for b := a + 1; b < len(ch); b++ {
-				ea, eb := ex[ch[a]], ex[ch[b]]
-				if ea.argMaxU < 0 || eb.argMaxU < 0 {
-					continue
-				}
-				// Candidate farthest pairs across the two subtrees in each
-				// rotated axis.
-				cands := [][2]int{
-					{ea.argMaxU, eb.argMinU}, {ea.argMinU, eb.argMaxU},
-					{ea.argMaxV, eb.argMinV}, {ea.argMinV, eb.argMaxV},
-				}
-				best, bd := cands[0], -1.0
-				for _, c := range cands {
-					if d := in.Dist(c[0], c[1]); d > bd {
-						best, bd = c, d
-					}
-				}
-				pairs = append(pairs, best)
-			}
-		}
-	}
-	if in.Source != nil {
-		for i := 1; i <= t.NumSinks; i++ {
-			pairs = append(pairs, [2]int{0, i})
-		}
-	}
-	return pairs
-}
-
-// sepViol is one violated Steiner pair found by the separation oracle.
-type sepViol struct {
-	pair   [2]int
-	amount float64
-}
-
-// violatedPairs runs the separation oracle with the default worker count
-// (GOMAXPROCS); see violatedPairsN.
-func violatedPairs(in *Instance, e []float64, tol float64, batch int) [][2]int {
-	return violatedPairsN(in, e, tol, batch, 0)
-}
-
-// violatedPairsN runs the separation oracle: it scans all fixed-point
-// pairs for Steiner violations under edge lengths e and returns the worst
-// `batch` of them. Path lengths use the O(1) LCA, so a scan is O(m²) —
-// and embarrassingly parallel, so the sink-pair rows are striped across a
-// worker pool (workers ≤ 0 means GOMAXPROCS). The result is deterministic
-// for any worker count: the merged violations are sorted by amount with
-// (i, j) as the tie-break before batching.
-func violatedPairsN(in *Instance, e []float64, tol float64, batch, workers int) [][2]int {
-	t := in.Tree
-	d := t.Delays(e)
-	m := t.NumSinks
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if m < 64 {
-		// Not enough pairs to amortize goroutine startup.
-		workers = 1
-	}
-	if workers > m {
-		workers = m
-	}
-	var vs []sepViol
-	scan := func(start, stride int) []sepViol {
-		var local []sepViol
-		for i := 1 + start; i <= m; i += stride {
-			for j := i + 1; j <= m; j++ {
-				need := in.Dist(i, j)
-				if need == 0 {
-					continue
-				}
-				if pl := t.PathLength(i, j, d); need-pl > tol {
-					local = append(local, sepViol{[2]int{i, j}, need - pl})
-				}
-			}
-		}
-		return local
-	}
-	if workers <= 1 {
-		vs = scan(0, 1)
-	} else {
-		locals := make([][]sepViol, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				locals[w] = scan(w, workers)
-			}(w)
-		}
-		wg.Wait()
-		for _, l := range locals {
-			vs = append(vs, l...)
-		}
-	}
-	if in.Source != nil {
-		for i := 1; i <= m; i++ {
-			if need := in.Dist(0, i); need-d[i] > tol {
-				vs = append(vs, sepViol{[2]int{0, i}, need - d[i]})
-			}
-		}
-	}
-	sort.Slice(vs, func(a, b int) bool {
-		if vs[a].amount != vs[b].amount {
-			return vs[a].amount > vs[b].amount
-		}
-		if vs[a].pair[0] != vs[b].pair[0] {
-			return vs[a].pair[0] < vs[b].pair[0]
-		}
-		return vs[a].pair[1] < vs[b].pair[1]
-	})
-	if len(vs) > batch {
-		vs = vs[:batch]
-	}
-	out := make([][2]int, len(vs))
-	for i, v := range vs {
-		out[i] = v.pair
-	}
-	return out
-}
-
-// steinerViolation returns the worst Steiner-constraint violation of e
-// over all fixed-point pairs (0 when geometrically feasible).
-func steinerViolation(in *Instance, e []float64) float64 {
-	t := in.Tree
-	d := t.Delays(e)
-	m := t.NumSinks
-	worst := 0.0
-	for i := 1; i <= m; i++ {
-		for j := i + 1; j <= m; j++ {
-			if v := in.Dist(i, j) - t.PathLength(i, j, d); v > worst {
-				worst = v
-			}
-		}
-	}
-	if in.Source != nil {
-		for i := 1; i <= m; i++ {
-			if v := in.Dist(0, i) - d[i]; v > worst {
-				worst = v
-			}
-		}
-	}
-	return worst
 }
 
 func weightedCost(w, e []float64) float64 {

@@ -56,7 +56,6 @@ func NewSession(in *Instance, b Bounds, opt *Options) (*Session, error) {
 		return nil, err
 	}
 	w = append([]float64(nil), w...)
-	maxRounds, batch, tol, workers := opt.loopParams(in)
 	tr := opt.tracer()
 
 	rv := lp.NewRevised(n, w)
@@ -82,34 +81,9 @@ func NewSession(in *Instance, b Bounds, opt *Options) (*Session, error) {
 		s.delayRow[i] = rv.TableauRows()
 		rv.AddRangedRow(unitTermsOf(t.PathToRoot(i)), lo, hi)
 	}
-	s.gen = &genState{
-		in:        in,
-		eng:       rv,
-		w:         w,
-		have:      map[pairKey]bool{},
-		full:      opt != nil && opt.FullMatrix,
-		batch:     batch,
-		maxRounds: maxRounds,
-		tol:       tol,
-		workers:   workers,
-		tr:        tr,
-	}
-	if s.gen.full {
-		for i := 1; i <= t.NumSinks; i++ {
-			for j := i + 1; j <= t.NumSinks; j++ {
-				s.gen.addPair(i, j)
-			}
-		}
-		if in.Source != nil {
-			for i := 1; i <= t.NumSinks; i++ {
-				s.gen.addPair(0, i)
-			}
-		}
-	} else {
-		for _, pr := range seedPairs(in) {
-			s.gen.addPair(pr[0], pr[1])
-		}
-	}
+	// The Session edits its windows (Retighten), so the oracle runs
+	// without the window arm: a pruned row could bind after an edit.
+	s.gen = newGenState(in, rv, w, opt, nil)
 	pivots0 := rv.Iterations()
 	res, err := s.gen.run()
 	if err != nil {

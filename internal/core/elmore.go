@@ -183,9 +183,12 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 		}
 		return worst
 	}
+	// The separation oracle runs without the window arm: the SLP's delay
+	// windows are not linear rows.
+	ps := newPresolve(in, nil)
 	// violation is the dimensionless residual driving acceptance.
 	violation := func(e []float64) float64 {
-		return math.Max(boundViol(e)/timeScale, steinerViolation(in, e)/geoScale)
+		return math.Max(boundViol(e)/timeScale, ps.worstViolation(t.Delays(e))/geoScale)
 	}
 	cost := func(e []float64) float64 { return weightedCost(w, e) }
 
@@ -200,10 +203,10 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 		return candV <= slpTol && candC < curC-1e-12
 	}
 
-	// Growing Steiner row pool (pairs), seeded like the linear solver. It
-	// is kept in insertion order — the seed pairs, then each round's
-	// violatedPairs in the oracle's deterministic order — so the engine
-	// states its rows, and takes its pivots, the same way on every run.
+	// Growing Steiner row pool (pairs), seeded by the oracle. It is kept
+	// in insertion order — the seed pairs, then each round's violated
+	// pairs in the oracle's deterministic order — so the engine states its
+	// rows, and takes its pivots, the same way on every run.
 	var pool [][2]int
 	inPool := map[pairKey]bool{}
 	addPair := func(pr [2]int) {
@@ -213,7 +216,7 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 			pool = append(pool, [2]int{key.i, key.j})
 		}
 	}
-	for _, pr := range seedPairs(in) {
+	for _, pr := range ps.seedPairs() {
 		addPair(pr)
 	}
 
@@ -267,7 +270,7 @@ func SolveElmore(in *Instance, b Bounds, opt *ElmoreOptions) (*ElmoreResult, err
 	iters := 0
 	for ; iters < slpMaxIter; iters++ {
 		// Refresh Steiner pool at the current point.
-		for _, pr := range violatedPairs(in, e, 1e-9*(1+in.Radius()), 4*m) {
+		for _, pr := range ps.violatedPairs(t.Delays(e), 1e-9*(1+in.Radius()), 4*m, 0) {
 			addPair(pr)
 		}
 		// Linearize at a floored point: the Elmore delay is a convex

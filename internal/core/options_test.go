@@ -121,17 +121,59 @@ func TestFullMatrixWithSource(t *testing.T) {
 	}
 }
 
+// TestSteinerViolationHelper checks the oracle's worst-violation read,
+// the Elmore SLP's Steiner residual.
 func TestSteinerViolationHelper(t *testing.T) {
 	in, _ := randomInstance(t, 207, 6)
+	ps := newPresolve(in, nil)
 	zero := make([]float64, in.Tree.N())
-	if v := steinerViolation(in, zero); v <= 0 {
+	if v := ps.worstViolation(in.Tree.Delays(zero)); v <= 0 {
 		t.Fatalf("zero tree should violate Steiner constraints, got %g", v)
 	}
 	res, err := Solve(in, UniformBounds(6, 0, math.Inf(1)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := steinerViolation(in, res.E); v > 1e-5 {
+	if v := ps.worstViolation(res.Delays); v > 1e-5 {
 		t.Fatalf("optimal tree violates by %g", v)
+	}
+}
+
+// TestNegativeOptionsFallBack: a negative Batch, MaxRounds, Tol or
+// OracleWorkers means its default, in Solve and NewSession alike.
+func TestNegativeOptionsFallBack(t *testing.T) {
+	in, b := randomInstance(t, 212, 10)
+	ref, err := Solve(in, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(*Options) (*Result, error){
+		"Solve": func(opt *Options) (*Result, error) { return Solve(in, b, opt) },
+		"NewSession": func(opt *Options) (*Result, error) {
+			sess, err := NewSession(in, b, opt)
+			if err != nil {
+				return nil, err
+			}
+			return sess.Result(), nil
+		},
+	}
+	opts := map[string]Options{
+		"Batch-1":         {Batch: -1},
+		"MaxRounds-1":     {MaxRounds: -1},
+		"Tol-1":           {Tol: -1},
+		"OracleWorkers-3": {OracleWorkers: -3},
+	}
+	for entry, solve := range entries {
+		for name, opt := range opts {
+			t.Run(entry+"/"+name, func(t *testing.T) {
+				res, err := solve(&opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Abs(res.Cost-ref.Cost) > 1e-6*(1+ref.Cost) {
+					t.Errorf("cost %g, default options %g", res.Cost, ref.Cost)
+				}
+			})
+		}
 	}
 }

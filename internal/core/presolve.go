@@ -5,45 +5,56 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-
-	"lubt/internal/topology"
 )
 
-// This file is the presolve layer of the §4.6 row generation: dominance
-// pruning over the sink-pair Steiner rows, plus the block-structured
-// separation oracle that exploits it. The two dominance arms are
+// This file is the separation oracle of the §4.6 row generation, the
+// one every solve uses: Solve, the ECO Session, the Elmore SLP and
+// FullMatrix. It groups the fixed-point Steiner rows into blocks whose
+// worst violation has an exact O(1) bound, so a round skips every block
+// that bound clears, and where the caller states fixed linear delay
+// windows it prunes the rows those windows imply (the window arm).
 //
-//  1. path containment: if path(k,l) ⊆ path(i,j) and dist(i,j) ≤
-//     dist(k,l), then row (k,l) implies row (i,j) outright — the path sum
-//     over the superset can only be larger (dominatesContainment);
+// A sink pair (i,j) lies in exactly one block:
 //
-//  2. window dominance at a common LCA: for pairs (i,j) and (k,l) whose
-//     paths cross the same ordered child-subtree pair (A,B) under node v,
-//     the shared d_v term cancels and the stated delay windows carry the
-//     implication. If row (k,l) is stated and the windows enforce
-//     d_k ≤ cu_k, d_l ≤ cu_l, then at every LP-feasible point
-//     2·d_v ≤ cu_k + cu_l − dist(k,l), so with d_i ≥ λ_i, d_j ≥ λ_j,
+//   - a cross block (node v, ordered child-subtree pair (A,B)) when i ∈ A
+//     and j ∈ B: the pair's LCA is v and pathlen(i,j) = d_i + d_j − 2·d_v;
+//   - an ancestor block (sink v, child subtree C) when i = v is an
+//     ancestor of j ∈ C, which only a topology with non-leaf sinks has:
+//     pathlen(v,j) = d_j − d_v.
 //
-//         pathlen(i,j) = d_i + d_j − 2·d_v
-//                      ≥ λ_i + λ_j − cu_k − cu_l + dist(k,l),
+// The window arm is window dominance inside a cross block, where the
+// shared d_v term cancels and the stated delay windows carry the
+// implication. If row (k,l) is stated and the windows enforce
+// d_k ≤ cu_k, d_l ≤ cu_l, then at every LP-feasible point
+// 2·d_v ≤ cu_k + cu_l − dist(k,l), so with d_i ≥ λ_i, d_j ≥ λ_j,
 //
-//     which meets dist(i,j) whenever
+//	pathlen(i,j) = d_i + d_j − 2·d_v
+//	             ≥ λ_i + λ_j − cu_k − cu_l + dist(k,l),
 //
-//         dist(i,j) − λ_i − λ_j ≤ dist(k,l) − cu_k − cu_l.
+// which meets dist(i,j) whenever
 //
-//     Here cu_x is the sink's enforced (finite) upper window and λ_x the
-//     enforced lower window, or 0 — path lengths are non-negative — when
-//     the lower side is vacuous (dominatesWindow).
+//	dist(i,j) − λ_i − λ_j ≤ dist(k,l) − cu_k − cu_l.
 //
-// The oracle keeps, per (node v, ordered child pair) block, the witness
-// (k,l) maximizing dist(k,l) − cu_k − cu_l; the witness row is seeded
-// into the LP so arm 2 holds at every iterate, and every other pair in
-// the block passing the test above is never generated or priced. Because
-// Manhattan distance is a max of four separable linear forms in the
-// rotated coordinates u = x+y, v = x−y, the witness, the block-wide
-// static maximum of dist − λ − λ, and the per-round exact bound on the
-// block's worst violation all come from O(1) combinations of per-subtree
-// extremes maintained in one O(n) bottom-up fold.
+// Here cu_x is the sink's enforced (finite) upper window and λ_x the
+// enforced lower window, or 0 — path lengths are non-negative — when the
+// lower side is vacuous. The arm also drops every source row (0,i) that
+// the sink's lower window implies (λ_i ≥ dist(0,i)). Ancestor blocks are
+// never pruned: d_v does not cancel in their path length.
+//
+// Each cross block keeps the witness (k,l) maximizing dist(k,l) − cu_k −
+// cu_l; without windows, or when one side of the block has no finite
+// upper window, its witness is its farthest pair and it prunes nothing.
+// The witness rows and the unpruned source rows are the seeds stated
+// before the first round, so the window arm holds at every iterate, and
+// every other pair of the block that passes the test above is never
+// generated or priced. Only Solve passes its windows: the Session edits its
+// windows, the SLP's windows are not linear and FullMatrix states every
+// row anyway, so they run without the arm. Because Manhattan distance is
+// a max of four separable linear forms in the rotated coordinates
+// u = x+y, v = x−y, the witness, the block-wide static maximum of
+// dist − λ − λ, and the per-round exact bound on each block's worst
+// violation all come from O(1) combinations of per-subtree extremes
+// maintained in one O(n) bottom-up fold.
 
 // psForms are the four rotated-coordinate linear forms whose pairwise
 // maximum is the Manhattan distance: dist(k,l) = max_f form_f(k) +
@@ -101,13 +112,15 @@ func maxCombo(a, b ext4) (best float64, argA, argB int) {
 	return best, argA, argB
 }
 
-// psBlock is one (internal node, ordered child-subtree pair) group of
-// sink-pair rows. All pairs in a block share their LCA, so window
-// dominance (arm 2) applies within it.
+// psBlock is one block of sink-pair rows: a cross block (node v,
+// ordered child-subtree pair (a, b)), whose pairs share the LCA v so
+// the window arm applies within it, or an ancestor block (a == v, a
+// sink): the pairs (v, j) for every sink j in child subtree b.
 type psBlock struct {
-	v, a, b int // node and the two child subtrees
-	// score is the witness objective dist(k,l) − cu_k − cu_l (−Inf when no
-	// pair with finite uppers exists); wi < wj is the witness pair.
+	v, a, b int
+	// score is the witness objective dist(k,l) − cu_k − cu_l, or −Inf
+	// when the window arm is off in this block; wi < wj is the witness
+	// pair, the block's seed (−1s for an ancestor block).
 	score  float64
 	wi, wj int
 	// allDominated marks a block whose static maximum of dist − λ − λ is ≤
@@ -120,18 +133,20 @@ type psBlock struct {
 	counted bool
 }
 
-// presolve is the dominance-pruning state of one Solve: immutable window
+// presolve is the separation oracle of one solve: immutable window
 // terms and block structure plus the per-round dynamic extremes.
 type presolve struct {
-	in      *Instance
-	lam, cu []float64 // enforced windows per sink (index 1…m)
-	uu, vv  []float64 // rotated sink coordinates (index 1…m)
+	in     *Instance
+	lam    []float64 // enforced lower windows per sink (index 1…m); zero without the window arm
+	uu, vv []float64 // rotated sink coordinates (index 1…m)
 
 	order, lo, hi []int // DFS sink order and per-node spans
+	post          []int // tree postorder
 
 	blocks []psBlock
 	// sourceImplied[i] marks source row (0,i) as implied by the sink's
-	// enforced lower window (λ_i ≥ dist(0,i)); such rows are pruned.
+	// enforced lower window (λ_i ≥ dist(0,i)); such rows are pruned. All
+	// false without the window arm; nil without a source.
 	sourceImplied []bool
 
 	// pruned counts dominated rows never generated or priced: the
@@ -139,11 +154,11 @@ type presolve struct {
 	// plus per-pair counts folded in on each block's first scan.
 	pruned int64
 
-	dynExt []ext4 // per-node extremes of form − d, rebuilt each round
+	dynExt []ext4 // per-node extremes of form − d, refolded each round
 }
 
 // enforcedWindowTerms lowers the stated bounds to the per-sink terms the
-// dominance arms may rely on: cu is the enforced upper window (+Inf when
+// window arm may rely on: cu is the enforced upper window (+Inf when
 // none is stated) and λ the enforced lower window clamped at the
 // structural floor 0.
 func enforcedWindowTerms(b Bounds, m int) (lam, cu []float64) {
@@ -163,41 +178,45 @@ func enforcedWindowTerms(b Bounds, m int) (lam, cu []float64) {
 	return lam, cu
 }
 
-// newPresolve builds the dominance state for one instance + bounds: the
-// DFS spans, the per-block witnesses and static prune decisions, and the
-// implied-source-row marks. Cost is O(n) plus O(blocks).
-func newPresolve(in *Instance, b Bounds) *presolve {
+// newPresolve builds the oracle for one instance: the DFS spans, the
+// blocks and their seeds, and — when the caller passes the delay windows
+// it states as fixed linear rows — the window arm's witnesses, static
+// prune decisions and implied-source-row marks. A nil windows runs
+// without the arm. Cost is O(n) plus O(blocks).
+func newPresolve(in *Instance, windows *Bounds) *presolve {
 	t := in.Tree
 	m := t.NumSinks
-	ps := &presolve{in: in}
-	ps.lam, ps.cu = enforcedWindowTerms(b, m)
+	ps := &presolve{in: in, lam: make([]float64, m+1)}
 	ps.uu = make([]float64, m+1)
 	ps.vv = make([]float64, m+1)
 	for i := 1; i <= m; i++ {
 		ps.uu[i], ps.vv[i] = in.SinkLoc[i].UV()
 	}
 	ps.order, ps.lo, ps.hi = t.SinkOrder()
+	ps.post = t.Postorder()
 	ps.dynExt = make([]ext4, t.N())
 
-	// One bottom-up fold computes both adjusted extreme families.
-	cuExt := make([]ext4, t.N())
-	lamExt := make([]ext4, t.N())
-	post := t.Postorder()
-	for _, k := range post {
-		cuExt[k] = emptyExt4()
-		lamExt[k] = emptyExt4()
-		if t.IsSink(k) {
-			cuExt[k] = sinkExt4(ps.uu[k], ps.vv[k], ps.cu[k], k)
-			lamExt[k] = sinkExt4(ps.uu[k], ps.vv[k], ps.lam[k], k)
-		}
-		for _, c := range t.Children(k) {
-			cuExt[k].fold(cuExt[c])
-			lamExt[k].fold(lamExt[c])
-		}
+	// Per-subtree extremes: unadjusted for the farthest pairs and, under
+	// the window arm, adjusted by cu for the witness scores and by λ for
+	// the static block maxima.
+	farExt := ps.foldExtremes(make([]ext4, t.N()), nil)
+	cuExt, lamExt := farExt, farExt
+	if windows != nil {
+		var cu []float64
+		ps.lam, cu = enforcedWindowTerms(*windows, m)
+		cuExt = ps.foldExtremes(make([]ext4, t.N()), cu)
+		lamExt = ps.foldExtremes(make([]ext4, t.N()), ps.lam)
 	}
 
 	for v := 0; v < t.N(); v++ {
 		ch := t.Children(v)
+		if t.IsSink(v) {
+			for _, c := range ch {
+				if ps.hi[c] > ps.lo[c] {
+					ps.blocks = append(ps.blocks, psBlock{v: v, a: v, b: c, score: math.Inf(-1), wi: -1, wj: -1})
+				}
+			}
+		}
 		if len(ch) < 2 {
 			continue
 		}
@@ -211,11 +230,17 @@ func newPresolve(in *Instance, b Bounds) *presolve {
 				}
 				blk := psBlock{v: v, a: ca, b: cb, score: math.Inf(-1), wi: -1, wj: -1}
 				score, wa, wb := maxCombo(cuExt[ca], cuExt[cb])
-				if wa >= 0 && !math.IsInf(score, -1) {
-					if wa > wb {
-						wa, wb = wb, wa
-					}
-					blk.score, blk.wi, blk.wj = score, wa, wb
+				if windows == nil || math.IsInf(score, -1) {
+					// No window arm in this block: its seed is the
+					// farthest pair and it prunes nothing.
+					score = math.Inf(-1)
+					_, wa, wb = maxCombo(farExt[ca], farExt[cb])
+				}
+				if wa >= 0 {
+					blk.wi, blk.wj = min(wa, wb), max(wa, wb)
+				}
+				if !math.IsInf(score, -1) {
+					blk.score = score
 					staticMax, _, _ := maxCombo(lamExt[ca], lamExt[cb])
 					if staticMax <= score {
 						blk.allDominated = true
@@ -230,7 +255,7 @@ func newPresolve(in *Instance, b Bounds) *presolve {
 
 	if in.Source != nil {
 		ps.sourceImplied = make([]bool, m+1)
-		for i := 1; i <= m; i++ {
+		for i := 1; i <= m && windows != nil; i++ {
 			if ps.lam[i] >= in.Dist(0, i) {
 				ps.sourceImplied[i] = true
 				ps.pruned++
@@ -240,9 +265,9 @@ func newPresolve(in *Instance, b Bounds) *presolve {
 	return ps
 }
 
-// seedPairs returns the rows to state upfront under presolve: every
-// block's witness (arm 2 requires the witness row in the LP at every
-// iterate) plus the non-implied source rows.
+// seedPairs returns the rows to state before the first round: every
+// block's witness (the window arm requires the witness row in the LP at
+// every iterate) plus the source rows the arm does not imply.
 func (ps *presolve) seedPairs() [][2]int {
 	var pairs [][2]int
 	for _, blk := range ps.blocks {
@@ -263,30 +288,73 @@ func (ps *presolve) seedPairs() [][2]int {
 // prunedRows returns the cumulative dominated-row count.
 func (ps *presolve) prunedRows() int { return int(ps.pruned) }
 
-// refreshDyn recomputes the per-node extremes of form − d over subtree
-// sinks (O(n)) so each block's exact worst violation is available in
-// O(1): maxCombo(dyn[a], dyn[b]) + 2·d[v].
-func (ps *presolve) refreshDyn(d []float64) {
+// foldExtremes fills ext[k], for every node k, with the maxima of the
+// four forms minus adj over the sinks of k's subtree (adj nil means 0),
+// bottom-up in one O(n) pass, and returns ext.
+func (ps *presolve) foldExtremes(ext []ext4, adj []float64) []ext4 {
 	t := ps.in.Tree
-	for _, k := range t.Postorder() {
+	for _, k := range ps.post {
 		e := emptyExt4()
 		if t.IsSink(k) {
-			e = sinkExt4(ps.uu[k], ps.vv[k], d[k], k)
+			a := 0.0
+			if adj != nil {
+				a = adj[k]
+			}
+			e = sinkExt4(ps.uu[k], ps.vv[k], a, k)
 		}
 		for _, c := range t.Children(k) {
-			e.fold(ps.dynExt[c])
+			e.fold(ext[c])
 		}
-		ps.dynExt[k] = e
+		ext[k] = e
 	}
+	return ext
 }
 
-// violatedPairs is the block-structured separation oracle: same contract
-// and determinism guarantee as violatedPairsN (sorted by violation with
-// the pair as tie-break, top batch), but it skips whole blocks whose
-// exact violation bound clears the tolerance, and inside a scanned block
-// it skips statically dominated pairs. Blocks are striped across the
-// worker pool; each block has one owner per solve, which is what lets
-// the first-scan prune counting run without locks.
+// bound returns the exact worst violation dist − pathlen over blk's
+// pairs at delays d, in O(1) from dynExt folded at d:
+// maxCombo(dyn[a], dyn[b]) + 2·d_v for a cross block and
+// maxCombo(v alone, dyn[b]) + d_v for an ancestor block.
+func (ps *presolve) bound(blk *psBlock, d []float64) float64 {
+	v := blk.v
+	if blk.a == v {
+		best, _, _ := maxCombo(sinkExt4(ps.uu[v], ps.vv[v], 0, v), ps.dynExt[blk.b])
+		return best + d[v]
+	}
+	best, _, _ := maxCombo(ps.dynExt[blk.a], ps.dynExt[blk.b])
+	return best + 2*d[v]
+}
+
+// worstViolation returns the largest Steiner violation over every
+// fixed-point pair at delays d, 0 when none is violated, in O(n) from
+// the blocks' exact bounds; pruning plays no part.
+func (ps *presolve) worstViolation(d []float64) float64 {
+	ps.foldExtremes(ps.dynExt, d)
+	worst := 0.0
+	for bi := range ps.blocks {
+		worst = max(worst, ps.bound(&ps.blocks[bi], d))
+	}
+	if ps.in.Source != nil {
+		for i := 1; i <= ps.in.Tree.NumSinks; i++ {
+			worst = max(worst, ps.in.Dist(0, i)-d[i])
+		}
+	}
+	return worst
+}
+
+// sepViol is one violated Steiner pair found by the separation oracle.
+type sepViol struct {
+	pair   [2]int
+	amount float64
+}
+
+// violatedPairs runs the separation oracle at delays d: it returns the
+// worst `batch` violated pairs (violation > tol), sorted by violation
+// with the pair as tie-break. It skips whole blocks whose exact bound
+// clears the tolerance, and under the window arm it skips the pairs its
+// witness dominates. Blocks are striped across the worker pool (workers
+// ≤ 0 means GOMAXPROCS); the output is the same for any worker count,
+// and each block has one owner per call, which is what lets the
+// first-scan prune counting run without locks.
 func (ps *presolve) violatedPairs(d []float64, tol float64, batch, workers int) [][2]int {
 	t := ps.in.Tree
 	m := t.NumSinks
@@ -299,7 +367,7 @@ func (ps *presolve) violatedPairs(d []float64, tol float64, batch, workers int) 
 	if workers > len(ps.blocks) && len(ps.blocks) > 0 {
 		workers = len(ps.blocks)
 	}
-	ps.refreshDyn(d)
+	ps.foldExtremes(ps.dynExt, d)
 
 	var vs []sepViol
 	var prunedNow int64
@@ -312,9 +380,20 @@ func (ps *presolve) violatedPairs(d []float64, tol float64, batch, workers int) 
 				// Only the witness row can bind; it is already stated.
 				continue
 			}
-			bound, _, _ := maxCombo(ps.dynExt[blk.a], ps.dynExt[blk.b])
-			if bound+2*d[blk.v] <= tol {
+			if ps.bound(blk, d) <= tol {
 				continue // exact bound: no pair in this block is violated
+			}
+			if blk.a == blk.v {
+				for _, j := range ps.order[ps.lo[blk.b]:ps.hi[blk.b]] {
+					need := ps.in.Dist(blk.v, j)
+					if need == 0 {
+						continue
+					}
+					if viol := need - d[j] + d[blk.v]; viol > tol {
+						local = append(local, sepViol{[2]int{min(blk.v, j), max(blk.v, j)}, viol})
+					}
+				}
+				continue
 			}
 			count := !blk.counted
 			if count {
@@ -395,83 +474,4 @@ func (ps *presolve) violatedPairs(d []float64, tol float64, batch, workers int) 
 		out[i] = v.pair
 	}
 	return out
-}
-
-// dominatesContainment reports arm 1: row (k,l) implies row (i,j)
-// because path(k,l) ⊆ path(i,j) — both k and l lie on the i–j path — and
-// dist(i,j) ≤ dist(k,l). Self-domination ((i,j) = (k,l)) reports false.
-func dominatesContainment(in *Instance, i, j, k, l int) bool {
-	t := in.Tree
-	if i > j {
-		i, j = j, i
-	}
-	if k > l {
-		k, l = l, k
-	}
-	if i == k && j == l {
-		return false
-	}
-	anc := t.LCA(i, j)
-	onPath := func(x int) bool {
-		if t.LCA(x, anc) != anc {
-			return false // above or beside the path's apex
-		}
-		return t.LCA(x, i) == x || t.LCA(x, j) == x
-	}
-	if !onPath(k) || !onPath(l) {
-		return false
-	}
-	return in.Dist(i, j) <= in.Dist(k, l)
-}
-
-// dominatesWindow reports arm 2: row (i,j) is implied by the stated row
-// (k,l) plus the delay windows, which requires both pairs to cross the
-// same ordered child-subtree pair under their common LCA. The caller
-// guarantees row (k,l) is (or will be) stated in the LP.
-// Self-domination reports false — a tie must keep its witness.
-func dominatesWindow(in *Instance, b Bounds, i, j, k, l int) bool {
-	t := in.Tree
-	if i > j {
-		i, j = j, i
-	}
-	if k > l {
-		k, l = l, k
-	}
-	if i == k && j == l {
-		return false
-	}
-	v := t.LCA(i, j)
-	if t.LCA(k, l) != v {
-		return false
-	}
-	// Each pair must straddle the same two child subtrees of v. A pair
-	// with an endpoint equal to v itself (a non-leaf sink) is degenerate:
-	// its path-length formula loses the cancelling d_v term, so the
-	// window argument does not apply.
-	ci, cj := childToward(t, v, i), childToward(t, v, j)
-	ck, cl := childToward(t, v, k), childToward(t, v, l)
-	if ci == v || cj == v || ck == v || cl == v {
-		return false
-	}
-	if !(ci == ck && cj == cl) && !(ci == cl && cj == ck) {
-		return false
-	}
-	// The test is symmetric in (k,l), so no re-orientation is needed.
-	lam, cu := enforcedWindowTerms(b, t.NumSinks)
-	if math.IsInf(cu[k], 1) || math.IsInf(cu[l], 1) {
-		return false
-	}
-	return in.Dist(i, j)-lam[i]-lam[j] <= in.Dist(k, l)-cu[k]-cu[l]
-}
-
-// childToward returns the child of v whose subtree contains x (v itself
-// when x == v).
-func childToward(t *topology.Tree, v, x int) int {
-	if x == v {
-		return v
-	}
-	for t.Parent[x] != v {
-		x = t.Parent[x]
-	}
-	return x
 }

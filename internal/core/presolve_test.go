@@ -9,12 +9,14 @@ import (
 	"lubt/internal/topology"
 )
 
-// TestPresolveAgreement is the presolve-must-never-change-the-answer
-// suite: on the bench workloads, forcing the dominance-pruning oracle on
-// must reproduce the legacy oracle's optimum across all three solver
-// configurations — warm revised, cold simplex, IPM — to
-// within the 1e-6·radius acceptance bar, and the pruned solutions must
-// still pass full-matrix verification.
+// TestPresolveAgreement is the window-arm-must-never-change-the-answer
+// suite: on the bench workloads, Solve — whose oracle prunes the rows
+// its fixed windows imply — must reproduce the optimum of solves without
+// the window arm (a Session's cold solve, and on prim2-s the FullMatrix
+// solve, which states every row) across all three solver configurations
+// — warm revised, cold simplex, IPM — to within the 1e-6·radius
+// acceptance bar, and the pruned solutions must still pass full-matrix
+// verification.
 func TestPresolveAgreement(t *testing.T) {
 	// The cold solvers re-solve the whole LP from scratch every
 	// row-generation round, which is minutes-per-solve at r4-s size
@@ -32,7 +34,14 @@ func TestPresolveAgreement(t *testing.T) {
 	for _, bench := range []string{"prim2-s", "r3-s", "r4-s"} {
 		in, cb := benchInstance(t, bench)
 		tol := 1e-6 * math.Max(1, in.Radius())
-		off := mustSolve(t, in, cb, &Options{Presolve: "off"})
+		sess, err := NewSession(in, cb, nil)
+		if err != nil {
+			t.Fatalf("%s: session: %v", bench, err)
+		}
+		refs := map[string]*Result{"session": sess.Result()}
+		if bench == "prim2-s" {
+			refs["full-matrix"] = mustSolve(t, in, cb, &Options{FullMatrix: true})
+		}
 		for _, sv := range solvers {
 			if in.Tree.NumSinks > sv.maxSinks {
 				continue
@@ -45,56 +54,46 @@ func TestPresolveAgreement(t *testing.T) {
 			}
 			t.Run(bench+"/"+sv.name, func(t *testing.T) {
 				opt := sv.opt
-				opt.Presolve = "on"
 				res := mustSolve(t, in, cb, &opt)
-				if d := math.Abs(res.Cost - off.Cost); d > tol {
-					t.Errorf("presolve-on cost %.10g vs off %.10g: |Δ| = %g > %g",
-						res.Cost, off.Cost, d, tol)
+				for name, ref := range refs {
+					if d := math.Abs(res.Cost - ref.Cost); d > tol {
+						t.Errorf("pruned cost %.10g vs %s %.10g: |Δ| = %g > %g",
+							res.Cost, name, ref.Cost, d, tol)
+					}
 				}
 				// Feasibility at the same radius-scaled bar as the cost:
 				// the IPM's residual is relative to the instance scale, so
 				// a fixed absolute 1e-6 would flag healthy solutions on
 				// the 10^4-radius benches.
 				if err := Verify(in, cb, res.E, tol); err != nil {
-					t.Errorf("presolve-on solution fails verification: %v", err)
+					t.Errorf("pruned solution fails verification: %v", err)
 				}
 			})
 		}
 	}
 }
 
-// TestPresolvePrunesRows pins the acceptance bar that the pass actually
-// bites on the headline workloads: a nonzero fraction of the candidate
-// sink-pair rows must be dominated on r4-s and r5-s, and the stat must
-// stay zero when presolve is off.
+// TestPresolvePrunesRows pins the acceptance bar that the window arm
+// actually bites on the headline workloads: a nonzero fraction of the
+// candidate sink-pair rows must be dominated in Solve on r4-s and r5-s,
+// and the stat must stay zero in a Session, which runs without the arm.
 func TestPresolvePrunesRows(t *testing.T) {
 	for _, bench := range []string{"r4-s", "r5-s"} {
 		in, cb := benchInstance(t, bench)
-		res := mustSolve(t, in, cb, &Options{Presolve: "on"})
+		res := mustSolve(t, in, cb, nil)
 		if res.Stats.PresolvePrunedRows <= 0 {
-			t.Errorf("%s: presolve on but PresolvePrunedRows = %d", bench, res.Stats.PresolvePrunedRows)
+			t.Errorf("%s: Solve pruned %d rows", bench, res.Stats.PresolvePrunedRows)
 		}
 		if res.Stats.PeakRows <= 0 {
 			t.Errorf("%s: PeakRows = %d, want > 0", bench, res.Stats.PeakRows)
 		}
-		off := mustSolve(t, in, cb, &Options{Presolve: "off"})
-		if off.Stats.PresolvePrunedRows != 0 {
-			t.Errorf("%s: presolve off but PresolvePrunedRows = %d", bench, off.Stats.PresolvePrunedRows)
+		sess, err := NewSession(in, cb, nil)
+		if err != nil {
+			t.Fatalf("%s: session: %v", bench, err)
 		}
-	}
-}
-
-// chainInstance is a path topology 0 → 1 → 2 → 3 with three sinks, sinks
-// 1 and 2 interior — the nested-path shape of the containment arm.
-func chainInstance() *Instance {
-	return &Instance{
-		Tree: topology.MustNew([]int{-1, 0, 1, 2}, 3),
-		SinkLoc: []geom.Point{
-			{},
-			geom.Pt(0, 0), // s1
-			geom.Pt(3, 3), // s2: far off the s1–s3 line
-			geom.Pt(1, 0), // s3
-		},
+		if n := sess.Result().Stats.PresolvePrunedRows; n != 0 {
+			t.Errorf("%s: Session pruned %d rows, want 0", bench, n)
+		}
 	}
 }
 
@@ -111,31 +110,6 @@ func forkInstance() *Instance {
 			geom.Pt(1, 0),   // s3
 			geom.Pt(10, 0),  // s4
 		},
-	}
-}
-
-func TestDominatesContainment(t *testing.T) {
-	in := chainInstance()
-	// dist(1,3) = 1 ≤ dist(2,3) = 5 and path(2,3) ⊆ path(1,3): dominated.
-	if !dominatesContainment(in, 1, 3, 2, 3) {
-		t.Error("nested path with shorter outer distance not dominated")
-	}
-	// Containment the other way round fails: 1 is not on path(2,3).
-	if dominatesContainment(in, 2, 3, 1, 3) {
-		t.Error("path(1,3) ⊄ path(2,3) yet reported dominated")
-	}
-	// Same paths, but dist(1,2) = 6 > dist(2,3) = 5: not dominated.
-	if dominatesContainment(in, 1, 2, 2, 3) {
-		t.Error("distance condition violated yet reported dominated")
-	}
-	// Self-domination must report false — a tie keeps its row.
-	if dominatesContainment(in, 1, 3, 1, 3) {
-		t.Error("row reported as dominating itself")
-	}
-	// Disjoint branches share no path at all.
-	fork := forkInstance()
-	if dominatesContainment(fork, 1, 2, 3, 4) {
-		t.Error("pairs in disjoint branches reported as containment-dominated")
 	}
 }
 
@@ -194,7 +168,7 @@ func TestDominatesWindow(t *testing.T) {
 func TestPresolveWitnessTies(t *testing.T) {
 	in := forkInstance()
 	b := UniformBounds(4, 11, 11) // l == u: λ = cu = 11 for every sink
-	ps := newPresolve(in, b)
+	ps := newPresolve(in, &b)
 	// Three blocks: the 2×2 cross-branch block at the root plus the two
 	// 1×1 sibling blocks under Steiner nodes 5 and 6.
 	if len(ps.blocks) != 3 {
@@ -226,29 +200,30 @@ func TestPresolveWitnessTies(t *testing.T) {
 	}
 }
 
-// TestPresolveOracleMatchesLegacy cross-checks the block-structured
-// separation oracle against violatedPairsN on a real workload at the
-// all-zero point: every row the block oracle emits must be a violation
-// the legacy oracle also reports (the block oracle may emit fewer —
-// dominated rows are its whole point — but never rows of its own).
+// TestPresolveOracleMatchesLegacy cross-checks the separation oracle
+// under the window arm against the brute-force reference scan
+// violatedPairsN on a real workload at the all-zero point: every row the
+// oracle emits must be a violation the scan also reports (the oracle
+// may emit fewer — dominated rows are the arm's whole point — but never
+// rows of its own).
 func TestPresolveOracleMatchesLegacy(t *testing.T) {
 	in, cb := benchInstance(t, "prim2-s")
-	ps := newPresolve(in, cb)
+	ps := newPresolve(in, &cb)
 	zero := make([]float64, in.Tree.N()) // zero edges ⇒ zero delays
 	tol := 1e-7 * math.Max(1, in.Radius())
 	got := ps.violatedPairs(zero, tol, 1<<30, 1)
 	want := violatedPairsN(in, zero, tol, 1<<30, 1)
 	if len(got) > len(want) {
-		t.Fatalf("block oracle returned %d rows, legacy %d", len(got), len(want))
+		t.Fatalf("block oracle returned %d rows, the scan %d", len(got), len(want))
 	}
-	// Every emitted row must also be a legacy violation.
+	// Every emitted row must also be a scan violation.
 	seen := make(map[[2]int]bool, len(want))
 	for _, pr := range want {
 		seen[pr] = true
 	}
 	for _, pr := range got {
 		if !seen[pr] {
-			t.Fatalf("block oracle emitted %v which the legacy oracle does not report", pr)
+			t.Fatalf("block oracle emitted %v which the scan does not report", pr)
 		}
 	}
 	if len(got) == 0 {
@@ -259,18 +234,13 @@ func TestPresolveOracleMatchesLegacy(t *testing.T) {
 func TestScaleSettingValidation(t *testing.T) {
 	in := fig3Instance(t)
 	b := UniformBounds(5, 4, 6)
-	for _, opt := range []*Options{
-		{Presolve: "bogus"},
-		{Decompose: "always"},
-	} {
-		if _, err := Solve(in, b, opt); err == nil {
-			t.Errorf("Solve accepted %+v", opt)
-		}
+	if _, err := Solve(in, b, &Options{Decompose: "always"}); err == nil {
+		t.Error("Solve accepted Decompose \"always\"")
 	}
 	// The documented values all resolve.
 	for _, v := range []string{"", "on", "off"} {
-		if _, err := Solve(in, b, &Options{Presolve: v, Decompose: v}); err != nil {
-			t.Errorf("Solve(Presolve=Decompose=%q): %v", v, err)
+		if _, err := Solve(in, b, &Options{Decompose: v}); err != nil {
+			t.Errorf("Solve(Decompose=%q): %v", v, err)
 		}
 	}
 }

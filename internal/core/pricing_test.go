@@ -118,8 +118,8 @@ func TestRevisedTrajectoryPin(t *testing.T) {
 		bench string
 		want  counters
 	}{
-		{"prim2-s", counters{4, 615, 438, 14, 10, 272, 794}},
-		{"r4-s", counters{6, 2490, 1665, 43, 29, 868, 3682}},
+		{"prim2-s", counters{4, 474, 429, 14, 10, 274, 1091}},
+		{"r4-s", counters{5, 2070, 1687, 53, 29, 862, 3888}},
 	}
 	for _, p := range pins {
 		in, cb := benchInstance(t, p.bench)

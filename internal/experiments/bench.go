@@ -115,10 +115,11 @@ func BenchRecords(names []string, repeats int) ([]BenchRecord, error) {
 			er.SeparationTime = medianDuration(run.sep)
 			er.SolveTime = medianDuration(run.lp)
 			// The ECO probe holds a core.Session open, and sessions
-			// always solve monolithically without presolve (restaging
-			// needs the full row universe live) — at scale-class sizes
-			// that cold session solve would dwarf the whole record, so
-			// the probe only runs below the scale threshold.
+			// always solve monolithically without the oracle's window
+			// arm (restaging needs the full row universe live) — at
+			// scale-class sizes that cold session solve would dwarf the
+			// whole record, so the probe only runs below the scale
+			// threshold.
 			if eng.Label == "revised" && !in.scale() {
 				er.EcoPivots, er.EcoResolveMS, err = in.runECO(base, l, u, repeats)
 				if err != nil {
@@ -208,22 +209,22 @@ func ValidateBenchJSON(data []byte) error {
 	return nil
 }
 
-// CheckPresolveGate enforces the presolve regression gate behind ci.sh's
+// CheckPresolveGate enforces the scale regression gate behind ci.sh's
 // scale bench smoke: on a record that carries both the "revised" (auto
-// presolve + decomposition) and "revised-nopresolve" (both forced off)
-// engine rows, the presolve must have pruned a nonzero number of
+// decomposition) and "revised-monolithic" (decomposition off) engine
+// rows, the separation oracle must have pruned a nonzero number of
 // candidate Steiner rows, the decomposed solve's peak active-row count
 // must not exceed the monolithic one, and the two optima must agree to
-// 1e-6·radius — the passes exist to cut memory and time, never to move
-// the answer. Records without the ablation pair (the sub-scale lineup,
-// hand-built ones) pass vacuously.
+// 1e-6·radius — pruning and decomposition exist to cut memory and time,
+// never to move the answer. Records without the ablation pair (the
+// sub-scale lineup, hand-built ones) pass vacuously.
 func CheckPresolveGate(rec BenchRecord) error {
 	var auto, off *EngineRecord
 	for i := range rec.Engines {
 		switch rec.Engines[i].Engine {
 		case "revised":
 			auto = &rec.Engines[i]
-		case "revised-nopresolve":
+		case "revised-monolithic":
 			off = &rec.Engines[i]
 		}
 	}
@@ -231,15 +232,11 @@ func CheckPresolveGate(rec BenchRecord) error {
 		return nil
 	}
 	if auto.PresolvePrunedRows <= 0 {
-		return fmt.Errorf("presolve gate: %s: auto row pruned %d rows — presolve is not biting at scale",
+		return fmt.Errorf("presolve gate: %s: auto row pruned %d rows — the window arm is not biting at scale",
 			rec.Bench, auto.PresolvePrunedRows)
 	}
-	if off.PresolvePrunedRows != 0 || off.Subtrees != 0 {
-		return fmt.Errorf("presolve gate: %s: nopresolve row reports pruned=%d subtrees=%d — the off switch is leaking",
-			rec.Bench, off.PresolvePrunedRows, off.Subtrees)
-	}
 	if auto.PeakRows > 0 && off.PeakRows > 0 && auto.PeakRows > off.PeakRows {
-		return fmt.Errorf("presolve gate: %s: peak rows %d with presolve vs %d without — pruning grew the tableau",
+		return fmt.Errorf("presolve gate: %s: peak rows %d decomposed vs %d monolithic — decomposition grew the tableau",
 			rec.Bench, auto.PeakRows, off.PeakRows)
 	}
 	tol := 1e-6 * rec.Radius
@@ -247,7 +244,7 @@ func CheckPresolveGate(rec BenchRecord) error {
 		tol = 1e-6
 	}
 	if d := auto.Cost - off.Cost; d > tol || d < -tol {
-		return fmt.Errorf("presolve gate: %s: cost %.10g with presolve vs %.10g without (|Δ| = %g > %g) — pruning moved the optimum",
+		return fmt.Errorf("presolve gate: %s: cost %.10g decomposed vs %.10g monolithic (|Δ| = %g > %g) — decomposition moved the optimum",
 			rec.Bench, auto.Cost, off.Cost, d, tol)
 	}
 	return nil

@@ -213,12 +213,12 @@ func TestBenchJSONEcoGate(t *testing.T) {
 	}
 }
 
-// TestBenchJSONPresolveGate applies the presolve/decomposition ablation
+// TestBenchJSONPresolveGate applies the pruning/decomposition ablation
 // gate to an externally produced BENCH_*.json named by LUBT_BENCH_JSON
 // (skipped when unset). ci.sh runs it on the scale-class smoke instance
-// after `lubtbench -json`: presolve must prune rows, the decomposed peak
-// row count must not exceed the monolithic one, and the two optima must
-// agree to 1e-6·radius.
+// after `lubtbench -json`: the window arm must prune rows, the
+// decomposed peak row count must not exceed the monolithic one, and the
+// two optima must agree to 1e-6·radius.
 func TestBenchJSONPresolveGate(t *testing.T) {
 	if err := CheckPresolveGate(benchJSONFromEnv(t)); err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestBaselineDrift(t *testing.T) {
 					Rounds: 3, LPIterations: 40,
 					ViolatedByRound: []int{7, 2, 0}, SolveTime: time.Millisecond,
 				}, EcoPivots: 4, WallNS: 9, PivotsP50: 40, PivotsP99: 40},
-				{Engine: "revised-nopresolve", Cost: 500},
+				{Engine: "revised-monolithic", Cost: 500},
 			},
 		}
 		if mut != nil {
@@ -339,7 +339,7 @@ func TestBaselineDrift(t *testing.T) {
 		"violated_by_round":   func(r *BenchRecord) { r.Engines[0].ViolatedByRound = []int{7, 3, 0} },
 		"eco_pivots":          func(r *BenchRecord) { r.Engines[0].EcoPivots = 5 },
 		"pivots_p99":          func(r *BenchRecord) { r.Engines[0].PivotsP99 = 41 },
-		"engine label":        func(r *BenchRecord) { r.Engines[1].Engine = "nopresolve" },
+		"engine label":        func(r *BenchRecord) { r.Engines[1].Engine = "monolithic" },
 		"row order":           func(r *BenchRecord) { r.Engines[0], r.Engines[1] = r.Engines[1], r.Engines[0] },
 		"missing row":         func(r *BenchRecord) { r.Engines = r.Engines[:1] },
 		"cost beyond 1e-6·R":  func(r *BenchRecord) { r.Engines[0].Cost += 2e-3 },
@@ -355,7 +355,7 @@ func TestBaselineDrift(t *testing.T) {
 
 // TestCommittedBenchRecords checks the committed baselines at the repo
 // root: every reference benchmark has one, and each file passes the
-// schema validator and the ECO and presolve gates.
+// schema validator and the ECO and presolve (scale) gates.
 func TestCommittedBenchRecords(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
 	if err != nil {
@@ -381,7 +381,7 @@ func TestCommittedBenchRecords(t *testing.T) {
 	}
 }
 
-// TestCheckPresolveGate exercises the presolve gate's decision table on
+// TestCheckPresolveGate exercises the scale gate's decision table on
 // hand-built records.
 func TestCheckPresolveGate(t *testing.T) {
 	mk := func(mut func(*BenchRecord)) BenchRecord {
@@ -390,7 +390,7 @@ func TestCheckPresolveGate(t *testing.T) {
 			Radius: 1000,
 			Engines: []EngineRecord{
 				{Engine: "revised", Cost: 500, Stats: lp.Stats{PresolvePrunedRows: 42, Subtrees: 8, PeakRows: 100}},
-				{Engine: "revised-nopresolve", Cost: 500, Stats: lp.Stats{PeakRows: 900}},
+				{Engine: "revised-monolithic", Cost: 500, Stats: lp.Stats{PeakRows: 900}},
 			},
 		}
 		if mut != nil {
@@ -411,11 +411,8 @@ func TestCheckPresolveGate(t *testing.T) {
 	if err := CheckPresolveGate(mk(func(r *BenchRecord) { r.Engines[0].PresolvePrunedRows = 0 })); err == nil {
 		t.Error("zero pruned rows accepted")
 	}
-	if err := CheckPresolveGate(mk(func(r *BenchRecord) { r.Engines[1].Subtrees = 3 })); err == nil {
-		t.Error("leaking off switch accepted")
-	}
 	if err := CheckPresolveGate(mk(func(r *BenchRecord) { r.Engines[0].PeakRows = 1000 })); err == nil {
-		t.Error("pruned peak above monolithic peak accepted")
+		t.Error("decomposed peak above monolithic peak accepted")
 	}
 	// Missing ablation pair → vacuous pass.
 	if err := CheckPresolveGate(BenchRecord{Engines: []EngineRecord{{Engine: "revised"}}}); err != nil {
@@ -436,7 +433,7 @@ func TestCheckEcoGate(t *testing.T) {
 			Bench: "x",
 			Engines: []EngineRecord{
 				{Engine: "revised", Stats: lp.Stats{LPIterations: cold}, EcoPivots: warm, EcoResolveMS: ms},
-				{Engine: "revised-nopresolve"},
+				{Engine: "revised-monolithic"},
 			},
 		}
 	}
@@ -454,7 +451,7 @@ func TestCheckEcoGate(t *testing.T) {
 		t.Errorf("no probe: %v", err)
 	}
 	// No revised row → vacuous pass.
-	if err := CheckEcoGate(BenchRecord{Engines: []EngineRecord{{Engine: "revised-nopresolve"}}}); err != nil {
+	if err := CheckEcoGate(BenchRecord{Engines: []EngineRecord{{Engine: "revised-monolithic"}}}); err != nil {
 		t.Errorf("no revised row: %v", err)
 	}
 }

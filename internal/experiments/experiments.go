@@ -59,8 +59,8 @@ const scaleSectors = 8
 
 // scale reports whether the instance is in the scale regime where the
 // harness switches to the sectored baseline and the reduced engine
-// lineup (the same threshold at which core.Solve's auto settings turn
-// presolve and decomposition on).
+// lineup (the same threshold at which core.Solve's auto setting turns
+// decomposition on).
 func (in *instance) scale() bool {
 	return len(in.bench.Sinks) >= core.ScaleAutoSinks
 }
@@ -105,11 +105,10 @@ func (in *instance) runLUBTOpts(base *bst.Result, l, u float64, opt *core.Option
 
 // engineSpec is one configuration of the revised engine the stats/bench
 // harness exercises; Label is the row key that reaches the tables and
-// the lubt-bench/3 JSON. Presolve/Decompose override core.Solve's
-// presolve and subtree-decomposition settings ("" = auto).
+// the lubt-bench/3 JSON. Decompose overrides core.Solve's
+// subtree-decomposition setting ("" = auto).
 type engineSpec struct {
 	Label     string
-	Presolve  string
 	Decompose string
 }
 
@@ -120,12 +119,12 @@ var statEngines = []engineSpec{{Label: "revised"}}
 
 // scaleEngines is the lineup for scale-class benchmarks (at least
 // core.ScaleAutoSinks sinks): the revised engine under the auto
-// settings — presolve dominance pruning plus subtree decomposition —
-// against the same engine with both passes forced off. That is the
-// before/after ablation pair CheckPresolveGate compares.
+// setting — subtree decomposition — against the same engine solving
+// monolithically. Both prune with the separation oracle's window arm.
+// That is the before/after ablation pair CheckPresolveGate compares.
 var scaleEngines = []engineSpec{
 	{Label: "revised"},
-	{Label: "revised-nopresolve", Presolve: "off", Decompose: "off"},
+	{Label: "revised-monolithic", Decompose: "off"},
 }
 
 // engines picks the engine lineup by instance size.
@@ -183,7 +182,7 @@ func (in *instance) runRepeated(base *bst.Result, l, u float64, eng engineSpec, 
 	run := &repeatedRun{}
 	for r := 0; r < repeats; r++ {
 		t0 := time.Now()
-		res, err := in.runLUBTOpts(base, l, u, &core.Options{Presolve: eng.Presolve, Decompose: eng.Decompose})
+		res, err := in.runLUBTOpts(base, l, u, &core.Options{Decompose: eng.Decompose})
 		wall := time.Since(t0)
 		if err != nil {
 			return nil, err

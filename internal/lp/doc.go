@@ -200,7 +200,9 @@
 // Three fields carry the internal/core scale-path story (DESIGN §8)
 // and reach the lubt-bench/3 JSON under the same names:
 // PresolvePrunedRows (presolve_pruned_rows) counts sink-pair Steiner
-// rows the dominance presolve removed before pricing; Subtrees
+// rows the separation oracle's window arm removed before pricing —
+// nonzero on most core.Solve runs with finite windows, 0 in sessions,
+// the Elmore SLP and FullMatrix; Subtrees
 // (subtrees) the root-branch subproblems the decomposition solved on
 // independent engines (0 = monolithic); PeakRows (peak_rows) the
 // largest tableau any single engine reached — Merge sums the first

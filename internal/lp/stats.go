@@ -99,10 +99,10 @@ type Stats struct {
 	// basis is not being reused.
 	Restages        int `json:"restages"`
 	RowReplacements int `json:"row_replacements"`
-	// PresolvePrunedRows counts sink-pair Steiner rows the presolve
-	// dominance pass removed from the separation oracle's scan before they
-	// were ever generated or priced (filled by internal/core; 0 with
-	// presolve off). Subtrees is the number of root-branch subproblems the
+	// PresolvePrunedRows counts sink-pair Steiner rows the separation
+	// oracle's window arm removed from its scan before they were ever
+	// generated or priced (filled by internal/core; 0 where the arm is
+	// off: sessions, the Elmore SLP and FullMatrix). Subtrees is the number of root-branch subproblems the
 	// decomposition layer solved on independent engines (0 for a
 	// monolithic solve). PeakRows is the largest engine-internal tableau
 	// row count any single engine reached during the solve — under

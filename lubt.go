@@ -113,15 +113,11 @@ type Options struct {
 	FullMatrix bool
 	// OracleWorkers caps the separation oracle's worker pool; 0 means
 	// GOMAXPROCS. The oracle's output order is deterministic for any
-	// worker count.
+	// worker count. Solve's oracle also skips the Steiner rows its delay
+	// windows imply, never changing the optimum, and reports their count
+	// in SolveStats.PresolvePrunedRows; SolveECO (whose windows are
+	// edited), SolveElmore and FullMatrix run it without that pruning.
 	OracleWorkers int
-	// Presolve controls the dominance-pruning presolve pass: "" (auto —
-	// on from 2048 sinks up, off below so small solves keep the legacy
-	// oracle exactly), "on", or "off". Presolved solves report the pruned
-	// row count in SolveStats.PresolvePrunedRows and never change the
-	// optimum. Requires every sink to be a leaf (Lemma 3.1); other
-	// topologies quietly run the legacy oracle.
-	Presolve string
 	// Decompose controls root-branch subtree decomposition: "" (auto —
 	// from 2048 sinks up), "on" or "off". It engages only when the source
 	// is fixed and the topology has two or more root branches, where the
@@ -314,7 +310,6 @@ func (in *Instance) Solve(b Bounds, opt *Options) (*Tree, error) {
 	if opt != nil {
 		copts.FullMatrix = opt.FullMatrix
 		copts.OracleWorkers = opt.OracleWorkers
-		copts.Presolve = opt.Presolve
 		copts.Decompose = opt.Decompose
 		if opt.Weights != nil {
 			copts.Weights = opt.Weights
