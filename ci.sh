@@ -72,7 +72,7 @@ echo "== fuzz (separation oracle vs the brute-force pair scan)"
 # internal/core/testdata/fuzz already ran with the race step above.
 go test -run '^$' -fuzz FuzzSeparationOracle -fuzztime 10s ./internal/core
 
-echo "== bench smoke (lubt-bench/3 JSON + ECO gate + baseline)"
+echo "== bench smoke (lubt-bench/4 JSON + ECO gate + baseline)"
 # Each reference bench is run through `lubtbench -json` (the revised
 # row plus its single-sink ECO probe), then the emitted record is
 # schema-validated (TestBenchJSONFile) and passed through the
@@ -91,8 +91,8 @@ for bench in prim1-s r4-s; do
 		echo "ci: lubtbench -json produced no output for $bench" >&2
 		exit 1
 	fi
-	if ! grep -q '"schema": "lubt-bench/3"' "$bench_json"; then
-		echo "ci: $bench_json missing lubt-bench/3 schema marker" >&2
+	if ! grep -q '"schema": "lubt-bench/4"' "$bench_json"; then
+		echo "ci: $bench_json missing lubt-bench/4 schema marker" >&2
 		exit 1
 	fi
 	LUBT_BENCH_JSON="$bench_json" go test -run 'TestBenchJSONFile|TestBenchJSONEcoGate|TestBenchJSONMatchesBaseline' ./internal/experiments
@@ -120,7 +120,7 @@ if [ ! -s "$scale_json" ]; then
 fi
 for key in presolve_pruned_rows subtrees peak_rows; do
 	if ! grep -q "\"$key\"" "$scale_json"; then
-		echo "ci: $scale_json missing lubt-bench/3 key $key" >&2
+		echo "ci: $scale_json missing lubt-bench/4 key $key" >&2
 		exit 1
 	fi
 done
@@ -130,7 +130,7 @@ echo "== lubtd smoke (live daemon: cold solve, warm eco, lubtd-metrics/2 + prom 
 # Start the daemon on an ephemeral port, send one cold /solve and one
 # warm /eco on the returned key, then scrape /metrics (JSON and
 # ?format=prom) and /debug/flight and validate all three documents the
-# same way the bench smoke validates lubt-bench/3 records
+# same way the bench smoke validates lubt-bench/4 records
 # (TestMetricsJSONFile also asserts cache_hits >= 1 — the warm path was
 # actually taken; TestPromTextFile that the cold and warm-eco latency
 # histograms were populated; TestFlightJSONFile that the flight ring

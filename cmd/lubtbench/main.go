@@ -15,7 +15,7 @@
 //
 // -stats and -json run one engine row on each benchmark: "revised", the
 // sparse boxed dual simplex with Devex pricing. With -json, one
-// machine-readable BENCH_<name>.json file (schema "lubt-bench/3") is
+// machine-readable BENCH_<name>.json file (schema "lubt-bench/4") is
 // written per benchmark into -outdir (default "."). Each engine row is
 // the solve's lp.Stats record (lubt.SolveStats) under its JSON tags,
 // with median-of-repeats timings; see EXPERIMENTS.md for the field
@@ -59,7 +59,7 @@ func main() {
 		figureN  = flag.Int("figure", 0, "run only this figure (8)")
 		full     = flag.Bool("full", false, "use full-size benchmark instances")
 		stats    = flag.Bool("stats", false, "print LP engine statistics (one row per engine configuration) instead of the tables")
-		jsonOut  = flag.Bool("json", false, "write per-benchmark BENCH_<name>.json records (schema lubt-bench/3: lp.Stats rows plus ECO probe and quantiles) instead of the tables")
+		jsonOut  = flag.Bool("json", false, "write per-benchmark BENCH_<name>.json records (schema lubt-bench/4: lp.Stats rows plus ECO probe and quantiles) instead of the tables")
 		benchSel = flag.String("bench", "", "restrict -stats/-json to this one benchmark (e.g. prim1-s)")
 		repeats  = flag.Int("repeats", experiments.DefaultRepeats, "timing repeats per solve; medians are reported")
 		outdir   = flag.String("outdir", ".", "directory for -json output files")

@@ -13,7 +13,7 @@ import (
 // BenchSchema identifies the machine-readable per-benchmark record
 // emitted by `lubtbench -json`. Bump the suffix on any breaking change
 // to the BenchRecord shape; TestBenchJSONSchema pins the current one.
-const BenchSchema = "lubt-bench/3"
+const BenchSchema = "lubt-bench/4"
 
 // BenchRecord is one BENCH_<name>.json document: the instance identity
 // plus one EngineRecord per engine configuration. Consumers must ignore
@@ -141,7 +141,7 @@ func WriteBenchJSON(w io.Writer, rec BenchRecord) error {
 	return enc.Encode(rec)
 }
 
-// ValidateBenchJSON checks that data is a well-formed lubt-bench/3
+// ValidateBenchJSON checks that data is a well-formed lubt-bench/4
 // document: strict field set (unknown keys reject — catching producer
 // drift), correct schema string, and the structural invariants a consumer
 // relies on. It backs the ci.sh bench-smoke gate.

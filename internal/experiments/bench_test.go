@@ -64,11 +64,12 @@ func TestBenchRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBenchJSONSchema locks the lubt-bench/3 key set: any new, removed or
+// TestBenchJSONSchema locks the lubt-bench/4 key set: any new, removed or
 // renamed field must bump the schema version. lubt-bench/2 was the
 // lubt-bench/1 set plus logical_rows, reset_reasons and violated_by_round,
 // the lp.Stats fields the /1 rows did not copy; lubt-bench/3 is /2
-// without pricing_scheme.
+// without pricing_scheme; lubt-bench/4 is /3 plus the LU work counters
+// lu_nnz and solve_entries.
 func TestBenchJSONSchema(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteBenchJSON(&buf, BenchRecord{
@@ -97,7 +98,7 @@ func TestBenchJSONSchema(t *testing.T) {
 	}
 	wantEng := []string{
 		"engine", "cost", "rounds", "steiner_rows", "pivots", "bound_flips",
-		"refactorizations", "resets", "basis_size", "fill_in", "eta_len",
+		"refactorizations", "resets", "basis_size", "fill_in", "lu_nnz", "solve_entries", "eta_len",
 		"tableau_rows", "lowered_tableau_rows", "ranged_rows", "row_nonzeros",
 		"numerical_residual", "pivot_min", "pivot_max",
 		"devex_resets", "weight_min", "weight_max",
@@ -160,7 +161,7 @@ func TestValidateBenchJSONRejects(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if err := ValidateBenchJSON([]byte(`{"schema":"lubt-bench/3","surprise":1}`)); err == nil {
+	if err := ValidateBenchJSON([]byte(`{"schema":"lubt-bench/4","surprise":1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 }

@@ -105,7 +105,7 @@ func (in *instance) runLUBTOpts(base *bst.Result, l, u float64, opt *core.Option
 
 // engineSpec is one configuration of the revised engine the stats/bench
 // harness exercises; Label is the row key that reaches the tables and
-// the lubt-bench/3 JSON. Decompose overrides core.Solve's
+// the lubt-bench/4 JSON. Decompose overrides core.Solve's
 // subtree-decomposition setting ("" = auto).
 type engineSpec struct {
 	Label     string

@@ -177,8 +177,9 @@ func (f *SparseLU) Factor(a *CSC) error {
 // SolveInto computes x with A x = b for the factored A (len n each; x may
 // not alias b): the FTRAN of the revised simplex. Both substitutions run
 // column by column and skip a column whose multiplier is zero, so the
-// cost follows the nonzeros the right-hand side touches.
-func (f *SparseLU) SolveInto(b, x []float64) {
+// cost follows the nonzeros the right-hand side touches. It returns the
+// number of L and U entries applied.
+func (f *SparseLU) SolveInto(b, x []float64) int {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic("linalg: SparseLU.SolveInto length mismatch")
@@ -186,9 +187,12 @@ func (f *SparseLU) SolveInto(b, x []float64) {
 	for i, p := range f.perm[:n] {
 		x[i] = b[p]
 	}
+	applied := 0
 	for k := 0; k < n; k++ {
 		if v := x[k]; v != 0 {
-			for _, e := range f.lEnt[f.lPtr[k]:f.lPtr[k+1]] {
+			col := f.lEnt[f.lPtr[k]:f.lPtr[k+1]]
+			applied += len(col)
+			for _, e := range col {
 				x[e.i] -= e.v * v
 			}
 		}
@@ -197,29 +201,38 @@ func (f *SparseLU) SolveInto(b, x []float64) {
 		v := x[k] / f.uDiag[k]
 		x[k] = v
 		if v != 0 {
-			for _, e := range f.uEnt[f.uPtr[k]:f.uPtr[k+1]] {
+			col := f.uEnt[f.uPtr[k]:f.uPtr[k+1]]
+			applied += len(col)
+			for _, e := range col {
 				x[e.i] -= e.v * v
 			}
 		}
 	}
+	return applied
 }
 
 // SolveTransposeInto computes x with Aᵀ x = b for the factored A (len n
 // each; x may not alias b): the BTRAN of the revised simplex. With
 // P·A = L·U this is a forward solve with Uᵀ, a backward solve with Lᵀ and
 // the inverse row permutation; each runs as one inner product per column
-// of U or L, so a solve costs O(n + nnz(L+U)).
-func (f *SparseLU) SolveTransposeInto(b, x []float64) {
+// of U or L, so a solve costs O(n + nnz(L+U)). A term whose multiplier
+// y[i] is zero is skipped; it returns the number of L and U entries
+// applied, the count SolveInto's column form would reach.
+func (f *SparseLU) SolveTransposeInto(b, x []float64) int {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic("linalg: SparseLU.SolveTransposeInto length mismatch")
 	}
 	y := f.y[:n]
 	copy(y, b)
+	applied := 0
 	for k := 0; k < n; k++ {
 		s := y[k]
 		for _, e := range f.uEnt[f.uPtr[k]:f.uPtr[k+1]] {
-			s -= e.v * y[e.i]
+			if yi := y[e.i]; yi != 0 {
+				s -= e.v * yi
+				applied++
+			}
 		}
 		y[k] = s / f.uDiag[k]
 	}
@@ -227,13 +240,17 @@ func (f *SparseLU) SolveTransposeInto(b, x []float64) {
 		s := y[k]
 		col := f.lEnt[f.lPtr[k]:f.lPtr[k+1]]
 		for q := len(col) - 1; q >= 0; q-- {
-			s -= col[q].v * y[col[q].i]
+			if yi := y[col[q].i]; yi != 0 {
+				s -= col[q].v * yi
+				applied++
+			}
 		}
 		y[k] = s
 	}
 	for i, p := range f.perm[:n] {
 		x[p] = y[i]
 	}
+	return applied
 }
 
 // NNZ returns the number of nonzeros in L and U, counting U's diagonal

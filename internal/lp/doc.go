@@ -180,7 +180,7 @@
 //
 // Stats is the one declaration of the solver's counters and gauges:
 // lubt.SolveStats is an alias of it, its String is what `lubt -stats`
-// prints, and its JSON tags are the engine-row keys of the lubt-bench/3
+// prints, and its JSON tags are the engine-row keys of the lubt-bench/4
 // records (LPIterations is "pivots"; the two times are "sep_scan_ns" and
 // "lp_solve_ns"). A new field needs one JSON tag and one line in Merge.
 //
@@ -198,7 +198,7 @@
 // "pivot-disagreement").
 //
 // Three fields carry the internal/core scale-path story (DESIGN §8)
-// and reach the lubt-bench/3 JSON under the same names:
+// and reach the lubt-bench/4 JSON under the same names:
 // PresolvePrunedRows (presolve_pruned_rows) counts sink-pair Steiner
 // rows the separation oracle's window arm removed before pricing —
 // nonzero on most core.Solve runs with finite windows, 0 in sessions,

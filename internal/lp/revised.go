@@ -1081,6 +1081,7 @@ func (rv *Revised) refactorize() bool {
 			return false
 		}
 		rv.stats.FillIn = max(rv.lu.NNZ()-len(c.Val), 0)
+		rv.stats.LUNonzeros += rv.lu.NNZ()
 	}
 	// Recompute the primal basic values xB = B⁻¹ (b − N x_N).
 	rv.effRHS(rv.col.reset(m))
@@ -1280,7 +1281,7 @@ func (rv *Revised) ftran0(u, z *svec) {
 			rhs[i] = uv[r]
 		}
 		zT = rv.coreSol[:t]
-		rv.lu.SolveInto(rhs, zT)
+		rv.stats.SolveEntries += rv.lu.SolveInto(rhs, zT)
 		for i, p := range rv.coreCols {
 			zi := zT[i]
 			if zi == 0 {
@@ -1367,7 +1368,7 @@ func (rv *Revised) btran0(u, rho *svec) {
 		}
 	}
 	sol := rv.coreSol[:t]
-	rv.lu.SolveTransposeInto(rhs, sol)
+	rv.stats.SolveEntries += rv.lu.SolveTransposeInto(rhs, sol)
 	for i, r := range rv.coreRows {
 		if si := sol[i]; si != 0 {
 			rh[r] = si

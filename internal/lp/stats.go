@@ -10,7 +10,7 @@ import (
 // pivot and factorization counters; the row-generation loop in
 // internal/core fills the round, Steiner-row and scale-path fields. The
 // public lubt.SolveStats is this type, `lubt -stats` prints its String,
-// and the lubt-bench/3 JSON embeds it in every engine row under the tags
+// and the lubt-bench/4 JSON embeds it in every engine row under the tags
 // below. Counters are cumulative over the lifetime of one engine / one
 // solve. A new field needs a JSON tag and a line in Merge.
 type Stats struct {
@@ -46,6 +46,13 @@ type Stats struct {
 	// FillIn is nnz(L+U) − nnz(core) at the last refactorization: extra
 	// nonzeros the LU factorization introduced beyond the basis core.
 	FillIn int `json:"fill_in"`
+	// LUNonzeros sums nnz(L+U) over every factorization of the basis
+	// core, and SolveEntries counts the L and U entries the core FTRAN
+	// and BTRAN solves apply: the entries of each column of L and U whose
+	// multiplier is nonzero. Both are deterministic work counters of the
+	// factorization, the one to build it and the other to use it.
+	LUNonzeros   int `json:"lu_nnz"`
+	SolveEntries int `json:"solve_entries"`
 	// EtaLen is the eta-file length consumed by the last refactorization:
 	// how many product-form updates had accumulated since the previous
 	// factorization (0 when the basis was refactored with no pivots taken).
@@ -137,6 +144,8 @@ func (s *Stats) Merge(other Stats) {
 	s.ResetReasons = append(s.ResetReasons, other.ResetReasons...)
 	s.BasisSize = other.BasisSize
 	s.FillIn = other.FillIn
+	s.LUNonzeros += other.LUNonzeros
+	s.SolveEntries += other.SolveEntries
 	s.EtaLen = other.EtaLen
 	s.LogicalRows = other.LogicalRows
 	s.TableauRows = other.TableauRows
@@ -172,8 +181,8 @@ func (s Stats) String() string {
 		s.Rounds, s.SteinerRows, s.LPIterations, s.BoundFlips, s.Refactorizations, s.Resets)
 	fmt.Fprintf(&b, "rows %d logical / %d tableau (%d lowered, %d ranged)  nnz %d  basis %d  fill-in %d\n",
 		s.LogicalRows, s.TableauRows, s.LoweredTableauRows, s.RangedRows, s.RowNonzeros, s.BasisSize, s.FillIn)
-	fmt.Fprintf(&b, "eta-len %d  residual %.3g  pivot-el [%.3g, %.3g]\n",
-		s.EtaLen, s.NumericalResidual, s.PivotMin, s.PivotMax)
+	fmt.Fprintf(&b, "lu-nnz %d  solve-entries %d  eta-len %d  residual %.3g  pivot-el [%.3g, %.3g]\n",
+		s.LUNonzeros, s.SolveEntries, s.EtaLen, s.NumericalResidual, s.PivotMin, s.PivotMax)
 	if s.Restages > 0 || s.RowReplacements > 0 {
 		fmt.Fprintf(&b, "restages %d  row-replacements %d\n", s.Restages, s.RowReplacements)
 	}

@@ -15,6 +15,8 @@ func TestMergeCounters(t *testing.T) {
 		Resets:           1,
 		ResetReasons:     []string{"lu-singular"},
 		BoundFlips:       2,
+		LUNonzeros:       40,
+		SolveEntries:     300,
 		Rounds:           2,
 		ViolatedByRound:  []int{4, 0},
 		SeparationTime:   time.Millisecond,
@@ -26,13 +28,16 @@ func TestMergeCounters(t *testing.T) {
 		Resets:           1,
 		ResetReasons:     []string{"dual-drift"},
 		BoundFlips:       1,
+		LUNonzeros:       45,
+		SolveEntries:     20,
 		Rounds:           1,
 		ViolatedByRound:  []int{7},
 		SeparationTime:   3 * time.Millisecond,
 		SolveTime:        time.Millisecond,
 	}
 	a.Merge(b)
-	if a.LPIterations != 8 || a.Refactorizations != 3 || a.Resets != 2 || a.BoundFlips != 3 || a.Rounds != 3 {
+	if a.LPIterations != 8 || a.Refactorizations != 3 || a.Resets != 2 || a.BoundFlips != 3 || a.Rounds != 3 ||
+		a.LUNonzeros != 85 || a.SolveEntries != 320 {
 		t.Errorf("counters did not add: %+v", a)
 	}
 	if got := a.ResetReasons; len(got) != 2 || got[0] != "lu-singular" || got[1] != "dual-drift" {
@@ -91,6 +96,7 @@ func TestStatsString(t *testing.T) {
 		Resets: 1, ResetReasons: []string{"dual-drift"},
 		LogicalRows: 9, TableauRows: 9, LoweredTableauRows: 11, RangedRows: 2, RowNonzeros: 31,
 		Rounds: 3, SteinerRows: 6, ViolatedByRound: []int{5, 2, 0},
+		LUNonzeros: 52, SolveEntries: 910,
 		EtaLen: 6, NumericalResidual: 2.5e-10, PivotMin: 1e-4, PivotMax: 3,
 		DevexResets: 2, WeightMin: 1, WeightMax: 4,
 	}
@@ -98,7 +104,7 @@ func TestStatsString(t *testing.T) {
 	for _, want := range []string{
 		"pivots 12", "bound-flips 3", "refactorizations 2", "basis 7", "fill-in 4",
 		"rows 9 logical / 9 tableau (11 lowered, 2 ranged)", "nnz 31", "rounds 3", "steiner-rows 6",
-		"eta-len 6", "residual 2.5e-10", "pivot-el [0.0001, 3]",
+		"lu-nnz 52", "solve-entries 910", "eta-len 6", "residual 2.5e-10", "pivot-el [0.0001, 3]",
 		"reset-reasons [dual-drift]", "violated/round [5 2 0]", "devex-resets 2  weights [1, 4]",
 	} {
 		if !strings.Contains(out, want) {
