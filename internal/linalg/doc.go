@@ -25,9 +25,13 @@
 //     reaches. The dense reference lives in the package's tests, which
 //     hold the two to this contract.
 //   - SparseLU.SolveInto / SolveTransposeInto are the allocation-free
-//     FTRAN / BTRAN of the revised dual simplex, costing
-//     O(n + nnz(L+U)) each. SolveInto skips columns whose multiplier is
-//     zero. Destination slices must not alias the right-hand side.
+//     FTRAN / BTRAN of the revised dual simplex, costing at most
+//     O(n + nnz(L+U)) each. SolveInto scatters along the columns of L
+//     and U, SolveTransposeInto along the row-wise copies Factor builds,
+//     and both skip a column or row whose multiplier is zero, so a
+//     sparse right-hand side costs the entries it reaches. Both return
+//     the number of L and U entries applied (lp.Stats.SolveEntries).
+//     Destination slices must not alias the right-hand side.
 //   - SparseLU.NNZ counts the nonzeros of L and U (U's diagonal, not L's
 //     implicit unit one); comparing it with the nonzero count of the
 //     factored matrix measures fill-in (surfaced as lp.Stats.FillIn).

@@ -17,7 +17,8 @@ type CSC struct {
 
 // SparseLU is an LU factorization with partial pivoting, P·A = L·U, of a
 // square sparse matrix: L unit lower triangular and U upper triangular,
-// both kept by column. Its zero value is ready for Factor, and Factor
+// each kept both by column (for SolveInto) and by row (for
+// SolveTransposeInto). Its zero value is ready for Factor, and Factor
 // reuses its storage whatever the dimension.
 type SparseLU struct {
 	n int
@@ -29,6 +30,10 @@ type SparseLU struct {
 	lEnt, uEnt []luEntry
 	uDiag      []float64
 	perm       []int32 // perm[i] = row of A pivoted at step i
+	// Row i of L (of U) holds the same entries left of (right of) the
+	// diagonal, with i holding the column index.
+	lRowPtr, uRowPtr []int
+	lRowEnt, uRowEnt []luEntry
 
 	// Factor scratch, indexed by row of A unless noted.
 	pinv  []int32   // step at which the row was pivoted, or −1
@@ -171,7 +176,34 @@ func (f *SparseLU) Factor(a *CSC) error {
 	for k := 0; k < n; k++ {
 		slices.SortFunc(f.lEnt[f.lPtr[k]:f.lPtr[k+1]], func(a, b luEntry) int { return int(a.i - b.i) })
 	}
+	f.lRowPtr, f.lRowEnt = transpose(n, f.lPtr, f.lEnt, f.lRowPtr, f.lRowEnt)
+	f.uRowPtr, f.uRowEnt = transpose(n, f.uPtr, f.uEnt, f.uRowPtr, f.uRowEnt)
 	return nil
+}
+
+// transpose returns the row-wise copy of the n columns ptr/ent in the
+// storage rowPtr/rowEnt (grown when too short): row i lists its entries
+// with their column index, in ascending column order.
+func transpose(n int, ptr []int, ent []luEntry, rowPtr []int, rowEnt []luEntry) ([]int, []luEntry) {
+	rowPtr = resize(rowPtr, n+1)
+	clear(rowPtr)
+	for _, e := range ent {
+		rowPtr[e.i+1]++
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	rowEnt = resize(rowEnt, len(ent))
+	for k := 0; k < n; k++ {
+		for _, e := range ent[ptr[k]:ptr[k+1]] {
+			rowEnt[rowPtr[e.i]] = luEntry{int32(k), e.v}
+			rowPtr[e.i]++
+		}
+	}
+	// Each rowPtr[i] now holds the start of row i+1; shift back.
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
+	return rowPtr, rowEnt
 }
 
 // SolveInto computes x with A x = b for the factored A (len n each; x may
@@ -214,10 +246,12 @@ func (f *SparseLU) SolveInto(b, x []float64) int {
 // SolveTransposeInto computes x with Aᵀ x = b for the factored A (len n
 // each; x may not alias b): the BTRAN of the revised simplex. With
 // P·A = L·U this is a forward solve with Uᵀ, a backward solve with Lᵀ and
-// the inverse row permutation; each runs as one inner product per column
-// of U or L, so a solve costs O(n + nnz(L+U)). A term whose multiplier
-// y[i] is zero is skipped; it returns the number of L and U entries
-// applied, the count SolveInto's column form would reach.
+// the inverse row permutation. Both substitutions scatter along the rows
+// of U and L and skip a row whose multiplier is zero, as SolveInto does
+// along columns, so the cost follows the nonzeros the right-hand side
+// touches. Every entry receives its terms in the order an inner product
+// over the columns would subtract them. It returns the number of L and U
+// entries applied.
 func (f *SparseLU) SolveTransposeInto(b, x []float64) int {
 	n := f.n
 	if len(b) != n || len(x) != n {
@@ -226,26 +260,25 @@ func (f *SparseLU) SolveTransposeInto(b, x []float64) int {
 	y := f.y[:n]
 	copy(y, b)
 	applied := 0
-	for k := 0; k < n; k++ {
-		s := y[k]
-		for _, e := range f.uEnt[f.uPtr[k]:f.uPtr[k+1]] {
-			if yi := y[e.i]; yi != 0 {
-				s -= e.v * yi
-				applied++
+	for i := 0; i < n; i++ {
+		v := y[i] / f.uDiag[i]
+		y[i] = v
+		if v != 0 {
+			row := f.uRowEnt[f.uRowPtr[i]:f.uRowPtr[i+1]]
+			applied += len(row)
+			for _, e := range row {
+				y[e.i] -= e.v * v
 			}
 		}
-		y[k] = s / f.uDiag[k]
 	}
-	for k := n - 1; k >= 0; k-- {
-		s := y[k]
-		col := f.lEnt[f.lPtr[k]:f.lPtr[k+1]]
-		for q := len(col) - 1; q >= 0; q-- {
-			if yi := y[col[q].i]; yi != 0 {
-				s -= col[q].v * yi
-				applied++
+	for i := n - 1; i > 0; i-- {
+		if v := y[i]; v != 0 {
+			row := f.lRowEnt[f.lRowPtr[i]:f.lRowPtr[i+1]]
+			applied += len(row)
+			for _, e := range row {
+				y[e.i] -= e.v * v
 			}
 		}
-		y[k] = s
 	}
 	for i, p := range f.perm[:n] {
 		x[p] = y[i]
