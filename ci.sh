@@ -72,6 +72,14 @@ echo "== fuzz (separation oracle vs the brute-force pair scan)"
 # internal/core/testdata/fuzz already ran with the race step above.
 go test -run '^$' -fuzz FuzzSeparationOracle -fuzztime 10s ./internal/core
 
+echo "== fuzz (baseline router vs its full-rescan reference)"
+# FuzzRoute decodes nets (uniform sinks, integer-grid ties, coincident
+# sinks; skew bound 0, finite or +Inf; with or without a source) and
+# requires bst.Route's pruned nearest-neighbour scan to build the same
+# parent array and bit-identical edge lengths as the full rescan kept
+# in internal/bst's tests; its seeds already ran with the race step.
+go test -run '^$' -fuzz FuzzRoute -fuzztime 10s ./internal/bst
+
 echo "== bench smoke (lubt-bench/4 JSON + ECO gate + baseline)"
 # Each reference bench is run through `lubtbench -json` (the revised
 # row plus its single-sink ECO probe), then the emitted record is
