@@ -106,6 +106,15 @@ func (f *denseLU) SolveTransposeInto(b, x []float64) {
 	}
 }
 
+// minPivot returns the smallest pivot magnitude.
+func (f *denseLU) minPivot() float64 {
+	m := math.Inf(1)
+	for i := 0; i < f.lu.Rows; i++ {
+		m = min(m, math.Abs(f.lu.At(i, i)))
+	}
+	return m
+}
+
 // NNZ counts the nonzeros of the packed factor.
 func (f *denseLU) NNZ() int {
 	nnz := 0

@@ -130,8 +130,11 @@
 // refactorization, reset and the start of each Solve rebuild the list by
 // a full scan. A pivot then costs the nonzeros of ρ's rows (pricing and
 // the BTRAN scatter), nnz(w) (update, weights and eta), the infeasible
-// list, and t + nnz(L+U) for the two core solves (t = basis core size),
-// plus the eta file — instead of O(rows + columns). A list that would
+// list, and for the two core solves t (the basis core size) plus the L
+// and U entries their nonzero multipliers reach (Stats.SolveEntries),
+// plus the eta file — instead of O(rows + columns). The core's LU is
+// ordered for sparsity, not magnitude (internal/linalg), so its fill
+// and hence those entries stay few on EBF's ±1 path rows. A list that would
 // pass a quarter of its vector's length is dropped and that vector is
 // walked in full, as before.
 //
@@ -185,8 +188,8 @@
 // "lp_solve_ns"). A new field needs one JSON tag and one line in Merge.
 //
 // Stats carries two kinds of fields. Counters (LPIterations, BoundFlips,
-// Refactorizations, …) accumulate across Solve calls and Merge by
-// addition. Gauges are point-in-time samples of the engine's numerical
+// Refactorizations, the LU work counters LUNonzeros and SolveEntries, …)
+// accumulate across Solve calls and Merge by addition. Gauges are point-in-time samples of the engine's numerical
 // health — EtaLen, FillIn, BasisSize, NumericalResidual, PivotMin/Max —
 // refreshed at each refactorization (Revised), at termination (IPM's
 // scaled KKT residual, Simplex's max constraint violation), or per

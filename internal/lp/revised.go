@@ -40,7 +40,8 @@ const devexWeightCap = 1e12
 // hypersparse: every work vector carries the list of its nonzeros (see
 // svec) and leaving rows come from a list of the possibly infeasible
 // positions, so a pivot costs the nonzeros of ρ's rows, nnz(w), that
-// list, and t + nnz(L+U) for the core solves — not O(rows + columns).
+// list, and t plus the L and U entries the core solves reach — not
+// O(rows + columns).
 // Results are bit-identical to full passes: sums run in ascending index
 // order, leaving-row ties go to the smaller position, and the reduced
 // costs a dual step does not touch are already dual-feasible (see the
@@ -1264,10 +1265,10 @@ func (rv *Revised) dualTol() float64 {
 
 // ftran0 computes z = B₀⁻¹ u through the factored structural core
 // (positions with basic slacks are solved by substitution); u is by row,
-// z by basis position. Besides the core solve (t and nnz(L+U)), the work
-// follows the core columns with a nonzero solution and the rows on the
-// lists of u and of the accumulator: a slack row that neither touches
-// keeps a zero. The accumulator sums in core-column order, as the full
+// z by basis position. Besides the core solve (t and the L and U entries
+// it reaches), the work follows the core columns with a nonzero solution
+// and the rows on the lists of u and of the accumulator: a slack row that
+// neither touches keeps a zero. The accumulator sums in core-column order, as the full
 // pass did.
 func (rv *Revised) ftran0(u, z *svec) {
 	m := rv.rows.numRows()
