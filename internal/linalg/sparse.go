@@ -258,8 +258,10 @@ func (f *SparseLU) dfs(s, kk int32, reach, rows []int32) ([]int32, []int32) {
 }
 
 // transpose returns the row-wise copy of the n columns ptr/ent in the
-// storage rowPtr/rowEnt (grown when too short): row i lists its entries
-// with their column index, in ascending column order.
+// storage rowPtr/rowEnt: row i lists its entries with their column
+// index, in ascending column order. rowEnt grows to ent's capacity, so
+// it reallocates only when the column storage's append did, not each
+// time a refactorization's fill grows.
 func transpose(n int, ptr []int, ent []luEntry, rowPtr []int, rowEnt []luEntry) ([]int, []luEntry) {
 	rowPtr = resize(rowPtr, n+1)
 	clear(rowPtr)
@@ -269,7 +271,10 @@ func transpose(n int, ptr []int, ent []luEntry, rowPtr []int, rowEnt []luEntry) 
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	rowEnt = resize(rowEnt, len(ent))
+	if cap(rowEnt) < len(ent) {
+		rowEnt = make([]luEntry, len(ent), cap(ent))
+	}
+	rowEnt = rowEnt[:len(ent)]
 	for k := 0; k < n; k++ {
 		for _, e := range ent[ptr[k]:ptr[k+1]] {
 			rowEnt[rowPtr[e.i]] = luEntry{int32(k), e.v}
