@@ -238,7 +238,7 @@ func (f *SparseLU) dfs(s, kk int32, reach, rows []int32) ([]int32, []int32) {
 				continue
 			}
 			f.mark[r] = kk
-			if t := f.pinv[r]; t >= 0 {
+			if f.pinv[r] >= 0 {
 				break
 			}
 			rows = append(rows, r)
