@@ -94,9 +94,7 @@ func solveLU(a *Matrix, b []float64) ([]float64, error) {
 	if err := f.Factor(cscOf(a)); err != nil {
 		return nil, err
 	}
-	x := make([]float64, len(b))
-	f.SolveInto(b, x)
-	return x, nil
+	return solveDense(&f, b, false), nil
 }
 
 func TestLUSolveKnown(t *testing.T) {
@@ -274,8 +272,7 @@ func TestLUSolveTranspose(t *testing.T) {
 		if err := f.Factor(cscOf(a)); err != nil {
 			t.Fatal(err)
 		}
-		x := make([]float64, n)
-		f.SolveTransposeInto(b, x)
+		x := solveDense(&f, b, true)
 		// Check Aᵀ x = b, i.e. xᵀ A = bᵀ.
 		got := a.T().MulVec(x)
 		for i := range b {
@@ -317,9 +314,7 @@ func TestFactorLUIntoReuse(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x1, x2 := make([]float64, n), make([]float64, n)
-		reused.SolveInto(b, x1)
-		fresh.SolveInto(b, x2)
+		x1, x2 := solveDense(&reused, b, false), solveDense(&fresh, b, false)
 		if i := firstDiff(x1, x2); i >= 0 {
 			t.Fatalf("n=%d: reused factor diverges at %d: %g vs %g", n, i, x1[i], x2[i])
 		}
@@ -338,8 +333,7 @@ func TestFactorLUIntoSingular(t *testing.T) {
 	if err := f.Factor(cscOf(a)); err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, 2)
-	f.SolveInto([]float64{3, 7}, x)
+	x := solveDense(&f, []float64{3, 7}, false)
 	if x[0] != 7 || x[1] != 3 {
 		t.Errorf("x = %v after a singular factorization", x)
 	}
@@ -353,6 +347,10 @@ func TestLUZeroDim(t *testing.T) {
 	if f.NNZ() != 0 {
 		t.Fatalf("0-dim factor has %d nonzeros", f.NNZ())
 	}
-	f.SolveInto(nil, nil)
-	f.SolveTransposeInto(nil, nil)
+	if idx, applied := f.SolveInto(nil, nil, nil, nil); len(idx) != 0 || applied != 0 {
+		t.Fatalf("0-dim SolveInto listed %v, applied %d", idx, applied)
+	}
+	if idx, applied := f.SolveTransposeInto(nil, nil, nil, nil); len(idx) != 0 || applied != 0 {
+		t.Fatalf("0-dim SolveTransposeInto listed %v, applied %d", idx, applied)
+	}
 }

@@ -1,6 +1,9 @@
 package linalg
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // CSC is a sparse matrix in compressed-sparse-column form: column j holds
 // the entries RowInd[q], Val[q] for q in [ColPtr[j], ColPtr[j+1]). Row
@@ -19,6 +22,14 @@ type CSC struct {
 // (for SolveInto) and by row (for SolveTransposeInto). Its zero value is
 // ready for Factor, and Factor reuses its storage whatever the
 // dimension.
+//
+// The solves are list-driven (Gilbert and Peierls' reach-limited
+// triangular solve): a bitset of the pivot steps the right-hand side
+// reaches is swept in the order of a full pass, and each applied column
+// or row marks the steps it reaches, which always lie ahead of the
+// sweep. Each reached step is visited once, in the full pass's order and
+// with its zero skips, so a solve costs O(n/64 + steps reached + entries
+// applied) and its values equal a full pass's bit for bit.
 type SparseLU struct {
 	n int
 	// Column k of L holds the entries below the unit diagonal, with row
@@ -34,8 +45,12 @@ type SparseLU struct {
 	lRowPtr, uRowPtr []int
 	lRowEnt, uRowEnt []luEntry
 
-	// Factor scratch, indexed by row of A unless noted.
+	// Factor scratch, indexed by row of A unless noted. After a
+	// successful Factor, pinv is the inverse row order and qinv the
+	// inverse column order; the solves map their right-hand sides with
+	// them.
 	pinv    []int32   // step at which the row was pivoted, or −1
+	qinv    []int32   // step at which the column was eliminated
 	rowNNZ  []int32   // the row's nonzero count in A
 	mark    []int32   // last step whose column reached the row
 	x       []float64 // the column being eliminated
@@ -44,7 +59,11 @@ type SparseLU struct {
 	stack   []int32   // depth-first search: steps on the path
 	next    []int     // depth-first search: next L entry per stack level
 	byCount []int     // column count histogram, by count
-	y       []float64 // solve intermediate, by step
+
+	// Solve scratch, zero between solves.
+	y    []float64 // intermediate, by step
+	seen []uint64  // bitset of the steps the solve reached
+	out  []uint64  // bitset of the solution's nonzeros, by index of x
 }
 
 type luEntry struct {
@@ -102,7 +121,13 @@ func (f *SparseLU) Factor(a *CSC) error {
 	f.rowNNZ = resize(f.rowNNZ, n)
 	f.mark = resize(f.mark, n)
 	f.x = resize(f.x, n)
+	f.qinv = resize(f.qinv, n)
 	f.y = resize(f.y, n)
+	f.seen = resize(f.seen, (n+63)>>6)
+	f.out = resize(f.out, (n+63)>>6)
+	clear(f.y)
+	clear(f.seen)
+	clear(f.out)
 	f.stack = resize(f.stack, n)
 	f.next = resize(f.next, n)
 	f.byCount = resize(f.byCount, n+2)
@@ -122,6 +147,7 @@ func (f *SparseLU) Factor(a *CSC) error {
 	for j := 0; j < n; j++ {
 		c := a.ColPtr[j+1] - a.ColPtr[j]
 		f.cols[byCount[c]] = int32(j)
+		f.qinv[j] = int32(byCount[c])
 		byCount[c]++
 	}
 	for _, r := range a.RowInd[:a.ColPtr[n]] {
@@ -287,93 +313,146 @@ func transpose(n int, ptr []int, ent []luEntry, rowPtr []int, rowEnt []luEntry) 
 	return rowPtr, rowEnt
 }
 
-// SolveInto computes x with A x = b for the factored A (len n each; x may
-// not alias b): the FTRAN of the revised simplex. With P·A·Q = L·U this
-// is the row permutation, a forward solve with L, a backward solve with
-// U and the column permutation. Both substitutions run column by column
-// and skip a column whose multiplier is zero, so the cost follows the
-// nonzeros the right-hand side touches. It returns the number of L and U
-// entries applied.
-func (f *SparseLU) SolveInto(b, x []float64) int {
-	n := f.n
-	if len(b) != n || len(x) != n {
+// SolveInto computes x with A x = b for the factored A: the FTRAN of the
+// revised simplex. b (len n) holds the right-hand side and bIdx lists
+// the indices where it may be nonzero, in any order, repeats allowed; a
+// dense right-hand side lists every index. SolveInto writes the
+// solution's nonzeros into x (len n, not aliasing b), leaves the rest of
+// x as it was, and returns xIdx with their indices appended in ascending
+// order, together with the number of L and U entries applied. With
+// P·A·Q = L·U the solve is the row permutation, a forward solve with L
+// (swept upward), a backward solve with U (swept downward) and the
+// column permutation.
+func (f *SparseLU) SolveInto(b []float64, bIdx []int32, x []float64, xIdx []int32) ([]int32, int) {
+	if len(b) != f.n || len(x) != f.n {
 		panic("linalg: SparseLU.SolveInto length mismatch")
 	}
-	y := f.y[:n]
-	for k, r := range f.perm[:n] {
-		y[k] = b[r]
+	f.scatter(b, bIdx, f.pinv)
+	applied := f.upward(f.lPtr, f.lEnt, nil)
+	applied += f.downward(f.uPtr, f.uEnt, f.uDiag)
+	return f.gather(f.cols, x, xIdx), applied
+}
+
+// SolveTransposeInto computes x with Aᵀ x = b for the factored A: the
+// BTRAN of the revised simplex, under SolveInto's contract for b, bIdx,
+// x and xIdx. With P·A·Q = L·U the solve is the column permutation, a
+// forward solve with Uᵀ (swept upward along the rows of U), a backward
+// solve with Lᵀ (swept downward along the rows of L) and the inverse row
+// permutation.
+func (f *SparseLU) SolveTransposeInto(b []float64, bIdx []int32, x []float64, xIdx []int32) ([]int32, int) {
+	if len(b) != f.n || len(x) != f.n {
+		panic("linalg: SparseLU.SolveTransposeInto length mismatch")
 	}
+	f.scatter(b, bIdx, f.qinv)
+	applied := f.upward(f.uRowPtr, f.uRowEnt, f.uDiag)
+	applied += f.downward(f.lRowPtr, f.lRowEnt, nil)
+	return f.gather(f.perm, x, xIdx), applied
+}
+
+// scatter copies the listed entries of b into y at the steps step maps
+// them to, and marks those steps.
+func (f *SparseLU) scatter(b []float64, bIdx []int32, step []int32) {
+	y, seen := f.y, f.seen
+	for _, i := range bIdx {
+		k := step[i]
+		y[k] = b[i]
+		seen[k>>6] |= 1 << (k & 63)
+	}
+}
+
+// upward runs a lower triangular substitution over the marked steps in
+// ascending order: see apply. A step marks only steps above itself, so
+// re-reading a word past the step just taken finds the steps it marked.
+func (f *SparseLU) upward(ptr []int, ent []luEntry, diag []float64) int {
+	seen := f.seen
 	applied := 0
-	for k := 0; k < n; k++ {
-		if v := y[k]; v != 0 {
-			col := f.lEnt[f.lPtr[k]:f.lPtr[k+1]]
-			applied += len(col)
-			for _, e := range col {
-				y[e.i] -= e.v * v
+	for wi := range seen {
+		for mask := ^uint64(0); ; {
+			w := seen[wi] & mask
+			if w == 0 {
+				break
 			}
+			b := bits.TrailingZeros64(w)
+			mask = ^uint64(0) << (b + 1)
+			applied += f.apply(wi<<6|b, ptr, ent, diag)
 		}
-	}
-	for k := n - 1; k >= 0; k-- {
-		if y[k] == 0 {
-			continue
-		}
-		v := y[k] / f.uDiag[k]
-		y[k] = v
-		col := f.uEnt[f.uPtr[k]:f.uPtr[k+1]]
-		applied += len(col)
-		for _, e := range col {
-			y[e.i] -= e.v * v
-		}
-	}
-	for k, j := range f.cols[:n] {
-		x[j] = y[k]
 	}
 	return applied
 }
 
-// SolveTransposeInto computes x with Aᵀ x = b for the factored A (len n
-// each; x may not alias b): the BTRAN of the revised simplex. With
-// P·A·Q = L·U this is the column permutation, a forward solve with Uᵀ, a
-// backward solve with Lᵀ and the inverse row permutation. Both
-// substitutions scatter along the rows of U and L and skip a row whose
-// multiplier is zero, as SolveInto does along columns, so the cost
-// follows the nonzeros the right-hand side touches. It returns the
-// number of L and U entries applied.
-func (f *SparseLU) SolveTransposeInto(b, x []float64) int {
-	n := f.n
-	if len(b) != n || len(x) != n {
-		panic("linalg: SparseLU.SolveTransposeInto length mismatch")
-	}
-	y := f.y[:n]
-	for k, j := range f.cols[:n] {
-		y[k] = b[j]
-	}
+// downward is upward's mirror for an upper triangular substitution: it
+// takes the marked steps in descending order, and each step marks only
+// steps below itself.
+func (f *SparseLU) downward(ptr []int, ent []luEntry, diag []float64) int {
+	seen := f.seen
 	applied := 0
-	for i := 0; i < n; i++ {
-		if y[i] == 0 {
-			continue
-		}
-		v := y[i] / f.uDiag[i]
-		y[i] = v
-		row := f.uRowEnt[f.uRowPtr[i]:f.uRowPtr[i+1]]
-		applied += len(row)
-		for _, e := range row {
-			y[e.i] -= e.v * v
-		}
-	}
-	for i := n - 1; i > 0; i-- {
-		if v := y[i]; v != 0 {
-			row := f.lRowEnt[f.lRowPtr[i]:f.lRowPtr[i+1]]
-			applied += len(row)
-			for _, e := range row {
-				y[e.i] -= e.v * v
+	for wi := len(seen) - 1; wi >= 0; wi-- {
+		for mask := ^uint64(0); ; {
+			w := seen[wi] & mask
+			if w == 0 {
+				break
 			}
+			b := 63 - bits.LeadingZeros64(w)
+			mask = 1<<b - 1
+			applied += f.apply(wi<<6|b, ptr, ent, diag)
 		}
-	}
-	for i, p := range f.perm[:n] {
-		x[p] = y[i]
 	}
 	return applied
+}
+
+// apply is one step k of a substitution: unless y[k] is zero, it divides
+// y[k] by diag[k] (a nil diag is the unit one) and subtracts its
+// multiples of the entries ent[ptr[k]:ptr[k+1]] from y, marking the
+// steps they reach. It returns the number of entries applied.
+func (f *SparseLU) apply(k int, ptr []int, ent []luEntry, diag []float64) int {
+	y, seen := f.y, f.seen
+	v := y[k]
+	if v == 0 {
+		return 0
+	}
+	if diag != nil {
+		v /= diag[k]
+		y[k] = v
+	}
+	col := ent[ptr[k]:ptr[k+1]]
+	for _, e := range col {
+		y[e.i] -= e.v * v
+		seen[e.i>>6] |= 1 << (e.i & 63)
+	}
+	return len(col)
+}
+
+// gather moves the solution out of y: each marked step k with a nonzero
+// value goes to x[to[k]], and y and the marks are cleared. The indices
+// written are then appended to xIdx in ascending order by a sweep of
+// their bitset, which is cleared too.
+func (f *SparseLU) gather(to []int32, x []float64, xIdx []int32) []int32 {
+	y, seen, out := f.y, f.seen, f.out
+	for wi, w := range seen {
+		if w == 0 {
+			continue
+		}
+		seen[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			k := wi<<6 | bits.TrailingZeros64(w)
+			if v := y[k]; v != 0 {
+				o := to[k]
+				x[o] = v
+				out[o>>6] |= 1 << (o & 63)
+			}
+			y[k] = 0
+		}
+	}
+	for wi, w := range out {
+		if w == 0 {
+			continue
+		}
+		out[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			xIdx = append(xIdx, int32(wi<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return xIdx
 }
 
 // NNZ returns the number of nonzeros in L and U, counting U's diagonal

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,6 +34,27 @@ func firstDiff(a, b []float64) int {
 	return -1
 }
 
+// allIdx lists every index below n: the list of a dense right-hand side.
+func allIdx(n int) []int32 {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
+// solveDense solves A x = b, or Aᵀ x = b with trans, for a dense b
+// through the list-driven solves and returns the whole of x.
+func solveDense(f *SparseLU, b []float64, trans bool) []float64 {
+	x := make([]float64, len(b))
+	if trans {
+		f.SolveTransposeInto(b, allIdx(len(b)), x, nil)
+	} else {
+		f.SolveInto(b, allIdx(len(b)), x, nil)
+	}
+	return x
+}
+
 // draw returns a number in [0, k); the generators below take one so the
 // same shapes serve the seeded tests and the fuzz target.
 type draw func(k int) int
@@ -52,6 +74,24 @@ func shuffled(n int, d draw) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
+}
+
+// permutedTriangular returns an n×n matrix shaped like the near-
+// triangular cores of an EBF basis: a unit-diagonal lower triangle with
+// sparse entries from entryAlphabet below it, its rows and columns
+// shuffled.
+func permutedTriangular(n int, d draw) *Matrix {
+	rows, cols := shuffled(n, d), shuffled(n, d)
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(rows[i], cols[i], float64(1-2*d(2)))
+		for j := 0; j < i; j++ {
+			if d(4) == 0 {
+				a.Set(rows[i], cols[j], entryAlphabet[d(len(entryAlphabet))])
+			}
+		}
+	}
+	return a
 }
 
 // randomEntries fills an n×n matrix from entryAlphabet.
@@ -183,10 +223,12 @@ func backwardError(a *Matrix, x, b []float64, trans bool) float64 {
 // pivot below 1e-9 in either factorization), and a matrix the caller
 // knows to be exactly singular must report ErrSingular. A factored
 // matrix's solves, with A and with Aᵀ, must keep the normwise backward
-// error within 1e-12 on every right-hand side of rhsSet. Pivot order,
-// fill and the solves' roundoff are SparseLU's own: it orders for
-// sparsity, where the reference pivots for magnitude.
-func checkAgainstDense(t *testing.T, a *Matrix, singular bool) {
+// error within 1e-12 on every right-hand side of rhsSet, and must match
+// the full-pass reference under checkListSolves, on right-hand sides
+// drawn with d. Pivot order, fill and the solves' roundoff are
+// SparseLU's own: it orders for sparsity, where the reference pivots for
+// magnitude.
+func checkAgainstDense(t *testing.T, a *Matrix, singular bool, d draw) {
 	t.Helper()
 	ref, refErr := factorDense(a)
 	var f SparseLU
@@ -206,16 +248,98 @@ func checkAgainstDense(t *testing.T, a *Matrix, singular bool) {
 	if err != nil {
 		return
 	}
-	n := a.Rows
-	x := make([]float64, n)
-	for r, b := range rhsSet(n) {
-		f.SolveInto(b, x)
-		if be := backwardError(a, x, b, false); !(be <= 1e-12) {
+	for r, b := range rhsSet(a.Rows) {
+		if be := backwardError(a, solveDense(&f, b, false), b, false); !(be <= 1e-12) {
 			t.Fatalf("rhs %d: SolveInto backward error %g", r, be)
 		}
-		f.SolveTransposeInto(b, x)
-		if be := backwardError(a, x, b, true); !(be <= 1e-12) {
+		if be := backwardError(a, solveDense(&f, b, true), b, true); !(be <= 1e-12) {
 			t.Fatalf("rhs %d: SolveTransposeInto backward error %g", r, be)
+		}
+	}
+	checkListSolves(t, &f, d)
+}
+
+// checkListSolves holds the list-driven solves of the factored f to the
+// full-pass reference kept in the tests, on right-hand sides from one
+// nonzero up to fully dense, some of whose lists repeat an index or list
+// a zero. x must equal the reference bit for bit wherever the reference
+// is nonzero, the returned list must hold exactly those indices in
+// ascending order, x must be left as it was off the list, the applied
+// counts must be equal, and the solve scratch must be zero afterwards.
+func checkListSolves(t *testing.T, f *SparseLU, d draw) {
+	t.Helper()
+	n := f.n
+	ref, x := make([]float64, n), make([]float64, n)
+	for _, nnz := range []int{1, 2, 3, n / 10, n / 2, n} {
+		if nnz < 1 || nnz > n {
+			continue
+		}
+		b := make([]float64, n)
+		order := shuffled(n, d)
+		var bIdx []int32
+		for _, i := range order[:nnz] {
+			v := entryAlphabet[d(len(entryAlphabet))]
+			if v == 0 {
+				v = float64(1+d(15)) / 8
+			}
+			b[i] = v
+			bIdx = append(bIdx, int32(i))
+		}
+		if d(3) == 0 {
+			bIdx = append(bIdx, bIdx[0])
+		}
+		if nnz < n && d(3) == 0 {
+			bIdx = append(bIdx, int32(order[nnz])) // listed, but zero
+		}
+		for _, trans := range []bool{false, true} {
+			for i := range x {
+				x[i] = math.NaN() // x off the list must keep it
+			}
+			var got []int32
+			var applied, want int
+			if trans {
+				got, applied = f.SolveTransposeInto(b, bIdx, x, nil)
+				want = f.solveTransposeFull(b, ref)
+			} else {
+				got, applied = f.SolveInto(b, bIdx, x, nil)
+				want = f.solveFull(b, ref)
+			}
+			if applied != want {
+				t.Fatalf("n=%d nnz=%d trans=%v: %d entries applied, full pass %d", n, nnz, trans, applied, want)
+			}
+			q := 0
+			for i := range n {
+				listed := q < len(got) && int(got[q]) == i
+				if listed {
+					q++
+				}
+				if listed && (ref[i] == 0 || math.Float64bits(x[i]) != math.Float64bits(ref[i])) {
+					t.Fatalf("n=%d nnz=%d trans=%v: x[%d] = %g, full pass %g", n, nnz, trans, i, x[i], ref[i])
+				}
+				if !listed && (ref[i] != 0 || !math.IsNaN(x[i])) {
+					t.Fatalf("n=%d nnz=%d trans=%v: x[%d] = %g off the list, full pass %g", n, nnz, trans, i, x[i], ref[i])
+				}
+			}
+			if q != len(got) {
+				t.Fatalf("n=%d nnz=%d trans=%v: list %v not ascending within [0, n)", n, nnz, trans, got)
+			}
+			f.checkScratchClear(t)
+		}
+	}
+}
+
+// checkScratchClear fails unless the solve scratch is zero, as each
+// solve must leave it for the next.
+func (f *SparseLU) checkScratchClear(t *testing.T) {
+	t.Helper()
+	for k, v := range f.y {
+		if v != 0 {
+			t.Fatalf("y[%d] = %g after a solve", k, v)
+		}
+	}
+	for wi := range f.seen {
+		if f.seen[wi] != 0 || f.out[wi] != 0 {
+			t.Fatalf("bitset word %d left set: seen %#x out %#x", wi, f.seen[wi], f.out[wi])
 		}
 	}
 }
@@ -265,6 +389,7 @@ func TestSparseLUMatchesDense(t *testing.T) {
 			}
 			return a
 		}, nil},
+		{"permuted-triangular", permutedTriangular, nil},
 		{"arrow", func(n int, d draw) *Matrix {
 			a := NewMatrix(n, n)
 			for i := 0; i < n; i++ {
@@ -280,7 +405,7 @@ func TestSparseLUMatchesDense(t *testing.T) {
 			for seed := int64(0); seed < 25; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				n := 1 + rng.Intn(40)
-				checkAgainstDense(t, tc.build(n, rng.Intn), tc.singular != nil && tc.singular(n))
+				checkAgainstDense(t, tc.build(n, rng.Intn), tc.singular != nil && tc.singular(n), rng.Intn)
 			}
 		})
 	}
@@ -336,26 +461,77 @@ func decodeShape(data []byte) (*Matrix, bool) {
 
 // FuzzSparseLU differentially tests SparseLU against the dense reference
 // on decoded matrices, tie-heavy ±1 path incidences and singular ones
-// among them, under checkAgainstDense's contract.
+// among them, under checkAgainstDense's contract, and its list-driven
+// solves against the full-pass reference bit for bit, on right-hand
+// sides drawn from a generator seeded with the input's checksum.
 func FuzzSparseLU(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, singular := fuzzMatrix(data)
-		checkAgainstDense(t, a, singular)
+		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		checkAgainstDense(t, a, singular, rng.Intn)
 	})
 }
 
+// TestSparseLUListSolvesMatchFullPass factors tie-heavy general matrices
+// and EBF-like permuted-triangular and path-incidence cores, all into
+// one SparseLU whose dimension goes 40, 7, 130 and back, so its bitsets
+// shrink and regrow, and holds the list-driven solves to the full-pass
+// reference under checkListSolves.
+func TestSparseLUListSolvesMatchFullPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	shapes := []func(n int, d draw) *Matrix{
+		randomEntries,
+		permutedTriangular,
+		func(n int, d draw) *Matrix { return pathIncidence(n, d, true) },
+		func(n int, d draw) *Matrix { return pathIncidence(n, d, false) },
+	}
+	var f SparseLU
+	factored := 0
+	for round := 0; round < 6; round++ {
+		for _, n := range []int{40, 7, 130, 64, 1} {
+			for _, shape := range shapes {
+				if f.Factor(cscOf(shape(n, rng.Intn))) != nil {
+					continue
+				}
+				factored++
+				checkListSolves(t, &f, rng.Intn)
+			}
+		}
+	}
+	if factored < 60 {
+		t.Fatalf("only %d of 120 matrices factored", factored)
+	}
+}
+
 // TestSparseLUReuseAllocs refactors one SparseLU alternately at two
-// dimensions: once its storage has grown, a factorization allocates
-// nothing.
+// dimensions and solves with each factorization, a unit and a dense
+// right-hand side both ways: once its storage has grown, and given list
+// buffers of the dimension's capacity, this allocates nothing.
 func TestSparseLUReuseAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	big := cscOf(pathIncidence(90, rng.Intn, true))
 	small := cscOf(pathIncidence(55, rng.Intn, true))
 	var f SparseLU
+	b, x := make([]float64, 90), make([]float64, 90)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	dense, unit, xIdx := allIdx(90), []int32{3}, make([]int32, 0, 90)
+	solve := func(n int) {
+		for _, bIdx := range [][]int32{unit, dense[:n]} {
+			xIdx, _ = f.SolveInto(b[:n], bIdx, x[:n], xIdx[:0])
+			xIdx, _ = f.SolveTransposeInto(b[:n], bIdx, x[:n], xIdx[:0])
+		}
+	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if f.Factor(big) != nil || f.Factor(small) != nil {
+		if f.Factor(big) != nil {
 			t.Fatal("root-path matrix reported singular")
 		}
+		solve(90)
+		if f.Factor(small) != nil {
+			t.Fatal("root-path matrix reported singular")
+		}
+		solve(55)
 	})
 	if allocs != 0 {
 		t.Errorf("refactorizing into reused storage: %v allocs per run, want 0", allocs)
