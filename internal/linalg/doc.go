@@ -41,13 +41,26 @@
 //     ErrSingular, and both solves keep the normwise backward error
 //     ‖Ax − b‖∞ / (‖A‖∞‖x‖∞ + ‖b‖∞) within 1e-12.
 //   - SparseLU.SolveInto / SolveTransposeInto are the allocation-free
-//     FTRAN / BTRAN of the revised dual simplex, costing at most
-//     O(n + nnz(L+U)) each. SolveInto scatters along the columns of L
-//     and U, SolveTransposeInto along the row-wise copies Factor builds,
-//     and both skip a column or row whose multiplier is zero, so a
-//     sparse right-hand side costs the entries it reaches. Both return
-//     the number of L and U entries applied (lp.Stats.SolveEntries).
-//     Destination slices must not alias the right-hand side.
+//     FTRAN / BTRAN of the revised dual simplex. Each takes its
+//     right-hand side as values plus a list of the indices that may be
+//     nonzero (a dense one lists every index), writes the solution's
+//     nonzeros into the destination, leaves the destination's other
+//     entries as they were, and returns the solution's nonzero indices
+//     in ascending order. After a successful Factor, pinv is the inverse
+//     row order and qinv the inverse column order: the solves map the
+//     listed indices to pivot steps through them and mark those steps in
+//     a bitset of ⌈n/64⌉ words. They sweep the bitset in the order of a
+//     full substitution (upward for L and Uᵀ, downward for U and Lᵀ,
+//     lowest or highest set bit of a word first), and each column or row
+//     they apply marks the steps it reaches, which always lie ahead of
+//     the sweep. So each reached step is visited once, in a full pass's
+//     order and with its zero skips: the values equal those of the full
+//     passes kept in the package's tests bit for bit, and a solve costs
+//     O(n/64 + steps reached + entries applied), where the full passes
+//     paid O(n) for the permutations and the zero tests alone. Both
+//     return the number of L and U entries applied
+//     (lp.Stats.SolveEntries). Destination slices must not alias the
+//     right-hand side.
 //   - SparseLU.NNZ counts the nonzeros of L and U (U's diagonal, not L's
 //     implicit unit one); comparing it with the nonzero count of the
 //     factored matrix measures fill-in (surfaced as lp.Stats.FillIn).

@@ -128,20 +128,29 @@
 // the basis positions that may be primal infeasible: each pivot merges
 // in the positions whose basic value or box it changed, and
 // refactorization, reset and the start of each Solve rebuild the list by
-// a full scan. A pivot then costs the nonzeros of ρ's rows (pricing and
-// the BTRAN scatter), nnz(w) (update, weights and eta), the infeasible
-// list, and for the two core solves t (the basis core size) plus the L
-// and U entries their nonzero multipliers reach (Stats.SolveEntries),
-// plus the eta file — instead of O(rows + columns). The core's LU is
-// ordered for sparsity, not magnitude (internal/linalg), so its fill
-// and hence those entries stay few on EBF's ±1 path rows. A list that would
-// pass a quarter of its vector's length is dropped and that vector is
-// walked in full, as before.
+// a full scan. The two core solves are list-driven too: the core
+// right-hand side is gathered along the input vector's list, the LU
+// solve visits only the pivot steps it reaches (internal/linalg), and
+// its solution comes back as an ascending list of core indices, which
+// the solve walks instead of every core row or column; the core buffers
+// stay zero between solves. A pivot then costs the nonzeros of ρ's rows
+// (pricing and the BTRAN scatter), nnz(w) (update, weights and eta), the
+// infeasible list, and for each core solve t/64 bitset words (t the
+// basis core size) plus the steps it reaches and the L and U entries
+// those apply (Stats.SolveEntries), plus the eta file — instead of
+// O(rows + columns). The core's LU is ordered for sparsity, not
+// magnitude (internal/linalg), so its fill and hence those entries stay
+// few on EBF's ±1 path rows. A list that would pass a quarter of its
+// vector's length stops growing and that vector is walked in full, as
+// before.
 //
 // The lists change which zeros are visited, never a value: results are
 // bit-identical to full passes (±0 aside). Sums still accumulate in
-// ascending row or position order, because producers sort their short
-// lists; the leaving-row scan walks the ascending infeasible list with
+// ascending row or position order: each work vector keeps a bitset of
+// its listed indices beside the list, a push dedupes by bit, and sorting
+// a list sweeps the bitset over the words the list spans, lowest bit
+// first, with no comparison sort; the core solves return their
+// nonzeros in ascending order the same way. The leaving-row scan walks the ascending infeasible list with
 // strict comparisons, so ties still go to the smaller position; and the
 // ratio test's candidates are sorted by (ratio, id) whatever order they
 // are found in. The dual step clamps only the reduced costs it moves,
@@ -150,8 +159,9 @@
 // refactorization and reset clamp them all). The one exception is a
 // restage that leaves a reduced cost on its wrong side within
 // tolerance; the next dual step then walks every index once, as the
-// full passes did. A test-only hook checks the lists, the infeasible
-// list and the invariant against full recomputation at every pivot.
+// full passes did. A test-only hook checks the lists, their bitsets,
+// the zero core buffers, the infeasible list and the invariant against
+// full recomputation at every pivot.
 //
 // # Sparse storage invariants (CSR/CSC)
 //

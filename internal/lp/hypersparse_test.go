@@ -25,6 +25,8 @@ type ebfNet struct {
 	lo, hi   float64 // the sinks' delay window
 	delayRow []int   // sink → tableau row of its window
 	have     map[[2]int]bool
+	// maxPivots is the most pivots one Solve took.
+	maxPivots int
 }
 
 func newEBFNet(t *testing.T, name string) *ebfNet {
@@ -85,15 +87,17 @@ func (nt *ebfNet) window(i int) (lo, hi float64) {
 
 // solve re-solves, adding for every sink the Steiner row of its most
 // violated pair at each optimum, until none is violated or the LP turns
-// infeasible.
+// infeasible. It records the most pivots one Solve took in maxPivots.
 func (nt *ebfNet) solve(t *testing.T, rv *Revised) *Solution {
 	t.Helper()
 	m := nt.tree.NumSinks
 	for {
+		before := rv.Iterations()
 		sol, err := rv.Solve()
 		if err != nil {
 			t.Fatal(err)
 		}
+		nt.maxPivots = max(nt.maxPivots, rv.Iterations()-before)
 		if sol.Status != Optimal {
 			return sol
 		}
@@ -125,7 +129,8 @@ func (nt *ebfNet) solve(t *testing.T, rv *Revised) *Solution {
 // TestSparsePivotStateEBF runs the §4.6 loop on prim2-s and r4-s under
 // Devex pricing with the per-pivot check of the sparse pivot state on
 // (Revised.checkState panics on the first difference from a full
-// recomputation).
+// recomputation). On r4-s a single Solve runs past refEach pivots, so
+// the check also crosses the periodic refactorization inside a Solve.
 func TestSparsePivotStateEBF(t *testing.T) {
 	for _, name := range []string{"prim2-s", "r4-s"} {
 		t.Run(name+"/devex", func(t *testing.T) {
@@ -136,6 +141,9 @@ func TestSparsePivotStateEBF(t *testing.T) {
 			}
 			if rv.Iterations() == 0 {
 				t.Fatal("no pivots: the check never ran")
+			}
+			if name == "r4-s" && nt.maxPivots <= rv.refEach {
+				t.Fatalf("no Solve ran past refEach = %d pivots (most %d)", rv.refEach, nt.maxPivots)
 			}
 		})
 	}
@@ -248,7 +256,8 @@ func TestNoteInfeasibleMerge(t *testing.T) {
 
 // TestSvecDenseFallback: a vector whose list would pass its share of the
 // length turns dense, and reset then clears every entry it may have
-// written.
+// written and every bit it set; afterwards push dedupes by bit and sort
+// lists across bit words in ascending order.
 func TestSvecDenseFallback(t *testing.T) {
 	var v svec
 	n := 200
@@ -266,13 +275,19 @@ func TestSvecDenseFallback(t *testing.T) {
 			t.Fatalf("x[%d] = %g after reset", i, xi)
 		}
 	}
+	for wi, w := range v.bits {
+		if w != 0 {
+			t.Fatalf("bit word %d = %#x after a dense reset", wi, w)
+		}
+	}
 	x[5], x[3] = 2, 1
 	v.push(5)
 	v.push(3)
 	v.push(5)
+	v.push(130)
 	v.sort()
-	if v.dense || !slices.Equal(v.idx, []int32{3, 5}) {
-		t.Fatalf("sparse list %v (dense %v), want [3 5]", v.idx, v.dense)
+	if v.dense || !slices.Equal(v.idx, []int32{3, 5, 130}) {
+		t.Fatalf("sparse list %v (dense %v), want [3 5 130]", v.idx, v.dense)
 	}
 	if math.Abs(x[3]+x[5]-3) != 0 {
 		t.Fatal("values moved")

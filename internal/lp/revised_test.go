@@ -325,8 +325,10 @@ func TestRevisedExactEqualityWindows(t *testing.T) {
 	}
 }
 
-// Many warm rounds on one engine stress the eta file + refactorization
-// cycle (refEach is 64, so this crosses several refactorizations).
+// Many warm rounds on one engine stress the eta file and the
+// refactorization each optimum ends with. Each round's solve takes a few
+// pivots, far fewer than refEach, so the periodic refactorization inside
+// a Solve is crossed by TestSparsePivotStateEBF instead.
 func TestRevisedLongWarmSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 12
