@@ -46,15 +46,20 @@ echo "== bench module (vet + tests)"
 # the benchmark's build or its pinned r6-s record (TestPinR6S).
 (cd bench && go vet ./... && go test ./...)
 
-echo "== fuzz (sparse LU vs the dense reference)"
+echo "== fuzz (sparse LU vs the dense reference and the full-pass solves)"
 # FuzzSparseLU factors decoded matrices with linalg.SparseLU and the dense
 # reference LU. SparseLU orders for sparsity, so pivots, fill and roundoff
 # differ; it must give the reference's singular verdict unless the matrix
 # is near-singular (a pivot below 1e-9 in either factorization), report
 # ErrSingular on an exactly singular one (a dependent column, a zero row
 # or column), and keep both solves' normwise backward error within
-# 1e-12. Its seed corpus under internal/linalg/testdata/fuzz already ran
-# with the race step above.
+# 1e-12. Its list-driven solves must also equal the full-pass solves
+# kept in the package's tests bit for bit, on right-hand sides from one
+# nonzero up to fully dense: the same x, its nonzeros listed ascending,
+# the destination untouched off the list, the same count of L and U
+# entries applied, and the solve scratch zero afterwards. Its seed corpus
+# under internal/linalg/testdata/fuzz already ran with the race step
+# above.
 go test -run '^$' -fuzz FuzzSparseLU -fuzztime 10s ./internal/linalg
 
 echo "== fuzz (warm revised engine edits vs cold simplex)"
@@ -83,6 +88,15 @@ echo "== fuzz (baseline router vs its full-rescan reference)"
 # parent array and bit-identical edge lengths as the full rescan kept
 # in internal/bst's tests; its seeds already ran with the race step.
 go test -run '^$' -fuzz FuzzRoute -fuzztime 10s ./internal/bst
+
+echo "== fuzz (lubtd request decoding: never a 5xx)"
+# FuzzServeRequest sends decoded /solve and /eco bodies (at most 12
+# sinks, every topology type, windows, weights, edits against the
+# returned key, coordinates and windows whose sums overflow) and raw
+# garbage through one in-process server's ServeHTTP; every answer must
+# be 2xx or 4xx with a body that decodes as JSON. Its seed corpus under
+# internal/serve/testdata/fuzz already ran with the race step above.
+go test -run '^$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/serve
 
 echo "== bench smoke (lubt-bench/4 JSON + ECO gate + baseline)"
 # Each reference bench is run through `lubtbench -json` (the revised

@@ -1,7 +1,6 @@
 package lubt
 
 import (
-	"errors"
 	"fmt"
 
 	"lubt/internal/core"
@@ -32,8 +31,8 @@ type Solved struct {
 // default restageable revised engine supports ECO sessions; setting
 // Options.Solver to an explicit cold method is an error.
 func (in *Instance) SolveECO(b Bounds, opt *Options) (*Solved, error) {
-	if in.tree == nil {
-		return nil, errors.New("lubt: choose a topology before solving")
+	if err := in.checkSolvable(); err != nil {
+		return nil, err
 	}
 	cb, err := b.toCore(len(in.sinks))
 	if err != nil {
@@ -55,10 +54,7 @@ func (in *Instance) SolveECO(b Bounds, opt *Options) (*Solved, error) {
 	ci := in.coreInstance(in.tree)
 	sess, err := core.NewSession(ci, cb, copts)
 	if err != nil {
-		if errors.Is(err, core.ErrInfeasible) {
-			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return nil, err
+		return nil, coreErr(err)
 	}
 	s := &Solved{in: in, ci: ci, sess: sess, opt: opt, tr: tr}
 	if err := s.rebuildTree(); err != nil {
@@ -118,10 +114,7 @@ func (s *Solved) Reweight(edge int, w float64) error {
 // windows admit no tree; the session stays usable — relax and retry.
 func (s *Solved) Resolve() (*Tree, error) {
 	if _, err := s.sess.Resolve(); err != nil {
-		if errors.Is(err, core.ErrInfeasible) {
-			return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return nil, err
+		return nil, coreErr(err)
 	}
 	if err := s.rebuildTree(); err != nil {
 		return nil, err

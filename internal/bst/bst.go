@@ -121,6 +121,11 @@ func Route(sinks []geom.Point, skewBound float64, source *geom.Point) (*Result, 
 			}
 		}
 		bj := nn[bi]
+		if bj < 0 {
+			// Every merge sum from bi is +Inf or NaN: the coordinates or
+			// delays overflow float64.
+			return nil, fmt.Errorf("bst: no finite merge cost from cluster %d (coordinates or delays overflow float64)", g.clusters[bi].node)
+		}
 		ci, err := g.merge(bi, bj)
 		if err != nil {
 			return nil, err

@@ -113,6 +113,10 @@ func TestRouteErrors(t *testing.T) {
 	if _, err := Route(randSinks(rand.New(rand.NewSource(1)), 3), -1, nil); err == nil {
 		t.Error("negative bound accepted")
 	}
+	// x + y overflows, so every merge sum is +Inf: an error, not a panic.
+	if _, err := Route([]geom.Point{geom.Pt(-7, 1e308), geom.Pt(1e308, 1e308)}, math.Inf(1), nil); err == nil {
+		t.Error("overflowing coordinates accepted")
+	}
 }
 
 func TestRouteDeterministic(t *testing.T) {

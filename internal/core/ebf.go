@@ -302,8 +302,12 @@ func (g *genState) run() (*Result, error) {
 			st.PeakRows = g.eng.TableauRows()
 			return &Result{E: e, Delays: t.Delays(e), Cost: weightedCost(g.w, e), Stats: st}, nil
 		}
+		stated := len(g.have)
 		for _, pr := range viol {
 			g.addPair(pr[0], pr[1])
+		}
+		if len(g.have) == stated {
+			return nil, fmt.Errorf("%w: round %d found %d violated Steiner rows, all already in the LP", ErrStalled, round, len(viol))
 		}
 	}
 }

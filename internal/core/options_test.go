@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -175,5 +176,20 @@ func TestNegativeOptionsFallBack(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSolveStallsOnHugeWindows: window tops far beyond the instance's
+// distances leave the LP's tolerance too coarse to resolve its Steiner
+// rows; the loop must report ErrStalled at the first round that can add
+// no row, not spin to its round limit.
+func TestSolveStallsOnHugeWindows(t *testing.T) {
+	in, _ := randomInstance(t, 201, 12)
+	_, err := Solve(in, UniformBounds(12, 0, 1e20), nil)
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	if !strings.Contains(err.Error(), "round 1 ") {
+		t.Fatalf("err = %v, want a stall at round 1", err)
 	}
 }

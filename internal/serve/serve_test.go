@@ -903,3 +903,49 @@ func TestEcoBadWindow(t *testing.T) {
 		t.Fatalf("session unusable after rejected window: served %q", again.Cache)
 	}
 }
+
+// TestWriteJSONEncodeFailure: a value with no JSON form (an infinity)
+// answers 500 with a JSON "internal" error, not the requested status
+// over an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rr := httptest.NewRecorder()
+	writeJSON(rr, 200, map[string]float64{"cost": math.Inf(1)})
+	e := decodeError(t, rr.Body, rr.Code, 500, "internal")
+	if !strings.Contains(e.Detail, "encoding the response") {
+		t.Fatalf("detail %q does not name the encoding", e.Detail)
+	}
+	rr = httptest.NewRecorder()
+	writeJSON(rr, 201, map[string]float64{"cost": 1})
+	if rr.Code != 201 || strings.TrimSpace(rr.Body.String()) != `{"cost":1}` {
+		t.Fatalf("status %d body %q, want 201 {\"cost\":1}", rr.Code, rr.Body)
+	}
+}
+
+// TestOverflowingRequestsRejected: coordinates whose bounding box
+// overflows float64, and windows whose optimum does, answer 400 on the
+// cold path, on a warm hit and on /eco — never a 5xx or a success over
+// an empty body — and the server keeps serving.
+func TestOverflowingRequestsRejected(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	far := &SolveRequest{Sinks: []PointJSON{{1e308, 1e308}, {-1e308, -1e308}}}
+	rr := postJSON(t, srv, "/solve", far)
+	if e := decodeError(t, rr.Body, rr.Code, 400, "bad_request"); !strings.Contains(e.Detail, "not finite") {
+		t.Fatalf("detail %q does not name the overflow", e.Detail)
+	}
+	near := &SolveRequest{Sinks: []PointJSON{{0, 0}, {1, 1}}, Topology: &TopologySpec{Type: "balanced"}}
+	over := *near
+	over.LowerAll, over.UpperAll = 1e308, 1e308
+	rr = postJSON(t, srv, "/solve", &over)
+	decodeError(t, rr.Body, rr.Code, 400, "bad_request")
+	cold := decodeSolve(t, postJSON(t, srv, "/solve", near))
+	rr = postJSON(t, srv, "/solve", &over) // a warm hit on the cached net
+	decodeError(t, rr.Body, rr.Code, 400, "bad_request")
+	cold = decodeSolve(t, postJSON(t, srv, "/solve", near))
+	rr = postJSON(t, srv, "/eco", &EcoRequest{Key: cold.Key, Retighten: []WindowEdit{
+		{Sink: 0, Lower: 1e308, Upper: 1e308}, {Sink: 1, Lower: 1e308, Upper: 1e308}}})
+	decodeError(t, rr.Body, rr.Code, 400, "bad_request")
+	if again := decodeSolve(t, postJSON(t, srv, "/solve", near)); again.Cost != cold.Cost {
+		t.Fatalf("cost %g after the rejected requests, %g before", again.Cost, cold.Cost)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -294,6 +295,183 @@ func TestMalformedWeightsRejected(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNonFiniteCoordinatesRejected feeds every entry point sinks or a
+// source with a NaN or infinite coordinate, finite coordinates whose
+// bounding box overflows, and windows whose optimum overflows: each must
+// return an error wrapping ErrNotFinite, never panic and never report a
+// tree with an infinite cost.
+func TestNonFiniteCoordinatesRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	near := []Point{{0, 0}, {1, 1}}
+	far := []Point{{1e308, 1e308}, {-1e308, -1e308}}
+	// build returns an instance over sinks, with the source set when
+	// given, or NewInstance's error.
+	build := func(sinks []Point, src *Point) (*Instance, error) {
+		in, err := NewInstance(sinks)
+		if err == nil && src != nil {
+			in.SetSource(*src)
+		}
+		return in, err
+	}
+	topologies := map[string]func(in *Instance) error{
+		"balanced": (*Instance).UseBalancedTopology,
+		"skew":     func(in *Instance) error { return in.UseSkewGuidedTopology(inf) },
+		"skew-0":   func(in *Instance) error { return in.UseSkewGuidedTopology(0) },
+		"custom":   func(in *Instance) error { return in.UseCustomTopology([]int{-1, 0, 0}) },
+	}
+	solves := map[string]func(in *Instance, b Bounds) error{
+		"Solve": func(in *Instance, b Bounds) error {
+			_, err := in.Solve(b, nil)
+			return err
+		},
+		"SolveECO": func(in *Instance, b Bounds) error {
+			_, err := in.SolveECO(b, nil)
+			return err
+		},
+		"SolveElmore": func(in *Instance, b Bounds) error {
+			_, err := in.SolveElmore(b, 0.1, 0.2, nil, nil)
+			return err
+		},
+	}
+	type tcase struct {
+		name string
+		run  func() error
+	}
+	var cases []tcase
+	for _, p := range []Point{{nan, 0}, {0, nan}, {inf, 0}, {0, -inf}} {
+		sinks := []Point{p, {1, 1}}
+		cases = append(cases,
+			tcase{fmt.Sprintf("NewInstance/sink(%g,%g)", p.X, p.Y), func() error {
+				_, err := NewInstance(sinks)
+				return err
+			}},
+			tcase{fmt.Sprintf("BoundedSkewBaseline/sink(%g,%g)", p.X, p.Y), func() error {
+				_, err := BoundedSkewBaseline(sinks, inf, nil)
+				return err
+			}},
+			tcase{fmt.Sprintf("ElmoreZeroSkew/sink(%g,%g)", p.X, p.Y), func() error {
+				_, err := ElmoreZeroSkew(sinks, 0.1, 0.2, nil, nil)
+				return err
+			}})
+		src := p
+		for name, use := range topologies {
+			cases = append(cases, tcase{fmt.Sprintf("%s/source(%g,%g)", name, p.X, p.Y), func() error {
+				in, err := build(near, &src)
+				if err != nil {
+					return err
+				}
+				return use(in)
+			}})
+		}
+		for name, solve := range solves {
+			// The topology is chosen before the source is set, so only the
+			// solve can see it.
+			cases = append(cases, tcase{fmt.Sprintf("%s/source(%g,%g)", name, p.X, p.Y), func() error {
+				in, err := build(near, nil)
+				if err != nil {
+					return err
+				}
+				if err := in.UseBalancedTopology(); err != nil {
+					t.Fatal(err)
+				}
+				in.SetSource(src)
+				return solve(in, Uniform(2, 0, inf))
+			}})
+		}
+	}
+	cases = append(cases,
+		tcase{"NewInstance/overflowing-box", func() error {
+			_, err := NewInstance(far)
+			return err
+		}},
+		tcase{"BoundedSkewBaseline/overflowing-box", func() error {
+			_, err := BoundedSkewBaseline(far, inf, nil)
+			return err
+		}},
+		tcase{"ElmoreZeroSkew/overflowing-box", func() error {
+			_, err := ElmoreZeroSkew(near, 0.1, 0.2, nil, &Point{-1e308, 1e308})
+			return err
+		}})
+	for name, use := range topologies {
+		cases = append(cases, tcase{name + "/source-overflows-box", func() error {
+			in, err := build(far[:1], &far[1])
+			if err != nil {
+				return err
+			}
+			return use(in)
+		}})
+	}
+	for _, name := range []string{"Solve", "SolveECO"} { // Elmore delay grows as length², so its lengths stay finite
+		solve := solves[name]
+		cases = append(cases, tcase{name + "/overflowing-optimum", func() error {
+			in, err := build(near, nil)
+			if err != nil {
+				return err
+			}
+			if err := in.UseBalancedTopology(); err != nil {
+				t.Fatal(err)
+			}
+			return solve(in, Uniform(2, 1e308, 1e308))
+		}})
+	}
+	cases = append(cases, tcase{"Resolve/overflowing-optimum", func() error {
+		in, err := build(near, nil)
+		if err != nil {
+			return err
+		}
+		if err := in.UseBalancedTopology(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := in.SolveECO(Uniform(2, 0, inf), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 2 {
+			if err := s.Retighten(i, 1e308, 1e308); err != nil {
+				return err
+			}
+		}
+		tr, err := s.Resolve()
+		if err == nil && s.Tree() != tr {
+			t.Fatal("Resolve returned a tree it did not keep")
+		}
+		return err
+	}})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("panicked: %v", p)
+					}
+				}()
+				err = tc.run()
+			}()
+			if !errors.Is(err, ErrNotFinite) {
+				t.Fatalf("err = %v, want ErrNotFinite", err)
+			}
+		})
+	}
+}
+
+// TestHugeWindowsStall: window tops so large that the LP cannot resolve
+// the net's distances return ErrStalled from Solve and SolveECO.
+func TestHugeWindowsStall(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inst, _ := NewInstance(randPoints(rng, 12))
+	if err := inst.UseSkewGuidedTopology(0); err != nil {
+		t.Fatal(err)
+	}
+	huge := Uniform(12, 0, 1e20)
+	if _, err := inst.Solve(huge, nil); !errors.Is(err, ErrStalled) {
+		t.Fatalf("Solve: err = %v, want ErrStalled", err)
+	}
+	if _, err := inst.SolveECO(huge, nil); !errors.Is(err, ErrStalled) {
+		t.Fatalf("SolveECO: err = %v, want ErrStalled", err)
 	}
 }
 

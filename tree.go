@@ -60,6 +60,39 @@ func (t *Tree) recomputeStats() {
 	t.MinDelay, t.MaxDelay, t.Skew = lo, hi, hi-lo
 }
 
+// checkFinite returns an ErrNotFinite error unless every number the tree
+// serializes is finite: the cost, each edge length, delay, location and
+// elongation, the skew, and the top of each snaking spur Routes draws
+// (an edge's location raised by half its elongation).
+func (t *Tree) checkFinite() error {
+	if !finite(t.Cost) {
+		return fmt.Errorf("%w: the optimum costs %g", ErrNotFinite, t.Cost)
+	}
+	for k := 1; k < len(t.EdgeLengths); k++ {
+		if !finite(t.EdgeLengths[k]) {
+			return fmt.Errorf("%w: edge %d has length %g", ErrNotFinite, k, t.EdgeLengths[k])
+		}
+	}
+	for i, d := range t.SinkDelays {
+		if !finite(d) {
+			return fmt.Errorf("%w: sink %d has delay %g", ErrNotFinite, i, d)
+		}
+	}
+	if !finite(t.Skew) {
+		return fmt.Errorf("%w: the skew is %g", ErrNotFinite, t.Skew)
+	}
+	for k, p := range t.Locations {
+		el := 0.0
+		if k > 0 && k < len(t.Elongation) {
+			el = t.Elongation[k]
+		}
+		if !finite(p.X) || !finite(p.Y) || !finite(el) || (el > 0 && !finite(p.Y+el/2)) {
+			return fmt.Errorf("%w: node %d at (%g, %g) with elongation %g", ErrNotFinite, k, p.X, p.Y, el)
+		}
+	}
+	return nil
+}
+
 // Verify re-checks the tree end to end: every EBF constraint by full
 // enumeration (the bounds it was solved with) and the geometric
 // consistency of the embedding. It returns nil for a valid tree.
