@@ -123,9 +123,9 @@ func TestRevisedTrajectoryPin(t *testing.T) {
 		want  counters
 		cost  float64 // 0: not pinned
 	}{
-		{"prim2-s", counters{4, 472, 425, 14, 10, 273, 348}, 0},
-		{"r4-s", counters{6, 2040, 1625, 44, 30, 865, 1323}, 0},
-		{"r6-s", counters{8, 16936, 14277, 467, 228, 4540, 7226}, 568309.06},
+		{"prim2-s", counters{4, 481, 435, 17, 6, 273, 300}, 0},
+		{"r4-s", counters{6, 2022, 1613, 34, 17, 866, 1169}, 0},
+		{"r6-s", counters{8, 16493, 14420, 537, 117, 4509, 7060}, 568309.06},
 	}
 	for _, p := range pins {
 		if p.bench == "r6-s" && raceEnabled {
