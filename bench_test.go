@@ -19,7 +19,6 @@ import (
 	"lubt/internal/core"
 	"lubt/internal/experiments"
 	"lubt/internal/geom"
-	"lubt/internal/lp"
 	"lubt/internal/wkld"
 )
 
@@ -117,86 +116,6 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 	b.ReportMetric(lo, "mincost")
 	b.ReportMetric(hi, "maxcost")
-}
-
-// ablationInstance prepares a mid-sized solve shared by the ablation
-// benches: prim1-scale topology with a half-radius tolerable-skew window.
-func ablationInstance(b *testing.B) (*core.Instance, core.Bounds) {
-	b.Helper()
-	bench := wkld.MustGenerate("prim1-s")
-	src := bench.Source
-	radius := 0.0
-	for _, s := range bench.Sinks {
-		radius = math.Max(radius, geom.Dist(src, s))
-	}
-	base, err := bst.Route(bench.Sinks, 0.5*radius, &src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ci := &core.Instance{Tree: base.Tree, Source: &src,
-		SinkLoc: make([]geom.Point, len(bench.Sinks)+1)}
-	copy(ci.SinkLoc[1:], bench.Sinks)
-	m := base.Tree.NumSinks
-	cb := core.Bounds{L: make([]float64, m+1), U: make([]float64, m+1)}
-	for i := 1; i <= m; i++ {
-		cb.U[i] = base.Stats.Max
-		cb.L[i] = math.Max(0, cb.U[i]-0.5*radius)
-	}
-	return ci, cb
-}
-
-// BenchmarkAblationRowGen compares the §4.6 constraint reduction (row
-// generation on the incremental dual simplex) against stating the full
-// C(m,2) Steiner matrix upfront.
-func BenchmarkAblationRowGen(b *testing.B) {
-	ci, cb := ablationInstance(b)
-	b.Run("rowgen", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := core.Solve(ci, cb, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Stats.SteinerRows), "rows")
-		}
-	})
-	b.Run("fullmatrix", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := core.Solve(ci, cb, &core.Options{FullMatrix: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Stats.SteinerRows), "rows")
-		}
-	})
-}
-
-// BenchmarkAblationSolver compares the three LP engines on the same EBF
-// instance: warm-started incremental dual simplex (default), cold
-// two-phase primal simplex, and the interior-point method (the paper's
-// LOQO stand-in).
-func BenchmarkAblationSolver(b *testing.B) {
-	ci, cb := ablationInstance(b)
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Solve(ci, cb, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("coldsimplex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Solve(ci, cb, &core.Options{Solver: &lp.Simplex{}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ipm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Solve(ci, cb, &core.Options{Solver: &lp.IPM{}}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationPlacement compares the two top-down placement policies

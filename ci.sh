@@ -81,6 +81,19 @@ echo "== fuzz (separation oracle vs the brute-force pair scan)"
 # internal/core/testdata/fuzz already ran with the race step above.
 go test -run '^$' -fuzz FuzzSeparationOracle -fuzztime 10s ./internal/core
 
+echo "== fuzz (warm ECO sessions vs the cold oracle)"
+# FuzzSessionEdits decodes nets of at most 12 sinks (uniform or on an
+# integer grid, an optional fixed source; balanced, skew-guided, random
+# binary or chain topologies), windows in [0, 3R] or +inf and weights,
+# then a script of Retighten, relax, Reweight and Resolve on one warm
+# core.Session. The first solve and every Resolve must match the cold
+# oracle's verdict (its own LP, full pair enumeration, lp.Simplex) with
+# the cost within 1e-6*max(1, R); every optimum must pass Verify and
+# embed; ErrStalled fails; a rejected edit leaves the session usable.
+# Its seed corpus under internal/core/testdata/fuzz already ran with the
+# race step above.
+go test -run '^$' -fuzz FuzzSessionEdits -fuzztime 10s ./internal/core
+
 echo "== fuzz (baseline router vs its full-rescan reference)"
 # FuzzRoute decodes nets (uniform sinks, integer-grid ties, coincident
 # sinks; skew bound 0, finite or +Inf; with or without a source) and

@@ -5,9 +5,8 @@
 // Usage:
 //
 //	lubt -in sinks.txt -lower 0.8 -upper 1.2 [-skew-topology 0.4]
-//	     [-normalized] [-use-source] [-solver simplex|coldsimplex|ipm]
-//	     [-svg out.svg] [-stats] [-trace trace.json] [-eco]
-//	     [-decompose on|off]
+//	     [-normalized] [-use-source] [-svg out.svg] [-stats]
+//	     [-trace trace.json] [-eco] [-decompose on|off]
 //
 // Every solve runs the one separation oracle, which prunes the Steiner
 // rows the delay windows imply (-stats reports them as presolve-pruned);
@@ -46,7 +45,6 @@ func main() {
 		normalized = flag.Bool("normalized", false, "interpret bounds as multiples of the radius")
 		useSource  = flag.Bool("use-source", false, "pin the source to the file's source line")
 		skewTopo   = flag.Float64("skew-topology", math.Inf(1), "skew bound guiding the topology generator")
-		solver     = flag.String("solver", "simplex", "LP solver: simplex, coldsimplex or ipm")
 		svgPath    = flag.String("svg", "", "write the routed tree as SVG to this file")
 		jsonPath   = flag.String("json", "", "write the routed tree as JSON to this file")
 		boundsPath = flag.String("bounds", "", "per-sink bounds file (one \"l u\" line per sink, overrides -lower/-upper)")
@@ -59,7 +57,7 @@ func main() {
 	cfg := runConfig{
 		inPath: *inPath, lower: *lower, upper: *upper,
 		normalized: *normalized, useSource: *useSource, skewTopo: *skewTopo,
-		solver: *solver, svgPath: *svgPath, jsonPath: *jsonPath,
+		svgPath: *svgPath, jsonPath: *jsonPath,
 		boundsPath: *boundsPath, showStats: *stats, tracePath: *tracePath, eco: *eco,
 		decompose: *decompose,
 	}
@@ -75,7 +73,6 @@ type runConfig struct {
 	lower, upper          float64
 	normalized, useSource bool
 	skewTopo              float64
-	solver                string
 	svgPath, jsonPath     string
 	boundsPath            string
 	showStats             bool
@@ -139,7 +136,7 @@ func run(cfg runConfig) error {
 	} else {
 		bounds = lubt.Uniform(len(sinks), l, u)
 	}
-	opts := &lubt.Options{Solver: cfg.solver, Decompose: cfg.decompose}
+	opts := &lubt.Options{Decompose: cfg.decompose}
 	var traceFile *os.File
 	if cfg.tracePath != "" {
 		var err error

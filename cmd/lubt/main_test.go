@@ -33,7 +33,7 @@ func TestRunUniformBounds(t *testing.T) {
 	svg := filepath.Join(dir, "out.svg")
 	jsonOut := filepath.Join(dir, "out.json")
 	err := run(runConfig{inPath: in, lower: 0.8, upper: 1.3, normalized: true,
-		useSource: true, skewTopo: 0.5, solver: "simplex",
+		useSource: true, skewTopo: 0.5,
 		svgPath: svg, jsonPath: jsonOut, showStats: true})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestRunTrace(t *testing.T) {
 	in := writeSinks(t, dir, 8)
 	tracePath := filepath.Join(dir, "trace.json")
 	err := run(runConfig{inPath: in, lower: 0.8, upper: 1.3, normalized: true,
-		useSource: true, skewTopo: 0.5, solver: "simplex", tracePath: tracePath})
+		useSource: true, skewTopo: 0.5, tracePath: tracePath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunPerSinkBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := run(runConfig{inPath: in, lower: 0, upper: math.Inf(1), normalized: true,
-		useSource: true, skewTopo: math.Inf(1), solver: "simplex", boundsPath: boundsPath}); err != nil {
+		useSource: true, skewTopo: math.Inf(1), boundsPath: boundsPath}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -97,30 +97,26 @@ func TestRunBadInputs(t *testing.T) {
 	dir := t.TempDir()
 	in := writeSinks(t, dir, 4)
 	if err := run(runConfig{inPath: filepath.Join(dir, "missing.txt"), upper: 1,
-		skewTopo: math.Inf(1), solver: "simplex"}); err == nil {
+		skewTopo: math.Inf(1)}); err == nil {
 		t.Error("missing input accepted")
-	}
-	if err := run(runConfig{inPath: in, upper: math.Inf(1),
-		skewTopo: math.Inf(1), solver: "bogus"}); err == nil {
-		t.Error("bad solver accepted")
 	}
 	// Infeasible window: upper bound below the radius (normalized 0.5).
 	if err := run(runConfig{inPath: in, upper: 0.5, normalized: true, useSource: true,
-		skewTopo: math.Inf(1), solver: "simplex"}); err == nil {
+		skewTopo: math.Inf(1)}); err == nil {
 		t.Error("infeasible window accepted")
 	}
 	// Bounds file with wrong line count.
 	boundsPath := filepath.Join(dir, "bounds.txt")
 	os.WriteFile(boundsPath, []byte("0 inf\n"), 0o644)
 	if err := run(runConfig{inPath: in, upper: math.Inf(1),
-		skewTopo: math.Inf(1), solver: "simplex", boundsPath: boundsPath}); err == nil {
+		skewTopo: math.Inf(1), boundsPath: boundsPath}); err == nil {
 		t.Error("short bounds file accepted")
 	}
 	// Malformed bounds lines.
 	for _, bad := range []string{"x y\n0 inf\n0 inf\n0 inf\n", "1\n2 3\n4 5\n6 7\n"} {
 		os.WriteFile(boundsPath, []byte(bad), 0o644)
 		if err := run(runConfig{inPath: in, upper: math.Inf(1),
-			skewTopo: math.Inf(1), solver: "simplex", boundsPath: boundsPath}); err == nil {
+			skewTopo: math.Inf(1), boundsPath: boundsPath}); err == nil {
 			t.Errorf("malformed bounds %q accepted", bad)
 		}
 	}

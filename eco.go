@@ -27,9 +27,7 @@ type Solved struct {
 }
 
 // SolveECO solves like Solve but returns a Solved that keeps the LP
-// engine warm for incremental Retighten/Reweight/Resolve edits. Only the
-// default restageable revised engine supports ECO sessions; setting
-// Options.Solver to an explicit cold method is an error.
+// engine warm for incremental Retighten/Reweight/Resolve edits.
 func (in *Instance) SolveECO(b Bounds, opt *Options) (*Solved, error) {
 	if err := in.checkSolvable(); err != nil {
 		return nil, err
@@ -38,14 +36,9 @@ func (in *Instance) SolveECO(b Bounds, opt *Options) (*Solved, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver, err := opt.lpSolver()
-	if err != nil {
-		return nil, err
-	}
 	tr := opt.tracer("solve-eco")
-	copts := &core.Options{Solver: solver, Tracer: tr}
+	copts := &core.Options{Tracer: tr}
 	if opt != nil {
-		copts.FullMatrix = opt.FullMatrix
 		copts.OracleWorkers = opt.OracleWorkers
 		if opt.Weights != nil {
 			copts.Weights = opt.Weights

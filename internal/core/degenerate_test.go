@@ -12,20 +12,11 @@ import (
 	"lubt/internal/wkld"
 )
 
-// engineOptions enumerates every LP path through the row-generation loop:
-// the warm engine and both cold cross-check solvers.
-func engineOptions() map[string]*Options {
-	return map[string]*Options{
-		"revised":     nil,
-		"coldsimplex": {Solver: &lp.Simplex{}},
-		"ipm":         {Solver: &lp.IPM{}},
-	}
-}
-
 // TestZeroRadiusCoincidentSinks puts every sink (and the source) on one
 // point: radius 0, every pairwise distance 0, every Steiner row
-// degenerate. The optimum is the zero tree, and every engine must agree
-// rather than cycle on the massively degenerate basis.
+// degenerate. The optimum is the zero tree, which the warm engine must
+// reach rather than cycle on the massively degenerate basis, and the cold
+// oracle must certify with the simplex and the IPM.
 func TestZeroRadiusCoincidentSinks(t *testing.T) {
 	tree := topology.MustNew([]int{-1, 5, 5, 6, 6, 0, 0}, 4)
 	p := geom.Pt(7, 3)
@@ -33,19 +24,22 @@ func TestZeroRadiusCoincidentSinks(t *testing.T) {
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for name, opt := range engineOptions() {
-		res, err := Solve(in, UniformBounds(4, 0, 0), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	b := UniformBounds(4, 0, 0)
+	res, err := Solve(in, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost > 1e-9 {
+		t.Errorf("zero-radius cost = %g, want 0", res.Cost)
+	}
+	for i := 1; i <= 4; i++ {
+		if res.Delays[i] > 1e-9 {
+			t.Errorf("delay(s%d) = %g, want 0", i, res.Delays[i])
 		}
-		if res.Cost > 1e-9 {
-			t.Errorf("%s: zero-radius cost = %g, want 0", name, res.Cost)
-		}
-		for i := 1; i <= 4; i++ {
-			if res.Delays[i] > 1e-9 {
-				t.Errorf("%s: delay(s%d) = %g, want 0", name, i, res.Delays[i])
-			}
-		}
+	}
+	o := &coldOracle{in: in, b: b, tol: 1e-9}
+	if err := o.certify(res, nil, &lp.Simplex{}, &lp.IPM{}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -56,48 +50,45 @@ func TestExactWindowCoincidentSinks(t *testing.T) {
 	tree := topology.MustNew([]int{-1, 5, 5, 6, 6, 0, 0}, 4)
 	p := geom.Pt(7, 3)
 	in := &Instance{Tree: tree, SinkLoc: []geom.Point{{}, p, p, p, p}, Source: &p}
-	for name, opt := range engineOptions() {
-		res, err := Solve(in, UniformBounds(4, 5, 5), opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	b := UniformBounds(4, 5, 5)
+	res, err := Solve(in, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 4; i++ {
+		if math.Abs(res.Delays[i]-5) > 1e-6 {
+			t.Errorf("delay(s%d) = %g, want exactly 5", i, res.Delays[i])
 		}
-		for i := 1; i <= 4; i++ {
-			if math.Abs(res.Delays[i]-5) > 1e-6 {
-				t.Errorf("%s: delay(s%d) = %g, want exactly 5", name, i, res.Delays[i])
-			}
-		}
-		// Two root edges of length 5 serve both subtrees: cost 10.
-		if math.Abs(res.Cost-10) > 1e-6 {
-			t.Errorf("%s: l=u cost = %g, want 10", name, res.Cost)
-		}
+	}
+	// Two root edges of length 5 serve both subtrees: cost 10.
+	if math.Abs(res.Cost-10) > 1e-6 {
+		t.Errorf("l=u cost = %g, want 10", res.Cost)
+	}
+	o := &coldOracle{in: in, b: b, tol: 1e-6}
+	if err := o.certify(res, nil, &lp.Simplex{}, &lp.IPM{}); err != nil {
+		t.Error(err)
 	}
 }
 
 // TestExactWindowAllSolversAgree runs an exact-equality window l = u on a
-// random instance through every engine; the warm engine's fixed-slack
-// rows must match the cold solvers' equality rows.
+// random instance; the warm engine's fixed-slack rows must reach the
+// optimum of the cold solvers' equality rows.
 func TestExactWindowAllSolversAgree(t *testing.T) {
 	in, _ := randomInstance(t, 208, 8)
 	r := in.Radius()
 	b := UniformBounds(8, 1.2*r, 1.2*r)
-	var want float64
-	for _, name := range []string{"revised", "coldsimplex", "ipm"} {
-		res, err := Solve(in, b, engineOptions()[name])
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	res, err := Solve(in, b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 8; i++ {
+		if math.Abs(res.Delays[i]-1.2*r) > 1e-5*(1+r) {
+			t.Errorf("delay(s%d) = %g, want %g", i, res.Delays[i], 1.2*r)
 		}
-		for i := 1; i <= 8; i++ {
-			if math.Abs(res.Delays[i]-1.2*r) > 1e-5*(1+r) {
-				t.Errorf("%s: delay(s%d) = %g, want %g", name, i, res.Delays[i], 1.2*r)
-			}
-		}
-		if name == "revised" {
-			want = res.Cost
-			continue
-		}
-		if math.Abs(res.Cost-want) > 1e-6*(1+want) {
-			t.Errorf("%s: cost %g vs revised %g", name, res.Cost, want)
-		}
+	}
+	o := &coldOracle{in: in, b: b, tol: 1e-6 * (1 + res.Cost)}
+	if err := o.certify(res, nil, &lp.Simplex{}, &lp.IPM{}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -122,11 +113,13 @@ func TestInfeasibleAfterWarmRounds(t *testing.T) {
 	// u₁ = dist(0,s1) pins e₁ = 10; u₂ = dist(0,s2) then pins e₂ ≤ 10,
 	// while dist(s1,s2) = 30 demands e₂ ≥ 30.
 	b := Bounds{L: make([]float64, 3), U: []float64{0, 10, 20}}
-	for _, name := range []string{"revised", "coldsimplex"} {
-		_, err := Solve(in, b, engineOptions()[name])
-		if !errors.Is(err, ErrInfeasible) {
-			t.Errorf("%s: err = %v, want ErrInfeasible", name, err)
-		}
+	_, err := Solve(in, b, nil)
+	if !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+	o := &coldOracle{in: in, b: b, tol: 1e-6 * (1 + in.Radius())}
+	if err := o.certify(nil, err, &lp.Simplex{}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -137,7 +130,7 @@ func TestInfeasibleAfterWarmRounds(t *testing.T) {
 // infeasibility: the revised engine must return the cold simplex's
 // optimum. That optimum is pinned as coldOptimum, because the cold solve
 // takes seconds (and far longer under the race detector); outside the
-// race detector the pin is checked against a fresh cold solve.
+// race detector the cold oracle certifies the warm optimum.
 func TestRadiusTopWindowFeasible(t *testing.T) {
 	const coldOptimum = 144043.51041042124
 	net := wkld.Custom("serve", 150, 3053199128896940017)
@@ -162,12 +155,9 @@ func TestRadiusTopWindowFeasible(t *testing.T) {
 		t.Errorf("cost %.10f, cold simplex optimum %.10f", got.Cost, coldOptimum)
 	}
 	if !raceEnabled {
-		cold, err := Solve(in, b, &Options{Solver: &lp.Simplex{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(cold.Cost-coldOptimum) > 1e-6*r {
-			t.Errorf("cold simplex cost %.10f, pinned %.10f", cold.Cost, coldOptimum)
+		o := &coldOracle{in: in, b: b, tol: 1e-6 * r}
+		if err := o.certify(got, nil, &lp.Simplex{}); err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -211,8 +201,9 @@ func TestOracleDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSolversAgreeOnScaledBench is the acceptance cross-check: the three
-// public solver paths agree within 1e-6·radius on a -s workload.
+// TestSolversAgreeOnScaledBench is the acceptance cross-check: the warm
+// optimum on a -s workload agrees with the cold simplex and the IPM
+// within 1e-6·radius.
 func TestSolversAgreeOnScaledBench(t *testing.T) {
 	in, cb := benchInstance(t, "prim1-s")
 	radius := in.Radius()
@@ -220,13 +211,10 @@ func TestSolversAgreeOnScaledBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"coldsimplex", "ipm"} {
-		res, err := Solve(in, cb, engineOptions()[name])
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.Abs(res.Cost-ref.Cost) > 1e-6*radius {
-			t.Errorf("%s: cost %.9f vs revised %.9f (radius %g)", name, res.Cost, ref.Cost, radius)
+	o := &coldOracle{in: in, b: cb, tol: 1e-6 * radius}
+	for _, s := range []lp.Solver{&lp.Simplex{}, &lp.IPM{}} {
+		if err := o.certify(ref, nil, s); err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -14,37 +14,40 @@
 //
 // # How the constraints map onto the LP layer
 //
-// The row-generation loop is written against lp.RowEngine and hands each
-// constraint to the engine in its natural shape:
+// The row-generation loop drives lp.Revised, the one LP engine, and
+// hands each constraint to it in its natural shape. Solve and the ECO
+// Session stage the engine the same way (stageEngine):
 //
-//   - Steiner pairs enter as one-sided ≥ rows (AddRow with lp.GE), added
-//     lazily: each round the separation oracle (presolve.go) scans the
-//     sink-pair blocks whose exact bound shows a violation and only the
-//     violated rows join the LP.
+//   - Forced-zero edges (the degree-splitting artifacts of
+//     internal/topology) become variable boxes e_k ∈ [0, 0] via
+//     SetVarBounds: no row at all.
 //   - Delay windows enter as ONE logical ranged row each via
 //     AddRangedRow(path, l_i, u_i); a vacuous side (l_i ≤ 0 with the path
 //     already non-negative) is stated as −∞ so pure upper-bound problems
 //     stay one-sided, and l_i = u_i states the zero-skew equality. The
-//     boxed revised engine stores the window in a single tableau row
-//     (bounded slack); the cold solvers' adapter lowers it to a ≤/≥
-//     pair — the before/after is visible in lp.Stats.TableauRows vs
-//     .LoweredTableauRows.
-//   - Forced-zero edges (the degree-splitting artifacts of
-//     internal/topology) become variable boxes e_k ∈ [0, 0] via the
-//     optional lp.VarBounder interface when the engine supports it (the
-//     revised engine), and fall back to explicit EQ rows otherwise (the
-//     cold adapter). The two may therefore disagree on LogicalRows by
-//     exactly the forced-zero count.
+//     engine stores the window in a single tableau row (bounded slack);
+//     lp.Stats.TableauRows vs .LoweredTableauRows shows what a ≤/≥
+//     lowering would have cost.
+//   - Steiner pairs enter as one-sided ≥ rows (AddRow with lp.GE), added
+//     lazily: each round the separation oracle (presolve.go) scans the
+//     sink-pair blocks whose exact bound shows a violation and only the
+//     violated rows join the LP.
 //
-// The loop runs warm on lp.Revised, the one warm engine.
-// Options.Solver replaces it with a cold solver (lp.Simplex or lp.IPM)
-// re-solving from scratch each round — the independent cross-checks;
-// Options.FullMatrix states all C(m,2) Steiner rows up front. Solve's
-// oracle also prunes the rows its fixed delay windows imply (the window
-// arm), so Stats.PresolvePrunedRows is nonzero on most solves; the ECO
-// Session, the Elmore SLP and FullMatrix run the oracle without it. From
-// ScaleAutoSinks sinks with a fixed source, the root branches solve as
-// independent subproblems whose optima compose exactly (decompose.go).
+// When the oracle comes back clean, the loop also checks the rows it
+// never re-scans — edge signs, forced zeros, the delay windows and the
+// source rows — at its own tolerance: the engine's feasibility tolerance
+// grows with its largest bound, and an optimum that breaks one of them
+// is ErrStalled, not a tree. Solve's oracle also prunes the rows its
+// fixed delay windows imply (the window arm), so Stats.PresolvePrunedRows
+// is nonzero on most solves; the ECO Session and the Elmore SLP run the
+// oracle without it. From ScaleAutoSinks sinks with a fixed source, the
+// root branches solve as independent subproblems whose optima compose
+// exactly (decompose.go).
+//
+// The tests certify the warm verdicts with a cold oracle of their own
+// (coldoracle_test.go): it states the LP as an lp.Problem, enumerates
+// every sink pair and solves with lp.Simplex and lp.IPM, sharing no code
+// with the loop, the separation oracle or lp.Revised.
 //
 // # Tolerances
 //

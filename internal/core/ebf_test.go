@@ -59,10 +59,11 @@ func TestPaperExample45(t *testing.T) {
 	if err := Verify(in, b, res.E, 1e-6); err != nil {
 		t.Fatalf("optimal solution fails verification: %v", err)
 	}
-	// Optimality against the full constraint matrix (all 10 Steiner rows).
-	full := mustSolve(t, in, b, &Options{FullMatrix: true})
-	if math.Abs(res.Cost-full.Cost) > 1e-6 {
-		t.Fatalf("row generation %g vs full matrix %g", res.Cost, full.Cost)
+	// Optimality against the full constraint matrix (all 10 Steiner rows,
+	// which the cold oracle enumerates).
+	o := &coldOracle{in: in, b: b, tol: 1e-6}
+	if err := o.certify(res, nil, &lp.Simplex{}); err != nil {
+		t.Fatal(err)
 	}
 	// All delays within the window.
 	for i := 1; i <= 5; i++ {
@@ -179,13 +180,13 @@ func TestRowGenerationMatchesFullMatrix(t *testing.T) {
 		l := u * rng.Float64() * 0.9
 		b := UniformBounds(m, l, u)
 		rg := mustSolve(t, in, b, nil)
-		full := mustSolve(t, in, b, &Options{FullMatrix: true})
-		if math.Abs(rg.Cost-full.Cost) > 1e-5*(1+full.Cost) {
-			t.Fatalf("trial %d: rowgen %g vs full %g", trial, rg.Cost, full.Cost)
+		o := &coldOracle{in: in, b: b, tol: 1e-5 * (1 + rg.Cost)}
+		if err := o.certify(rg, nil, &lp.Simplex{}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if rg.Stats.SteinerRows > full.Stats.SteinerRows {
+		if full := m * (m - 1) / 2; rg.Stats.SteinerRows > full {
 			t.Fatalf("row generation used more rows (%d) than full matrix (%d)",
-				rg.Stats.SteinerRows, full.Stats.SteinerRows)
+				rg.Stats.SteinerRows, full)
 		}
 	}
 }
@@ -221,9 +222,9 @@ func TestSimplexAndIPMAgreeOnEBF(t *testing.T) {
 		r := in.Radius()
 		b := UniformBounds(m, 0.5*r, 1.5*r)
 		sx := mustSolve(t, in, b, nil)
-		ip := mustSolve(t, in, b, &Options{Solver: &lp.IPM{}})
-		if math.Abs(sx.Cost-ip.Cost) > 1e-3*(1+sx.Cost) {
-			t.Fatalf("trial %d: simplex %g vs ipm %g", trial, sx.Cost, ip.Cost)
+		o := &coldOracle{in: in, b: b, tol: 1e-3 * (1 + sx.Cost)}
+		if err := o.certify(sx, nil, &lp.IPM{}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }

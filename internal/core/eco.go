@@ -36,9 +36,7 @@ type Session struct {
 }
 
 // NewSession solves the instance like Solve and keeps the engine warm for
-// incremental edits. Only the restageable revised engine supports
-// sessions: an explicit cold Solver is rejected (it re-solves from
-// scratch and cannot replace rows in place).
+// incremental edits.
 func NewSession(in *Instance, b Bounds, opt *Options) (*Session, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -46,51 +44,28 @@ func NewSession(in *Instance, b Bounds, opt *Options) (*Session, error) {
 	if err := b.Validate(in); err != nil {
 		return nil, err
 	}
-	if opt != nil && opt.Solver != nil {
-		return nil, fmt.Errorf("core: ECO sessions need the restageable revised engine, not an explicit cold Solver")
-	}
-	t := in.Tree
-	n := t.N()
-	w, err := opt.weights(n)
+	w, err := opt.weights(in.Tree.N())
 	if err != nil {
 		return nil, err
 	}
+	// Reweight edits the weights, so the session keeps its own copy.
 	w = append([]float64(nil), w...)
-	tr := opt.tracer()
-
-	rv := lp.NewRevised(n, w)
-	rv.SetTracer(tr)
-	for k := 1; k < n; k++ {
-		if t.ForcedZero[k] {
-			rv.SetVarBounds(k, 0, 0)
-		}
-	}
 	s := &Session{
-		in:       in,
-		b:        Bounds{L: append([]float64(nil), b.L...), U: append([]float64(nil), b.U...)},
-		w:        w,
-		rv:       rv,
-		delayRow: make([]int, t.NumSinks+1),
+		in: in,
+		b:  Bounds{L: append([]float64(nil), b.L...), U: append([]float64(nil), b.U...)},
+		w:  w,
 	}
-	for i := 1; i <= t.NumSinks; i++ {
-		s.delayRow[i] = -1
-		lo, hi, ok := delayWindow(b.L[i], b.U[i])
-		if !ok {
-			continue
-		}
-		s.delayRow[i] = rv.TableauRows()
-		rv.AddRangedRow(unitTermsOf(t.PathToRoot(i)), lo, hi)
-	}
+	s.rv, s.delayRow = stageEngine(in, s.b, w, opt.tracer())
 	// The Session edits its windows (Retighten), so the oracle runs
 	// without the window arm: a pruned row could bind after an edit.
-	s.gen = newGenState(in, rv, w, opt, nil)
-	pivots0 := rv.Iterations()
+	s.gen = newGenState(in, s.rv, w, &s.b, false, opt)
+	pivots0 := s.rv.Iterations()
 	res, err := s.gen.run()
 	if err != nil {
 		return nil, err
 	}
 	s.res = res
-	s.lastPivots = rv.Iterations() - pivots0
+	s.lastPivots = s.rv.Iterations() - pivots0
 	return s, nil
 }
 

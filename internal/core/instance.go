@@ -24,12 +24,14 @@ type Instance struct {
 // topology (the situation of Fig. 1).
 var ErrInfeasible = errors.New("core: no LUBT exists for this topology and bounds")
 
-// ErrStalled reports a row-generation round that could add no row: the
-// LP's optimum violates, beyond the oracle's tolerance, only Steiner rows
-// it already holds. The LP's feasibility tolerance grows with its largest
-// right-hand side, so bounds far beyond the instance's distances (a
-// window top of 1e12 on a net of radius 1 000) leave it too coarse to
-// resolve them. Every later round would repeat the same solve.
+// ErrStalled reports an LP optimum that violates, beyond the loop's
+// tolerance, rows the LP already holds: Steiner rows, when a round can
+// add no row (every later round would repeat the same solve), or a delay
+// window, when the converged optimum breaks it (the error names the sink,
+// its delay and its window). The LP's feasibility tolerance grows with
+// its largest right-hand side, so bounds far beyond the instance's
+// distances (a window top of 1e12 on a net of radius 1 000) leave it too
+// coarse to resolve them.
 var ErrStalled = errors.New("core: row generation stalled")
 
 // Validate checks structural consistency.

@@ -8,11 +8,11 @@ import (
 )
 
 // This file is the separation oracle of the §4.6 row generation, the
-// one every solve uses: Solve, the ECO Session, the Elmore SLP and
-// FullMatrix. It groups the fixed-point Steiner rows into blocks whose
-// worst violation has an exact O(1) bound, so a round skips every block
-// that bound clears, and where the caller states fixed linear delay
-// windows it prunes the rows those windows imply (the window arm).
+// one every solve uses: Solve, the ECO Session and the Elmore SLP. It
+// groups the fixed-point Steiner rows into blocks whose worst violation
+// has an exact O(1) bound, so a round skips every block that bound
+// clears, and where the caller states fixed linear delay windows it
+// prunes the rows those windows imply (the window arm).
 //
 // A sink pair (i,j) lies in exactly one block:
 //
@@ -48,8 +48,8 @@ import (
 // before the first round, so the window arm holds at every iterate, and
 // every other pair of the block that passes the test above is never
 // generated or priced. Only Solve passes its windows: the Session edits its
-// windows, the SLP's windows are not linear and FullMatrix states every
-// row anyway, so they run without the arm. Because Manhattan distance is
+// windows and the SLP's windows are not linear, so they run without the
+// arm. Because Manhattan distance is
 // a max of four separable linear forms in the rotated coordinates
 // u = x+y, v = x−y, the witness, the block-wide static maximum of
 // dist − λ − λ, and the per-round exact bound on each block's worst

@@ -11,25 +11,23 @@ import (
 
 // TestPresolveAgreement is the window-arm-must-never-change-the-answer
 // suite: on the bench workloads, Solve — whose oracle prunes the rows
-// its fixed windows imply — must reproduce the optimum of solves without
-// the window arm (a Session's cold solve, and on prim2-s the FullMatrix
-// solve, which states every row) across all three solver configurations
-// — warm revised, cold simplex, IPM — to within the 1e-6·radius
-// acceptance bar, and the pruned solutions must still pass full-matrix
-// verification.
+// its fixed windows imply — must reproduce the optimum of a solve
+// without the window arm (a Session's cold solve) to within the
+// 1e-6·radius acceptance bar and pass full verification, and the cold
+// oracle, which enumerates every pair, must certify that optimum with
+// the cold simplex and the IPM.
 func TestPresolveAgreement(t *testing.T) {
-	// The cold solvers re-solve the whole LP from scratch every
-	// row-generation round, which is minutes-per-solve at r4-s size
-	// (~7k active rows); they cross-check on the two smaller benches
-	// and the warm engine carries the largest one.
+	// The cold solvers are dense and cold, which is minutes-per-solve at
+	// r4-s size (~7k active rows); they certify on the two smaller
+	// benches and the warm engine carries the largest one.
 	solvers := []struct {
 		name     string
 		maxSinks int
-		opt      Options
+		solver   lp.Solver // nil: the warm solve against its references
 	}{
-		{"revised", math.MaxInt, Options{}},
-		{"coldsimplex", 250, Options{Solver: &lp.Simplex{}}},
-		{"ipm", 250, Options{Solver: &lp.IPM{}}},
+		{"revised", math.MaxInt, nil},
+		{"coldsimplex", 250, &lp.Simplex{}},
+		{"ipm", 250, &lp.IPM{}},
 	}
 	for _, bench := range []string{"prim2-s", "r3-s", "r4-s"} {
 		in, cb := benchInstance(t, bench)
@@ -38,10 +36,8 @@ func TestPresolveAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: session: %v", bench, err)
 		}
-		refs := map[string]*Result{"session": sess.Result()}
-		if bench == "prim2-s" {
-			refs["full-matrix"] = mustSolve(t, in, cb, &Options{FullMatrix: true})
-		}
+		ref := sess.Result()
+		res := mustSolve(t, in, cb, nil)
 		for _, sv := range solvers {
 			if in.Tree.NumSinks > sv.maxSinks {
 				continue
@@ -53,18 +49,17 @@ func TestPresolveAgreement(t *testing.T) {
 				continue
 			}
 			t.Run(bench+"/"+sv.name, func(t *testing.T) {
-				opt := sv.opt
-				res := mustSolve(t, in, cb, &opt)
-				for name, ref := range refs {
-					if d := math.Abs(res.Cost - ref.Cost); d > tol {
-						t.Errorf("pruned cost %.10g vs %s %.10g: |Δ| = %g > %g",
-							res.Cost, name, ref.Cost, d, tol)
+				if sv.solver != nil {
+					o := &coldOracle{in: in, b: cb, tol: tol}
+					if err := o.certify(res, nil, sv.solver); err != nil {
+						t.Error(err)
 					}
+					return
 				}
-				// Feasibility at the same radius-scaled bar as the cost:
-				// the IPM's residual is relative to the instance scale, so
-				// a fixed absolute 1e-6 would flag healthy solutions on
-				// the 10^4-radius benches.
+				if d := math.Abs(res.Cost - ref.Cost); d > tol {
+					t.Errorf("pruned cost %.10g vs session %.10g: |Δ| = %g > %g",
+						res.Cost, ref.Cost, d, tol)
+				}
 				if err := Verify(in, cb, res.E, tol); err != nil {
 					t.Errorf("pruned solution fails verification: %v", err)
 				}

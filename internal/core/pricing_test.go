@@ -14,27 +14,10 @@ import (
 // cold-simplex and IPM oracles at the 1e-6·radius acceptance bar.
 func TestPricingSchemesAgreeWithOracles(t *testing.T) {
 	in, b := randomInstance(t, 211, 14)
-	radius := in.Radius()
-	cold, err := Solve(in, b, &Options{Solver: &lp.Simplex{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ipm, err := Solve(in, b, &Options{Solver: &lp.IPM{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cold.Cost-ipm.Cost) > 1e-6*radius {
-		t.Fatalf("oracles disagree: cold %.9f ipm %.9f", cold.Cost, ipm.Cost)
-	}
 	res, err := Solve(in, b, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Cost-cold.Cost) > 1e-6*radius {
-		t.Errorf("cost %.9f vs cold oracle %.9f (radius %g)", res.Cost, cold.Cost, radius)
-	}
-	if math.Abs(res.Cost-ipm.Cost) > 1e-6*radius {
-		t.Errorf("cost %.9f vs ipm oracle %.9f (radius %g)", res.Cost, ipm.Cost, radius)
+	o := &coldOracle{in: in, b: b, tol: 1e-6 * in.Radius()}
+	if err := o.certify(res, err, &lp.Simplex{}, &lp.IPM{}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -76,27 +59,17 @@ func tieHeavyStar(t *testing.T) (*Instance, Bounds) {
 func TestPricingSchemesTieHeavyStar(t *testing.T) {
 	in, b := tieHeavyStar(t)
 	radius := in.Radius()
-	cold, err := Solve(in, b, &Options{Solver: &lp.Simplex{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ipm, err := Solve(in, b, &Options{Solver: &lp.IPM{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Eight sinks each snaking to delay ≥ 16: the optimum is 8·16 = 128.
-	if math.Abs(cold.Cost-128) > 1e-6*radius {
-		t.Fatalf("cold oracle cost %.9f, want 128", cold.Cost)
-	}
 	res, err := Solve(in, b, nil)
 	if err != nil {
 		t.Fatalf("%v (IterLimit here means the tie-break cycled)", err)
 	}
-	if math.Abs(res.Cost-cold.Cost) > 1e-6*radius {
-		t.Errorf("cost %.9f vs cold %.9f", res.Cost, cold.Cost)
+	// Eight sinks each snaking to delay ≥ 16: the optimum is 8·16 = 128.
+	if math.Abs(res.Cost-128) > 1e-6*radius {
+		t.Errorf("cost %.9f, want 128", res.Cost)
 	}
-	if math.Abs(res.Cost-ipm.Cost) > 1e-6*radius {
-		t.Errorf("cost %.9f vs ipm %.9f", res.Cost, ipm.Cost)
+	o := &coldOracle{in: in, b: b, tol: 1e-6 * radius}
+	if err := o.certify(res, nil, &lp.Simplex{}, &lp.IPM{}); err != nil {
+		t.Error(err)
 	}
 	for i := 1; i <= 8; i++ {
 		if res.Delays[i] < 16-1e-6*radius || res.Delays[i] > 20+1e-6*radius {

@@ -6,9 +6,6 @@ import (
 	"testing"
 )
 
-// The boxed revised engine is the one engine with native variable bounds.
-var _ VarBounder = (*Revised)(nil)
-
 // lowerRanged states lo ≤ Σ terms ≤ hi on a cold Problem using the
 // two-row lowering (what engines without native ranged rows do).
 func lowerRanged(p *Problem, terms []Term, lo, hi float64) {

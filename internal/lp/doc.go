@@ -20,16 +20,17 @@
 //     structural core; its work follows the nonzeros it touches, not
 //     the row or column count (see "Hypersparse pivot loop").
 //
-// Simplex and IPM share no code with Revised; internal/core runs them
-// through the same row-generation loop as independent cross-checks.
+// Simplex and IPM share no code with Revised. They implement Solver,
+// which states a whole Problem afresh; internal/core's tests use them as
+// the reference solvers of an independent cold oracle.
 //
-// # The RowEngine contract
+// # Revised's row contract
 //
-// The §4.6 row-generation loop in internal/core is written against the
-// RowEngine interface, implemented by Revised and by internal/core's
-// adapter around the cold solvers. Implementations guarantee:
+// The §4.6 row-generation loop in internal/core drives Revised directly:
+// rows are appended between Solves, and every Solve re-optimizes warm
+// from the previous basis. Revised guarantees:
 //
-//   - Through the RowEngine interface rows are append-only, so
+//   - Rows added with AddRow/AddRangedRow only tighten the LP, so
 //     infeasibility is monotone along any AddRow/AddRangedRow/Solve
 //     sequence: after a Solve returns Infeasible, every later Solve
 //     returns Infeasible ("sticky") — until a restaging edit (below)
@@ -37,29 +38,27 @@
 //   - Costs must be non-negative. This is what makes the all-nonbasic
 //     point dual-feasible, so the dual simplex needs no
 //     phase-1/artificial machinery and a re-solve after adding k
-//     violated rows typically takes O(k) pivots. Revised additionally
-//     allows SetCost between Solves (a restage; same sign constraint).
+//     violated rows typically takes O(k) pivots. SetCost between Solves
+//     is a restage under the same sign constraint.
 //   - Solve is idempotent: calling it twice without interleaved AddRow /
 //     AddRangedRow returns the same solution without extra pivots.
 //   - Row counting: NumRows (and Stats().LogicalRows) counts rows as the
-//     caller stated them — an EQ or ranged row counts ONCE on every
-//     engine. TableauRows counts engine-internal rows: the boxed revised
-//     engine stores EQ and ranged rows once (bounded slack), the cold
-//     adapter lowers them to a ≤/≥ pair. Stats().LoweredTableauRows
-//     reports what the two-row lowering would need on every engine, so
-//     the pair (TableauRows, LoweredTableauRows) measures the saving.
+//     caller stated them — an EQ or ranged row counts ONCE. TableauRows
+//     counts the engine's rows, which store an EQ or ranged row once
+//     (bounded slack); Stats().LoweredTableauRows reports what a lowering
+//     of each to a ≤/≥ pair would need, so the pair (TableauRows,
+//     LoweredTableauRows) measures the saving.
 //
-// Engines that additionally implement VarBounder (only Revised) accept
-// variable boxes lo ≤ xⱼ ≤ hi in place of single-variable rows. Boxes
-// are restageable: SetVarBounds between Solves moves the box under the
-// kept basis and the next Solve repairs the primal values instead of
-// starting cold. Callers type-assert and fall back to an explicit row
-// otherwise.
+// SetVarBounds accepts variable boxes lo ≤ xⱼ ≤ hi in place of
+// single-variable rows (lo = hi fixes the variable — the forced-zero
+// edges of the EBF degree splitting). Boxes are restageable: SetVarBounds
+// between Solves moves the box under the kept basis and the next Solve
+// repairs the primal values instead of starting cold.
 //
-// # Restaging (post-solve edits, Revised only)
+// # Restaging (post-solve edits)
 //
-// Beyond the append-only RowEngine surface, Revised supports in-place
-// edits between Solves, all preserving the basis membership:
+// Beyond appending rows, Revised supports in-place edits between
+// Solves, all preserving the basis membership:
 //
 //   - SetVarBounds / SetCost — bound boxes and objective coefficients
 //     never enter the basis matrix, so the factorization, eta file and
@@ -79,8 +78,7 @@
 //     tableau indices stay stable; ReplaceRangedRow revives it.
 //
 // Every restaging edit clears a sticky Infeasible certificate. Both
-// counters stay 0 on cold solvers and on engines that were never
-// edited. DESIGN.md's "Restaging" section gives the per-edit
+// counters stay 0 on an engine that was never edited. DESIGN.md's "Restaging" section gives the per-edit
 // dual-feasibility arguments; internal/core builds the Elmore SLP's
 // persistent engine and the ECO Session on this machinery.
 //
@@ -201,9 +199,8 @@
 // Refactorizations, the LU work counters LUNonzeros and SolveEntries, …)
 // accumulate across Solve calls and Merge by addition. Gauges are point-in-time samples of the engine's numerical
 // health — EtaLen, FillIn, BasisSize, NumericalResidual, PivotMin/Max —
-// refreshed at each refactorization (Revised), at termination (IPM's
-// scaled KKT residual, Simplex's max constraint violation), or per
-// cutting-plane round. Every producer samples its gauges, so Merge takes
+// refreshed at each refactorization or per cutting-plane round. Every
+// producer samples its gauges, so Merge takes
 // the newer sample wholesale: a legitimate zero (e.g. FillIn 0 after a
 // clean refactorization) replaces a stale value instead of being
 // skipped. ResetReasons records why each escalation
@@ -214,17 +211,17 @@
 // and reach the lubt-bench/4 JSON under the same names:
 // PresolvePrunedRows (presolve_pruned_rows) counts sink-pair Steiner
 // rows the separation oracle's window arm removed before pricing —
-// nonzero on most core.Solve runs with finite windows, 0 in sessions,
-// the Elmore SLP and FullMatrix; Subtrees
+// nonzero on most core.Solve runs with finite windows, 0 in sessions
+// and the Elmore SLP; Subtrees
 // (subtrees) the root-branch subproblems the decomposition solved on
 // independent engines (0 = monolithic); PeakRows (peak_rows) the
 // largest tableau any single engine reached — Merge sums the first
 // two across branches and takes the max of the third, so a decomposed
 // solve reports the per-branch peak rather than the misleading total.
 //
-// Engines that implement Traceable (only Revised) accept an
-// *obs.Tracer and emit spans for refactorizations and basis resets with
-// the gauge values as attributes; a nil tracer is free. The
-// row-generation loop in internal/core threads its tracer through this
-// interface so LP-internal events nest under the per-round spans.
+// Revised.SetTracer takes an *obs.Tracer; the engine then emits spans
+// for refactorizations and basis resets with the gauge values as
+// attributes, and a nil tracer is free. The row-generation loop in
+// internal/core attaches its tracer so LP-internal events nest under
+// the per-round spans.
 package lp

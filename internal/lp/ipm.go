@@ -139,11 +139,6 @@ func (ip *IPM) Solve(p *Problem) (*Solution, error) {
 	ds := make([]float64, n)
 	dy := make([]float64, m)
 	iters := 0
-	// residual is the scaled KKT residual of the current iterate — the
-	// convergence gauge, reported as Solution.NumericalResidual on every
-	// return path so callers can tell a clean solve from a marginal one.
-	residual := math.Inf(1)
-
 	for ; iters < maxIter; iters++ {
 		// Residuals.
 		ax := mulA(x)
@@ -161,7 +156,8 @@ func (ip *IPM) Solve(p *Problem) (*Solution, error) {
 			mu += x[j] * sv[j]
 		}
 		mu /= float64(n)
-		residual = math.Max(linalg.NormInf(rp)/bNorm,
+		// The scaled KKT residual of the current iterate.
+		residual := math.Max(linalg.NormInf(rp)/bNorm,
 			math.Max(linalg.NormInf(rd)/cNorm, mu/(1+math.Abs(linalg.Dot(c, x)))))
 		if residual < tol {
 			break
@@ -173,7 +169,7 @@ func (ip *IPM) Solve(p *Problem) (*Solution, error) {
 		}
 		chol, err := factorLadder(normalEq(d), 1e-10*(1+mu))
 		if err != nil {
-			return &Solution{Status: Numerical, Iterations: iters, NumericalResidual: residual}, nil
+			return &Solution{Status: Numerical, Iterations: iters}, nil
 		}
 
 		// solveKKT computes (dx, dy, ds) for complementarity target v:
@@ -236,7 +232,7 @@ func (ip *IPM) Solve(p *Problem) (*Solution, error) {
 		}
 	}
 	if iters >= maxIter {
-		return &Solution{Status: IterLimit, Iterations: iters, NumericalResidual: residual}, nil
+		return &Solution{Status: IterLimit, Iterations: iters}, nil
 	}
 	out := make([]float64, p.NumVars)
 	for j := range out {
@@ -247,11 +243,10 @@ func (ip *IPM) Solve(p *Problem) (*Solution, error) {
 		out[j] = v
 	}
 	return &Solution{
-		Status:            Optimal,
-		X:                 out,
-		Objective:         p.Eval(out),
-		Iterations:        iters,
-		NumericalResidual: residual,
+		Status:     Optimal,
+		X:          out,
+		Objective:  p.Eval(out),
+		Iterations: iters,
 	}, nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"lubt/internal/obs"
 )
 
 // Op is a row comparison operator.
@@ -185,72 +183,15 @@ type Solution struct {
 	X          []float64 // primal values, len NumVars
 	Objective  float64
 	Iterations int
-	// NumericalResidual is the solver's terminal numerical-health gauge:
-	// the final scaled KKT residual for the IPM, the worst constraint
-	// violation of the returned vertex for the cold simplex (0 when not
-	// sampled). It flows into Stats.NumericalResidual for cold engines.
-	NumericalResidual float64
 }
 
-// Solver is implemented by both the simplex and interior-point methods.
+// Solver is implemented by both cold methods, the simplex and the
+// interior-point method: each Solve states the whole Problem afresh.
 type Solver interface {
 	// Solve returns a Solution; the error is non-nil only for malformed
 	// problems or internal failures, not for infeasible/unbounded models
 	// (which are reported via Status).
 	Solve(p *Problem) (*Solution, error)
-}
-
-// RowEngine is the cutting-plane engine interface the row-generation
-// loop in internal/core is written against: rows are appended over time
-// and every Solve re-optimizes. The sparse boxed revised dual simplex
-// (Revised) implements it warm, from the previous basis; internal/core
-// also adapts the cold Simplex and IPM to it, re-solving from scratch
-// each round, as the independent cross-checks.
-type RowEngine interface {
-	// AddRow introduces Σ terms {op} rhs. How EQ is realized is
-	// engine-internal: the boxed revised engine stores one row with a
-	// fixed slack, the cold adapter counts it as a ≤/≥ pair.
-	AddRow(terms []Term, op Op, rhs float64)
-	// AddRangedRow introduces the two-sided constraint lo ≤ Σ terms ≤ hi
-	// as ONE logical row (either side may be infinite; lo = hi states an
-	// equality). Engines without native ranged rows lower it to the
-	// equivalent one-sided rows; Stats().LoweredTableauRows reports that
-	// lowered count for every engine, so (TableauRows, LoweredTableauRows)
-	// measures what native ranged storage saves.
-	AddRangedRow(terms []Term, lo, hi float64)
-	// Solve re-optimizes and returns the current solution.
-	Solve() (*Solution, error)
-	// NumRows reports logical rows as stated by the caller (an EQ or
-	// ranged row counts once); TableauRows reports engine-internal rows.
-	NumRows() int
-	TableauRows() int
-	// Iterations returns the cumulative pivot count.
-	Iterations() int
-	// Stats returns a snapshot of the engine's observability counters.
-	Stats() Stats
-}
-
-// Traceable is the optional extension for engines that can record
-// internal spans (refactorizations, resets) on an obs.Tracer. The
-// row-generation loop type-asserts and attaches its tracer; engines
-// without internal phases simply don't implement it. A nil tracer must
-// be accepted and disables recording.
-type Traceable interface {
-	SetTracer(tr *obs.Tracer)
-}
-
-// VarBounder is the optional RowEngine extension for engines that support
-// variable boxes natively: SetVarBounds(j, lo, hi) replaces what would
-// otherwise be a single-variable constraint row (lo = hi fixes the
-// variable — the forced-zero edges of the EBF degree splitting). Boxes
-// are restageable state: calling SetVarBounds again between Solves moves
-// the box under the kept basis and the next Solve repairs the primal
-// values from there (one FTRAN on the revised engine) instead of
-// starting cold — see the package doc's "Restaging" section. Callers
-// must type-assert and fall back to an explicit row when the engine does
-// not implement it.
-type VarBounder interface {
-	SetVarBounds(j int, lo, hi float64)
 }
 
 // ErrBadProblem reports a structurally invalid problem.

@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-// The revised engine implements the RowEngine interface the
-// row-generation loop is written against.
-var _ RowEngine = (*Revised)(nil)
-
 func TestRevisedBasic(t *testing.T) {
 	// min x+y s.t. x+y ≥ 3, x ≥ 1.
 	rv := NewRevised(2, []float64{1, 1})

@@ -248,14 +248,10 @@ func (s *Simplex) Solve(p *Problem) (*Solution, error) {
 			x[bv] = v
 		}
 	}
-	// Terminal numerical-health gauge: the worst constraint violation of
-	// the vertex actually returned (0 on a clean solve).
-	viol, _ := p.MaxViolation(x)
 	return &Solution{
-		Status:            Optimal,
-		X:                 x,
-		Objective:         p.Eval(x),
-		Iterations:        iters,
-		NumericalResidual: viol,
+		Status:     Optimal,
+		X:          x,
+		Objective:  p.Eval(x),
+		Iterations: iters,
 	}, nil
 }

@@ -19,15 +19,14 @@ type Stats struct {
 	// §4.6 reduction). Both are filled by internal/core.
 	Rounds      int `json:"rounds"`
 	SteinerRows int `json:"steiner_rows"`
-	// LPIterations counts simplex pivots (dual pivots for the revised
-	// engine, both phases for the cold simplex) or IPM iterations.
+	// LPIterations counts the revised engine's dual pivots.
 	LPIterations int `json:"pivots"`
 	// BoundFlips counts nonbasic bound-to-bound flips taken inside the
 	// two-sided dual ratio test (flips are not pivots: they cost one
 	// shared FTRAN per batch).
 	BoundFlips int `json:"bound_flips"`
 	// Refactorizations counts basis refactorizations of the revised
-	// dual-simplex engine (the cold solvers never refactor).
+	// dual-simplex engine.
 	Refactorizations int `json:"refactorizations"`
 	// Resets counts full basis resets taken after numerical trouble.
 	// ResetReasons holds one reason code per reset, in order; the revised
@@ -58,26 +57,23 @@ type Stats struct {
 	// factorization (0 when the basis was refactored with no pivots taken).
 	EtaLen int `json:"eta_len"`
 	// LogicalRows counts constraint rows as stated by the caller (an EQ or
-	// ranged row counts once). TableauRows counts engine-internal rows:
-	// the boxed revised engine stores EQ and ranged rows once (the slack
-	// is fixed/boxed), while the cold solvers lower them to a ≤/≥ pair.
-	// LoweredTableauRows is the row count the two-row lowering would need
-	// — the before/after pair (TableauRows, LoweredTableauRows) measures
-	// the delay-window row halving. RangedRows counts logical rows stated
-	// with a two-sided (or exact) window — the rows a boxed engine keeps
-	// single. RowNonzeros is the nonzero count of the stored constraint
-	// rows.
+	// ranged row counts once). TableauRows counts the revised engine's
+	// rows, which store an EQ or ranged row once (the slack is fixed or
+	// boxed). LoweredTableauRows is the row count a lowering of each such
+	// row to a ≤/≥ pair would need, as a cold Problem states them — the
+	// pair (TableauRows, LoweredTableauRows) measures the delay-window
+	// row halving. RangedRows counts logical rows stated with a two-sided
+	// (or exact) window — the rows the revised engine keeps single.
+	// RowNonzeros is the nonzero count of the stored constraint rows.
 	LogicalRows        int `json:"logical_rows"`
 	TableauRows        int `json:"tableau_rows"`
 	LoweredTableauRows int `json:"lowered_tableau_rows"`
 	RangedRows         int `json:"ranged_rows"`
 	RowNonzeros        int `json:"row_nonzeros"`
-	// NumericalResidual is the engine's terminal numerical-health gauge.
-	// For the revised engine it is max |xB(eta replay) − xB(fresh FTRAN)|
-	// over basis positions at the last refactorization — the drift the eta
-	// file accumulated. For the IPM it is the final scaled KKT residual;
-	// for the cold simplex the worst constraint violation of the returned
-	// vertex. Small (≈ feasibility tolerance) is healthy.
+	// NumericalResidual is the revised engine's numerical-health gauge:
+	// max |xB(eta replay) − xB(fresh FTRAN)| over basis positions at the
+	// last refactorization — the drift the eta file accumulated. Small
+	// (≈ feasibility tolerance) is healthy.
 	NumericalResidual float64 `json:"numerical_residual"`
 	// PivotMin and PivotMax are the smallest and largest |pivot element|
 	// accepted across all dual pivots (0 when no pivots ran). A PivotMin
@@ -90,8 +86,8 @@ type Stats struct {
 	// Refactorizations).
 	DevexResets int `json:"devex_resets"`
 	// WeightMin and WeightMax are the Devex reference-weight extremes
-	// γ_min/γ_max over the basis at the last Stats snapshot (both 0 on the
-	// cold engines and before the revised engine holds a row). Every
+	// γ_min/γ_max over the basis at the last Stats snapshot (both 0
+	// before the revised engine holds a row). Every
 	// weight is at least 1. A very large WeightMax flags a basis whose B⁻ᵀ
 	// rows have grown long — the same signal that triggers DevexResets.
 	// They are gauges: Merge replaces them.
@@ -109,7 +105,7 @@ type Stats struct {
 	// PresolvePrunedRows counts sink-pair Steiner rows the separation
 	// oracle's window arm removed from its scan before they were ever
 	// generated or priced (filled by internal/core; 0 where the arm is
-	// off: sessions, the Elmore SLP and FullMatrix). Subtrees is the number of root-branch subproblems the
+	// off: sessions and the Elmore SLP). Subtrees is the number of root-branch subproblems the
 	// decomposition layer solved on independent engines (0 for a
 	// monolithic solve). PeakRows is the largest engine-internal tableau
 	// row count any single engine reached during the solve — under

@@ -461,9 +461,6 @@ func (s *Server) buildInstance(req *SolveRequest) (inst *lubt.Instance, sinks []
 	}
 	sinks = make([]lubt.Point, len(req.Sinks))
 	for i, p := range req.Sinks {
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-			return nil, nil, nil, nil, badRequest("sink %d location (%g, %g) is not finite", i, p.X, p.Y)
-		}
 		sinks[i] = lubt.Point{X: p.X, Y: p.Y}
 	}
 	inst, err := lubt.NewInstance(sinks)
@@ -471,10 +468,8 @@ func (s *Server) buildInstance(req *SolveRequest) (inst *lubt.Instance, sinks []
 		return nil, nil, nil, nil, badRequest("%v", err)
 	}
 	if req.Source != nil {
-		if math.IsNaN(req.Source.X) || math.IsNaN(req.Source.Y) ||
-			math.IsInf(req.Source.X, 0) || math.IsInf(req.Source.Y, 0) {
-			return nil, nil, nil, nil, badRequest("source location is not finite")
-		}
+		// A non-finite sink or source is lubt.ErrNotFinite from
+		// lubt.NewInstance or the topology method: a 400 either way.
 		source = &lubt.Point{X: req.Source.X, Y: req.Source.Y}
 		inst.SetSource(*source)
 	}

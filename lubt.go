@@ -35,7 +35,6 @@ import (
 	"lubt/internal/delay"
 	"lubt/internal/embed"
 	"lubt/internal/geom"
-	"lubt/internal/lp"
 	"lubt/internal/obs"
 	"lubt/internal/topology"
 	"lubt/internal/zst"
@@ -56,11 +55,12 @@ func fromG(p geom.Point) Point { return Point(p) }
 // the chosen topology (cf. Fig. 1 of the paper).
 var ErrInfeasible = errors.New("lubt: no tree satisfies the bounds under this topology")
 
-// ErrStalled is returned (wrapped) when row generation can add no row
-// although the LP's optimum violates rows it holds: the delay bounds are
-// so large next to the instance's distances that the LP's feasibility
-// tolerance, which grows with the largest bound, cannot resolve them.
-// An unbounded window top (math.Inf(1)) avoids it.
+// ErrStalled is returned (wrapped) when the LP's optimum violates rows
+// it holds — Steiner rows row generation cannot add again, or a delay
+// window the error names: the delay bounds are so large next to the
+// instance's distances that the LP's feasibility tolerance, which grows
+// with the largest bound, cannot resolve them. An unbounded window top
+// (math.Inf(1)) avoids it.
 var ErrStalled = errors.New("lubt: row generation stalled on bounds too large for the instance")
 
 // coreErr translates a core solve error: the core's infeasibility and
@@ -154,14 +154,6 @@ func (b Bounds) toCore(m int) (core.Bounds, error) {
 
 // Options tune a solve.
 type Options struct {
-	// Solver selects the LP method: "simplex" (default — row generation on
-	// the sparse revised dual-simplex engine with warm starts),
-	// "coldsimplex" (two-phase primal simplex re-solved from scratch each
-	// round) or "ipm" (the interior-point method, the solver family the
-	// paper used via LOQO). The two cold methods are the independent
-	// cross-checks of the warm engine, for Solve only: SolveECO and
-	// SolveElmore need the warm engine and reject them.
-	Solver string
 	// Weights holds per-edge objective weights (§7), indexed by edge
 	// (child node id); nil means unit weights. A non-nil slice needs one
 	// entry per node of the chosen topology (len(Topology())), and
@@ -170,15 +162,12 @@ type Options struct {
 	// Placement selects where nodes land inside their feasible regions:
 	// "nearest" (default) or "center".
 	Placement string
-	// FullMatrix disables the §4.6 constraint reduction and states all
-	// C(m,2) Steiner rows upfront.
-	FullMatrix bool
 	// OracleWorkers caps the separation oracle's worker pool; 0 means
 	// GOMAXPROCS. The oracle's output order is deterministic for any
 	// worker count. Solve's oracle also skips the Steiner rows its delay
 	// windows imply, never changing the optimum, and reports their count
 	// in SolveStats.PresolvePrunedRows; SolveECO (whose windows are
-	// edited), SolveElmore and FullMatrix run it without that pruning.
+	// edited) and SolveElmore run it without that pruning.
 	OracleWorkers int
 	// Decompose controls root-branch subtree decomposition: "" (auto —
 	// from 2048 sinks up), "on" or "off". It engages only when the source
@@ -212,23 +201,6 @@ func (o *Options) writeTrace(tr *obs.Tracer) error {
 		return fmt.Errorf("lubt: writing trace: %w", err)
 	}
 	return nil
-}
-
-// lpSolver maps the option string to an explicit cold lp.Solver; nil
-// selects the warm revised dual simplex.
-func (o *Options) lpSolver() (lp.Solver, error) {
-	if o == nil {
-		return nil, nil
-	}
-	switch o.Solver {
-	case "", "simplex":
-		return nil, nil
-	case "coldsimplex":
-		return &lp.Simplex{}, nil
-	case "ipm":
-		return &lp.IPM{}, nil
-	}
-	return nil, fmt.Errorf("lubt: unknown solver %q", o.Solver)
 }
 
 func (o *Options) embedOptions() (*embed.Options, error) {
@@ -389,14 +361,9 @@ func (in *Instance) Solve(b Bounds, opt *Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver, err := opt.lpSolver()
-	if err != nil {
-		return nil, err
-	}
 	tr := opt.tracer("solve")
-	copts := &core.Options{Solver: solver, Tracer: tr}
+	copts := &core.Options{Tracer: tr}
 	if opt != nil {
-		copts.FullMatrix = opt.FullMatrix
 		copts.OracleWorkers = opt.OracleWorkers
 		copts.Decompose = opt.Decompose
 		if opt.Weights != nil {
@@ -422,8 +389,7 @@ func (in *Instance) Solve(b Bounds, opt *Options) (*Tree, error) {
 // SolveElmore runs the §7 Elmore-delay extension: the delay windows are
 // interpreted under the Elmore model and solved by sequential linear
 // programming (heuristic; see package core) on one persistent warm
-// revised engine, so Options.Solver "coldsimplex" or "ipm" is an error.
-// Rw/Cw are wire resistance and capacitance per unit length, finite and
+// revised engine. Rw/Cw are wire resistance and capacitance per unit length, finite and
 // ≥ 0 and not both zero; sinkCap is indexed like the sinks (nil means
 // zero loads) and its loads are finite and ≥ 0. The same input gives the
 // same tree on every run.
@@ -434,13 +400,6 @@ func (in *Instance) SolveElmore(b Bounds, rw, cw float64, sinkCap []float64, opt
 	cb, err := b.toCore(len(in.sinks))
 	if err != nil {
 		return nil, err
-	}
-	solver, err := opt.lpSolver()
-	if err != nil {
-		return nil, err
-	}
-	if solver != nil {
-		return nil, fmt.Errorf("lubt: SolveElmore needs the warm revised engine, not solver %q", opt.Solver)
 	}
 	mdl, err := elmoreModel(rw, cw, sinkCap, len(in.sinks))
 	if err != nil {
@@ -506,8 +465,14 @@ func (in *Instance) finish(ci *core.Instance, cb core.Bounds, e []float64, cost 
 	if err != nil {
 		return nil, fmt.Errorf("lubt: embedding failed: %w", err)
 	}
+	return newTree(ci, cb, e, cost, ci.Tree.Delays(e), pl)
+}
+
+// newTree assembles the public Tree of a routed instance from its edge
+// lengths, cost, per-node delays and embedding, and checks that every
+// number it reports is finite.
+func newTree(ci *core.Instance, cb core.Bounds, e []float64, cost float64, delays []float64, pl *embed.Placement) (*Tree, error) {
 	t := ci.Tree
-	delays := t.Delays(e)
 	tree := &Tree{
 		Parent:      append([]int(nil), t.Parent...),
 		NumSinks:    t.NumSinks,
@@ -564,52 +529,17 @@ func checkReach(ci *core.Instance, e []float64) error {
 // the literature next to the paper's optimization formulation. Rw and Cw
 // must be finite and positive; sinkCap is as in SolveElmore.
 func ElmoreZeroSkew(sinks []Point, rw, cw float64, sinkCap []float64, source *Point) (*Tree, error) {
-	gs := make([]geom.Point, len(sinks))
-	for i, s := range sinks {
-		gs[i] = gp(s)
-	}
-	var src *geom.Point
-	if source != nil {
-		s := gp(*source)
-		src = &s
-	}
-	if err := checkPoints(gs, src); err != nil {
-		return nil, err
-	}
-	mdl, err := elmoreModel(rw, cw, sinkCap, len(sinks))
-	if err != nil {
-		return nil, err
-	}
-	res, err := zst.Route(gs, mdl, src)
-	if err != nil {
-		return nil, err
-	}
-	t := res.Tree
-	ci := &core.Instance{Tree: t, SinkLoc: make([]geom.Point, len(sinks)+1), Source: src}
-	copy(ci.SinkLoc[1:], gs)
-	tree := &Tree{
-		Parent:      append([]int(nil), t.Parent...),
-		NumSinks:    t.NumSinks,
-		EdgeLengths: append([]float64(nil), res.E...),
-		Cost:        res.Cost,
-		SinkDelays:  make([]float64, t.NumSinks),
-		Locations:   make([]Point, t.N()),
-		Elongation:  append([]float64(nil), res.Placement.Elongation...),
-		inst:        ci,
-		bounds:      core.UniformBounds(t.NumSinks, 0, math.Inf(1)),
-		placement:   res.Placement,
-	}
-	for i := 1; i <= t.NumSinks; i++ {
-		tree.SinkDelays[i-1] = res.Delays[i]
-	}
-	for i, p := range res.Placement.Loc {
-		tree.Locations[i] = fromG(p)
-	}
-	tree.recomputeStats()
-	if err := tree.checkFinite(); err != nil {
-		return nil, err
-	}
-	return tree, nil
+	return baseline(sinks, source, func(gs []geom.Point, src *geom.Point) (*baselineRoute, error) {
+		mdl, err := elmoreModel(rw, cw, sinkCap, len(sinks))
+		if err != nil {
+			return nil, err
+		}
+		res, err := zst.Route(gs, mdl, src)
+		if err != nil {
+			return nil, err
+		}
+		return &baselineRoute{res.Tree, res.E, res.Cost, res.Delays, res.Placement}, nil
+	})
 }
 
 // BoundedSkewBaseline routes the sinks with the reimplemented
@@ -618,6 +548,28 @@ func ElmoreZeroSkew(sinks []Point, rw, cw float64, sinkCap []float64, source *Po
 // comparison baseline of Table 1 and the topology provider for the LUBT
 // methodology. skewBound may be math.Inf(1).
 func BoundedSkewBaseline(sinks []Point, skewBound float64, source *Point) (*Tree, error) {
+	return baseline(sinks, source, func(gs []geom.Point, src *geom.Point) (*baselineRoute, error) {
+		res, err := bst.Route(gs, skewBound, src)
+		if err != nil {
+			return nil, err
+		}
+		return &baselineRoute{res.Tree, res.E, res.Cost, res.Delays, res.Placement}, nil
+	})
+}
+
+// baselineRoute is what a constructive baseline router returns: a
+// topology with its edge lengths, cost, per-node delays and embedding.
+type baselineRoute struct {
+	tree      *topology.Tree
+	e         []float64
+	cost      float64
+	delays    []float64
+	placement *embed.Placement
+}
+
+// baseline checks the points, runs a constructive router over them and
+// assembles its route as a public Tree whose windows are [0, ∞).
+func baseline(sinks []Point, source *Point, route func([]geom.Point, *geom.Point) (*baselineRoute, error)) (*Tree, error) {
 	gs := make([]geom.Point, len(sinks))
 	for i, s := range sinks {
 		gs[i] = gp(s)
@@ -630,34 +582,12 @@ func BoundedSkewBaseline(sinks []Point, skewBound float64, source *Point) (*Tree
 	if err := checkPoints(gs, src); err != nil {
 		return nil, err
 	}
-	res, err := bst.Route(gs, skewBound, src)
+	res, err := route(gs, src)
 	if err != nil {
 		return nil, err
 	}
-	t := res.Tree
+	t := res.tree
 	ci := &core.Instance{Tree: t, SinkLoc: make([]geom.Point, len(sinks)+1), Source: src}
 	copy(ci.SinkLoc[1:], gs)
-	tree := &Tree{
-		Parent:      append([]int(nil), t.Parent...),
-		NumSinks:    t.NumSinks,
-		EdgeLengths: append([]float64(nil), res.E...),
-		Cost:        res.Cost,
-		SinkDelays:  make([]float64, t.NumSinks),
-		Locations:   make([]Point, t.N()),
-		Elongation:  append([]float64(nil), res.Placement.Elongation...),
-		inst:        ci,
-		bounds:      core.UniformBounds(t.NumSinks, 0, math.Inf(1)),
-		placement:   res.Placement,
-	}
-	for i := 1; i <= t.NumSinks; i++ {
-		tree.SinkDelays[i-1] = res.Delays[i]
-	}
-	for i, p := range res.Placement.Loc {
-		tree.Locations[i] = fromG(p)
-	}
-	tree.recomputeStats()
-	if err := tree.checkFinite(); err != nil {
-		return nil, err
-	}
-	return tree, nil
+	return newTree(ci, core.UniformBounds(t.NumSinks, 0, math.Inf(1)), res.e, res.cost, res.delays, res.placement)
 }
