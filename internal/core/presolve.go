@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -457,14 +458,16 @@ func (ps *presolve) violatedPairs(d []float64, tol float64, batch, workers int) 
 			}
 		}
 	}
-	sort.Slice(vs, func(a, b int) bool {
-		if vs[a].amount != vs[b].amount {
-			return vs[a].amount > vs[b].amount
+	// Each pair appears once, so the key is a strict order and any sort
+	// gives the same batch.
+	slices.SortFunc(vs, func(a, b sepViol) int {
+		if c := cmp.Compare(b.amount, a.amount); c != 0 {
+			return c
 		}
-		if vs[a].pair[0] != vs[b].pair[0] {
-			return vs[a].pair[0] < vs[b].pair[0]
+		if c := cmp.Compare(a.pair[0], b.pair[0]); c != 0 {
+			return c
 		}
-		return vs[a].pair[1] < vs[b].pair[1]
+		return cmp.Compare(a.pair[1], b.pair[1])
 	})
 	if len(vs) > batch {
 		vs = vs[:batch]

@@ -65,21 +65,33 @@ func (ip *IPM) Solve(p *Problem) (*Solution, error) {
 		}
 		return x
 	}
-	// normalEq builds M = A·diag(d)·Aᵀ.
+	// colRows[j] lists the rows with a nonzero in column j, ascending.
+	colRows := make([][]int, n)
+	for i := 0; i < m; i++ {
+		for j, v := range a[i] {
+			if v != 0 {
+				colRows[j] = append(colRows[j], i)
+			}
+		}
+	}
+	// normalEq builds M = A·diag(d)·Aᵀ column by column, adding
+	// (a_i1j·d_j)·a_i2j over each column's nonzero row pairs in ascending
+	// column order: each entry sums only its nonzero products, in the
+	// order of the dense row-by-row dot product.
 	normalEq := func(d []float64) *linalg.Matrix {
 		mm := linalg.NewMatrix(m, m)
-		for i1 := 0; i1 < m; i1++ {
-			r1 := a[i1]
-			for i2 := i1; i2 < m; i2++ {
-				r2 := a[i2]
-				var s float64
-				for j := 0; j < n; j++ {
-					if r1[j] != 0 && r2[j] != 0 {
-						s += r1[j] * d[j] * r2[j]
-					}
+		for j, rows := range colRows {
+			for p, i1 := range rows {
+				s1 := a[i1][j] * d[j]
+				r := mm.Row(i1)
+				for _, i2 := range rows[p:] {
+					r[i2] += s1 * a[i2][j]
 				}
-				mm.Set(i1, i2, s)
-				mm.Set(i2, i1, s)
+			}
+		}
+		for i1 := 0; i1 < m; i1++ {
+			for i2 := i1 + 1; i2 < m; i2++ {
+				mm.Set(i2, i1, mm.At(i1, i2))
 			}
 		}
 		return mm

@@ -62,7 +62,7 @@ func (rs *rowStore) appendLE(terms []Term, rhs float64, sign float64) {
 		}
 		rs.scratch[t.Var] += sign * t.Coef
 	}
-	sort.Slice(rs.touched, func(a, b int) bool { return rs.touched[a] < rs.touched[b] })
+	slices.Sort(rs.touched)
 	row := int32(len(rs.rhs))
 	for _, j := range rs.touched {
 		c := rs.scratch[j]
@@ -95,7 +95,7 @@ func (rs *rowStore) replaceRow(k int, terms []Term, rhs float64, sign float64) (
 		}
 		rs.scratch[t.Var] += sign * t.Coef
 	}
-	sort.Slice(rs.touched, func(a, b int) bool { return rs.touched[a] < rs.touched[b] })
+	slices.Sort(rs.touched)
 	lo, hi := rs.ptr[k], rs.ptr[k+1]
 	// Same coefficient pattern? Then only the right-hand side moves.
 	same := true

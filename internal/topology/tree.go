@@ -3,7 +3,6 @@ package topology
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Tree is a rooted tree topology. Construct with New and do not mutate the
@@ -203,13 +202,14 @@ func (t *Tree) Path(i, j int) []int {
 // Euler-tour internals. Nodes with no sinks below get an empty span
 // (lo[v] == hi[v]).
 func (t *Tree) SinkOrder() (order, lo, hi []int) {
-	order = make([]int, t.NumSinks)
-	for i := range order {
-		order[i] = i + 1
+	// Preorder visits children in the order of the build DFS, so it lists
+	// the sinks by first visit.
+	order = make([]int, 0, t.NumSinks)
+	for _, v := range t.Preorder() {
+		if t.IsSink(v) {
+			order = append(order, v)
+		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return t.firstVisit[order[a]] < t.firstVisit[order[b]]
-	})
 	pos := make([]int, t.N())
 	for i := range pos {
 		pos[i] = -1

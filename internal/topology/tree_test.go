@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -206,6 +207,60 @@ func TestPathLengthMatchesExplicitPath(t *testing.T) {
 			}
 			if got := tree.PathLength(i, j, d); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("PathLength(%d,%d) = %g, want %g", i, j, got, want)
+			}
+		}
+	}
+}
+
+// TestSinkOrder checks SinkOrder on random trees with non-leaf sinks,
+// Steiner leaves and high degree: the sinks come in first-visit order,
+// and each node's span lists exactly the sinks of its subtree.
+func TestSinkOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(12)
+		n := 1 + m + rng.Intn(8)
+		// Attach the nodes in a random order, each under the root or a
+		// node attached before it.
+		attach := rng.Perm(n - 1)
+		parent := make([]int, n)
+		parent[0] = -1
+		attached := []int{0}
+		for _, k := range attach {
+			parent[k+1] = attached[rng.Intn(len(attached))]
+			attached = append(attached, k+1)
+		}
+		tree := MustNew(parent, m)
+		order, lo, hi := tree.SinkOrder()
+		if len(order) != m {
+			t.Fatalf("trial %d: %d sinks in order, want %d", trial, len(order), m)
+		}
+		seen := make([]bool, m+1)
+		for p, s := range order {
+			if !tree.IsSink(s) || seen[s] {
+				t.Fatalf("trial %d: order %v is not a permutation of the sinks", trial, order)
+			}
+			seen[s] = true
+			if p > 0 && tree.firstVisit[order[p-1]] >= tree.firstVisit[s] {
+				t.Fatalf("trial %d: order %v is not in first-visit order", trial, order)
+			}
+		}
+		for v := 0; v < n; v++ {
+			var want []int
+			for _, s := range order {
+				for x := s; x >= 0; x = tree.Parent[x] {
+					if x == v {
+						want = append(want, s)
+						break
+					}
+				}
+			}
+			got := order[lo[v]:hi[v]]
+			if len(want) == 0 && (lo[v] != 0 || hi[v] != 0) {
+				t.Fatalf("trial %d: node %d has no sinks but span [%d, %d)", trial, v, lo[v], hi[v])
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: node %d spans %v, its subtree's sinks are %v", trial, v, got, want)
 			}
 		}
 	}

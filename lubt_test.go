@@ -52,6 +52,33 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsNonFiniteEdges overwrites a solved tree's exported
+// edge lengths with NaN and +Inf. Under windows [0, ∞) every bound and
+// Steiner check is a comparison that NaN and +Inf pass, so Verify must
+// reject them by name first.
+func TestVerifyRejectsNonFiniteEdges(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		inst, _ := NewInstance([]Point{{0, 0}, {10, 0}, {0, 10}, {10, 10}})
+		inst.SetSource(Point{5, 5})
+		if err := inst.UseBalancedTopology(); err != nil {
+			t.Fatal(err)
+		}
+		tree, err := inst.Solve(Uniform(4, 0, math.Inf(1)), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Verify(); err != nil {
+			t.Fatalf("solved tree fails Verify: %v", err)
+		}
+		for k := range tree.EdgeLengths {
+			tree.EdgeLengths[k] = bad
+		}
+		if err := tree.Verify(); err == nil || !strings.Contains(err.Error(), "edge 1 length") || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("edges all %g: Verify = %v, want edge 1 named as not finite", bad, err)
+		}
+	}
+}
+
 func TestNewInstanceValidation(t *testing.T) {
 	if _, err := NewInstance(nil); err == nil {
 		t.Error("empty instance accepted")
