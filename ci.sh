@@ -71,14 +71,18 @@ echo "== fuzz (warm revised engine edits vs cold simplex)"
 # with the race step above.
 go test -run '^$' -fuzz FuzzRevisedEdits -fuzztime 10s ./internal/lp
 
-echo "== fuzz (separation oracle vs the brute-force pair scan)"
+echo "== fuzz (separation oracle and Verify vs the brute-force pair scans)"
 # FuzzSeparationOracle decodes small instances (random topologies with
 # Steiner nodes, non-leaf sinks and high degree, an optional source,
 # every delay-window shape, a random edge vector) and requires the block
 # oracle to report the brute-force scan's violated pairs and worst
 # violation without its window arm, and to drop only pairs its block
-# witnesses dominate with it; its seed corpus under
-# internal/core/testdata/fuzz already ran with the race step above.
+# witnesses dominate with it. It also requires core.Verify to return
+# exactly what its pairwise LCA reference returns (nil or the same
+# error text), with the decoded windows and with the windows relaxed to
+# [0, inf) and the source dropped, where the pair scan decides. Its seed
+# corpus under internal/core/testdata/fuzz already ran with the race
+# step above.
 go test -run '^$' -fuzz FuzzSeparationOracle -fuzztime 10s ./internal/core
 
 echo "== fuzz (warm ECO sessions vs the cold oracle)"
